@@ -19,7 +19,6 @@ from .geometry import (
     HandPointMap,
     NormalizationParams,
     PointCloud,
-    RigidPose,
     SimilarityTransform,
     TriangleMesh,
     apply_pose,

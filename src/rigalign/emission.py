@@ -19,6 +19,8 @@ from .geometry import (
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
+    apply_pose,
+    first_hit_map,
     sample_mesh_surface,
 )
 from .metrics import chamfer_distance
@@ -103,42 +105,10 @@ def estimate_scale(x, y) -> float:
 def rasterize_silhouette(mesh: TriangleMesh, pose: SimilarityTransform, camera: Camera) -> np.ndarray:
     """(H, W) bool coverage of the posed mesh under the pinhole camera.
 
-    A pixel is set when its center ray hits any triangle at positive depth,
-    matching per-pixel ray casting. Projected bounding boxes keep the inner
-    test cheap; triangles crossing the camera plane fall back to a full scan.
+    A pixel is set when its center ray hits any triangle at positive depth:
+    the hit mask of the ray cast.
     """
-    verts = pose.apply(mesh.vertices)
-    tris = verts[mesh.faces]
-    h, w = camera.height, camera.width
-    mask = np.zeros((h, w), dtype=bool)
-    u_centers = (np.arange(w) + 0.5 - camera.cx) / camera.fx
-    v_centers = (np.arange(h) + 0.5 - camera.cy) / camera.fy
-    for tri in tris:
-        z = tri[:, 2]
-        if (z <= 0.0).all():
-            continue
-        m = tri.T  # columns are the three vertices
-        if np.linalg.det(m) == 0.0:
-            continue
-        if (z > 0.0).all():
-            u = camera.fx * tri[:, 0] / z + camera.cx
-            v = camera.fy * tri[:, 1] / z + camera.cy
-            j0 = max(0, math.ceil(u.min() - 0.5))
-            j1 = min(w - 1, math.floor(u.max() - 0.5))
-            i0 = max(0, math.ceil(v.min() - 0.5))
-            i1 = min(h - 1, math.floor(v.max() - 0.5))
-            if j0 > j1 or i0 > i1:
-                continue
-        else:
-            i0, i1, j0, j1 = 0, h - 1, 0, w - 1
-        du = u_centers[j0 : j1 + 1]
-        dv = v_centers[i0 : i1 + 1]
-        gx, gy = np.meshgrid(du, dv)
-        dirs = np.stack([gx.ravel(), gy.ravel(), np.ones(gx.size)])
-        bary = np.linalg.solve(m, dirs)
-        covered = (bary >= 0.0).all(axis=0).reshape(i1 - i0 + 1, j1 - j0 + 1)
-        mask[i0 : i1 + 1, j0 : j1 + 1] |= covered
-    return mask
+    return first_hit_map(apply_pose(mesh, pose), camera).hits
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,6 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
-def quat_canonical(q) -> np.ndarray:
-    """Flip sign so the first nonzero component is positive (q and -q are the same rotation)."""
-    q = np.asarray(q, dtype=float)
-    for c in q:
-        if c != 0.0:
-            return q if c > 0.0 else -q
-    raise ValueError("zero quaternion has no canonical form")
-
-
 def quat_to_matrix(q) -> np.ndarray:
     w, x, y, z = quat_normalize(q)
     return np.array(
@@ -262,9 +253,6 @@ class SimilarityTransform:
         )
 
 
-RigidPose = SimilarityTransform
-
-
 # ---------------------------------------------------------------------------
 # Ray casting.
 
@@ -301,20 +289,52 @@ def ray_triangle_intersect(origin, direction, triangle):
     return t, (1.0 - u - v, u, v)
 
 
+def _visible_window(tris: np.ndarray, camera: Camera) -> tuple[int, int, int, int]:
+    """Pixel rows [i0, i1) and columns [j0, j1) whose center rays can hit the triangles.
+
+    With every vertex in front of the camera, a hit pixel center lies inside
+    the projected vertex bounding box; one pixel of padding absorbs rounding
+    in the projection. A vertex at or behind the camera plane makes the
+    projection unbounded, so the window is the whole image.
+    """
+    h, w = camera.height, camera.width
+    p = tris.reshape(-1, 3)
+    z = p[:, 2]
+    if (z <= 0.0).any():
+        return 0, h, 0, w
+    with np.errstate(over="ignore"):
+        u = camera.fx * p[:, 0] / z + camera.cx
+        v = camera.fy * p[:, 1] / z + camera.cy
+    # center j + 0.5 lies in [u.min(), u.max()] for j in
+    # [ceil(u.min() - 0.5), floor(u.max() - 0.5)]; widen that by one each side
+    j0 = int(np.clip(np.ceil(u.min() - 0.5) - 1, 0, w))
+    j1 = int(np.clip(np.floor(u.max() - 0.5) + 2, 0, w))
+    i0 = int(np.clip(np.ceil(v.min() - 0.5) - 1, 0, h))
+    i1 = int(np.clip(np.floor(v.max() - 0.5) + 2, 0, h))
+    return i0, i1, j0, j1
+
+
 def first_hit_map(mesh: TriangleMesh, camera: Camera, chunk: int = 128) -> HandPointMap:
     """Nearest positive-t intersection of every pixel ray with the mesh.
 
     Front- and back-facing triangles both count; ties in t go to the lowest
-    face index. Vectorized over pixels, chunked over faces to bound memory.
+    face index. Only pixels inside the mesh's projected window cast rays
+    (the rest miss); vectorized over those pixels, chunked over faces to
+    bound memory.
     """
     if len(mesh.faces) == 0:
         raise EmptyMesh("mesh has no faces")
     h, w = camera.height, camera.width
-    dirs = camera.pixel_rays().reshape(-1, 3)
+    hits = np.zeros((h, w), dtype=bool)
+    points = np.zeros((h, w, 3))
+    tris = mesh.triangles()
+    i0, i1, j0, j1 = _visible_window(tris, camera)
+    if i0 >= i1 or j0 >= j1:
+        return HandPointMap(points, hits)
+    dirs = camera.pixel_rays()[i0:i1, j0:j1].reshape(-1, 3)
     npix = dirs.shape[0]
     best_t = np.full(npix, np.inf)
     best_point = np.zeros((npix, 3))
-    tris = mesh.triangles()
     dx, dy, dz = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
     for start in range(0, len(tris), chunk):
         v0 = tris[start : start + chunk, 0]
@@ -350,8 +370,9 @@ def first_hit_map(mesh: TriangleMesh, camera: Camera, chunk: int = 128) -> HandP
             a1[:, None] * tri[:, 0] + uw[:, None] * tri[:, 1] + vw[:, None] * tri[:, 2]
         )
         best_t[better] = tmin[better]
-    hits = np.isfinite(best_t).reshape(h, w)
-    return HandPointMap(best_point.reshape(h, w, 3), hits)
+    hits[i0:i1, j0:j1] = np.isfinite(best_t).reshape(i1 - i0, j1 - j0)
+    points[i0:i1, j0:j1] = best_point.reshape(i1 - i0, j1 - j0, 3)
+    return HandPointMap(points, hits)
 
 
 def sample_hand_points(hand: TriangleMesh, camera: Camera) -> HandPointMap:
@@ -385,10 +406,6 @@ def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     tris = mesh.triangles()
     cross = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     return 0.5 * np.linalg.norm(cross, axis=1)
-
-
-def surface_area(mesh: TriangleMesh) -> float:
-    return float(triangle_areas(mesh).sum())
 
 
 def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
@@ -454,11 +471,6 @@ def apply_pose(geometry, pose: SimilarityTransform):
 
 # ---------------------------------------------------------------------------
 # Point-to-surface distance (used by validation and tests).
-
-
-def point_to_triangle_distance(point, triangle) -> float:
-    return float(points_to_triangles_distance(np.asarray(point, float).reshape(1, 3),
-                                              np.asarray(triangle, float).reshape(1, 3, 3))[0])
 
 
 def points_to_triangles_distance(points: np.ndarray, tris: np.ndarray) -> np.ndarray:

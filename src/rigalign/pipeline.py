@@ -91,11 +91,13 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
                 if not fpath.is_file():
                     raise ParseError(f"frame {t}: missing feature map {fpath}")
                 feats, mask = meshio.load_fmap(fpath)
+                _check_image_size(fpath, feats.shape[:2], camera)
                 if cfg.mask_dir:
                     mpath = cfg.resolve(cfg.mask_dir) / f"mask_{t:06d}.pgm"
                     if not mpath.is_file():
                         raise ParseError(f"frame {t}: missing mask {mpath}")
                     mask = meshio.load_pgm_mask(mpath)
+                    _check_image_size(mpath, mask.shape, camera)
                 features = FeatureMap(feats, mask)
             frames.append(FrameObservation(points=obj, features=features))
 
@@ -120,7 +122,8 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
             if not cfg.candidate_features_dir:
                 raise ConfigError("maps feature source needs candidate_features_dir")
             feature_source = DirectoryFeatureSource(cfg.resolve(cfg.candidate_features_dir))
-            _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid))
+            _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid),
+                                  camera)
 
     ground_truths = None
     if cfg.gt_dir:
@@ -130,7 +133,7 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
             gpath = gt_dir / f"gt_{t:06d}.ply"
             if not gpath.is_file():
                 raise ParseError(f"frame {t}: missing ground truth {gpath}")
-            ground_truths.append(_load_gt(gpath))
+            ground_truths.append(meshio.load_ply_geometry(gpath))
 
     return RunInputs(
         mesh=mesh, frames=frames, frame_indices=indices, camera=camera,
@@ -139,9 +142,13 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
     )
 
 
-def _load_gt(path: Path):
-    """Per-frame ground truth: a PLY mesh when faces are present, else a cloud."""
-    return meshio.load_ply_geometry(path)
+def _check_image_size(path: Path, shape, camera) -> None:
+    h, w = shape
+    if (h, w) != (camera.height, camera.width):
+        raise ConfigError(
+            f"{path}: image size {w}x{h} does not match the camera's "
+            f"{camera.width}x{camera.height}"
+        )
 
 
 def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None:
@@ -151,7 +158,8 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
         )
 
 
-def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int, s_trans: int) -> None:
+def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int, s_trans: int,
+                          camera) -> None:
     for phase, count in (("rotation", s_rot), ("translation", s_trans)):
         for t in range(frames):
             for j in range(count):
@@ -159,7 +167,8 @@ def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: in
                 if not p.is_file():
                     raise ParseError(f"missing candidate feature map {p}")
     # parse one file up front so format errors surface before compute
-    meshio.load_fmap(source.path_for("rotation", 0, 0))
+    first = source.path_for("rotation", 0, 0)
+    _check_image_size(first, meshio.load_fmap(first)[0].shape[:2], camera)
 
 
 def _run_alignment(cfg: RunConfig, inputs: RunInputs, threads: int) -> AlignResult:

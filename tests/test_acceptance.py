@@ -34,6 +34,7 @@ from rigalign.synthetic import SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import brute_force_decode, path_cost, viterbi_decode
 
 from conftest import random_blob_mesh
+from oracles import solve_silhouette
 from test_metrics import chamfer_oracle, f_score_oracle
 
 
@@ -208,7 +209,9 @@ def test_criterion_09_rasterizer_raycast_agreement(camera64):
         silhouette = rasterize_silhouette(mesh, pose, camera64)
         oracle = first_hit_map(apply_pose(mesh, pose), camera64).hits
         assert np.array_equal(silhouette, oracle)
-    print("ACCEPTANCE 9 PASS: silhouettes equal the ray-cast oracle on 10 meshes up to 500 faces")
+        assert np.array_equal(silhouette, solve_silhouette(mesh, pose, camera64))
+    print("ACCEPTANCE 9 PASS: silhouettes equal the ray cast and the barycentric-solve oracle "
+          "on 10 meshes up to 500 faces")
 
 
 def test_criterion_10_track_determinism(tmp_path):

@@ -30,6 +30,7 @@ from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import FeatureField, irregular_tetrahedron, render_feature_map
 
 from conftest import random_blob_mesh
+from oracles import solve_silhouette
 
 
 class TestEstimateScale:
@@ -74,6 +75,7 @@ class TestRasterizeSilhouette:
             np.array([[-1.0, -1, -2], [1.0, -1, -2], [0.0, 1, -2]]), np.array([[0, 1, 2]])
         )
         assert not rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64).any()
+        assert not solve_silhouette(mesh, SimilarityTransform.identity(), camera64).any()
 
     def test_full_frustum_quad_all_ones(self, camera64):
         verts = np.array(
@@ -81,12 +83,15 @@ class TestRasterizeSilhouette:
         )
         mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
         assert rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64).all()
+        assert solve_silhouette(mesh, SimilarityTransform.identity(), camera64).all()
 
     def test_unit_quad_covers_frame(self, camera64, unit_quad_mesh):
         # at fx = 100 the unit quad at z = 1 projects past the 64x64 frame
         sil = rasterize_silhouette(unit_quad_mesh, SimilarityTransform.identity(), camera64)
         oracle = first_hit_map(unit_quad_mesh, camera64).hits
         assert np.array_equal(sil, oracle)
+        identity = SimilarityTransform.identity()
+        assert np.array_equal(sil, solve_silhouette(unit_quad_mesh, identity, camera64))
         assert sil.all()
 
     def test_small_quad_projected_rectangle(self, camera64):
@@ -106,6 +111,7 @@ class TestRasterizeSilhouette:
         sil = rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64)
         oracle = first_hit_map(mesh, camera64).hits
         assert np.array_equal(sil, oracle)
+        assert np.array_equal(sil, solve_silhouette(mesh, SimilarityTransform.identity(), camera64))
         # u = 32 + 100 * x in [12.07, 52.07]; centers j + 0.5 inside -> j in 12..51
         expected = np.zeros((64, 64), dtype=bool)
         expected[12:52, 12:52] = True
@@ -120,6 +126,7 @@ class TestRasterizeSilhouette:
             sil = rasterize_silhouette(mesh, pose, camera64)
             oracle = first_hit_map(apply_pose(mesh, pose), camera64).hits
             assert np.array_equal(sil, oracle)
+            assert np.array_equal(sil, solve_silhouette(mesh, pose, camera64))
 
     def test_camera_plane_crossing_triangle(self, camera64):
         # one vertex behind the camera: falls back to the full-image scan;
@@ -131,6 +138,7 @@ class TestRasterizeSilhouette:
         sil = rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64)
         oracle = first_hit_map(mesh, camera64).hits
         assert np.array_equal(sil, oracle)
+        assert np.array_equal(sil, solve_silhouette(mesh, SimilarityTransform.identity(), camera64))
         assert sil.any()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigalign.errors import DegenerateCloud, EmptyCloud, EmptyMesh, ZeroArea
 from rigalign.geometry import (
@@ -143,6 +145,88 @@ class TestHandSampling:
         hit_map = sample_hand_points(unit_quad_mesh, camera64)
         d = points_to_mesh_distance(hit_map.hit_points(), unit_quad_mesh)
         assert d.max() < 1e-6
+
+
+def assert_matches_bruteforce(mesh, camera, chunk=128):
+    fast = first_hit_map(mesh, camera, chunk=chunk)
+    points, hits = brute_force_pixel_cast(mesh, camera)
+    assert np.array_equal(fast.hits, hits)
+    assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
+    return fast.hits
+
+
+def triangle_at(u, v, camera, z=1.0, half=0.1):
+    """Jittered triangle at depth z whose projection is centered on pixel
+    coordinates (u, v) and spans about +-half * fx pixels."""
+    x = (u - camera.cx) * z / camera.fx
+    y = (v - camera.cy) * z / camera.fy
+    verts = np.array(
+        [[x - half, y - 0.9 * half, z], [x + 1.1 * half, y - half, z], [x + 0.07 * half, y + half, z]]
+    )
+    return TriangleMesh(verts, np.array([[0, 1, 2]]))
+
+
+class TestProjectedWindow:
+    """first_hit_map casts rays only inside the projected window; these cases
+    check it against the unwindowed per-pixel cast."""
+
+    camera = Camera(fx=30.0, fy=30.0, cx=8.0, cy=8.0, width=16, height=16)
+
+    @pytest.mark.parametrize(
+        "u, v, edge",
+        [(0.0, 8.3, "left"), (16.0, 7.7, "right"), (8.3, 0.0, "top"), (7.7, 16.0, "bottom")],
+    )
+    def test_straddles_image_border(self, u, v, edge):
+        hits = assert_matches_bruteforce(triangle_at(u, v, self.camera), self.camera)
+        border = {"left": hits[:, 0], "right": hits[:, -1], "top": hits[0], "bottom": hits[-1]}
+        assert border[edge].any()
+        assert not hits.all()
+
+    @pytest.mark.parametrize("u, v", [(40.0, 8.0), (8.0, -30.0), (16.9, 8.0), (-0.9, -0.9)])
+    def test_wholly_off_image(self, u, v):
+        mesh = triangle_at(u, v, self.camera, half=0.02)
+        assert not assert_matches_bruteforce(mesh, self.camera).any()
+
+    def test_wholly_behind_camera(self):
+        mesh = triangle_at(8.0, 8.0, self.camera, z=-1.0, half=0.5)
+        assert not assert_matches_bruteforce(mesh, self.camera).any()
+
+    def test_crosses_camera_plane(self):
+        mesh = TriangleMesh(
+            np.array([[0.0137, 0.0071, -0.5123], [0.3071, 0.0193, 2.0171], [-0.2889, 0.1037, 1.9893]]),
+            np.array([[0, 1, 2]]),
+        )
+        assert assert_matches_bruteforce(mesh, self.camera).any()
+
+    def test_sub_pixel_triangle_between_centers(self):
+        # projects into u, v in about [8.1, 8.4]: between centers 7.5 and 8.5
+        mesh = triangle_at(8.25, 8.25, self.camera, half=0.004)
+        assert not assert_matches_bruteforce(mesh, self.camera).any()
+
+    def test_sub_pixel_triangle_over_one_center(self):
+        mesh = triangle_at(8.5, 8.5, self.camera, half=0.006)
+        hits = assert_matches_bruteforce(mesh, self.camera)
+        assert hits.sum() == 1 and hits[8, 8]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_chunk_smaller_than_face_count(self, chunk):
+        rng = np.random.default_rng(31)
+        mesh = random_blob_mesh(rng, n_faces=12, center=(0.25, -0.1, 1.0), spread=0.15)
+        hits = assert_matches_bruteforce(mesh, self.camera, chunk=chunk)
+        assert hits.any() and not hits.all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.tuples(*[st.floats(-1.5, 1.5)] * 2, st.floats(-2.0, 1.0)),
+        st.floats(0.3, 2.0),
+    )
+    def test_random_poses_match_bruteforce(self, seed, translation, scale):
+        rng = np.random.default_rng(seed)
+        mesh = random_blob_mesh(rng, n_faces=int(rng.integers(1, 25)))
+        q = random_unit_quaternions(1, seed=seed)[0]
+        pose = SimilarityTransform(q, np.array(translation), scale)
+        assert_matches_bruteforce(apply_pose(mesh, pose), self.camera, chunk=int(rng.integers(1, 30)))
 
 
 class TestNormalizePoints:

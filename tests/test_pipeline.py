@@ -6,7 +6,7 @@ import pytest
 from rigalign import meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
-from rigalign.errors import ParseError
+from rigalign.errors import ConfigError, ParseError
 from rigalign.geometry import Camera, TriangleMesh, points_to_mesh_distance
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
@@ -149,8 +149,6 @@ class TestRunTrack:
     def test_table_shape_mismatch_rejected(self, scene_dir, tmp_path):
         import shutil
 
-        from rigalign.errors import ConfigError
-
         root = tmp_path / "badtbl"
         shutil.copytree(scene_dir, root)
         meshio.save_emission_table(np.zeros((4, 7), dtype=np.float32), root / "rot.emit")
@@ -191,6 +189,11 @@ class TestRunTrack:
         # removing one candidate map must fail validation before compute
         (feat_dir / "feat_translation_000000_000013.fmap").unlink()
         with pytest.raises(ParseError, match="feat_translation_000000_000013"):
+            run_track(load_config(root / "config.cfg"), tmp_path / "never")
+        # a candidate map of another size than the camera's is rejected too
+        meshio.save_fmap(feats[:32], full[:32], feat_dir / "feat_translation_000000_000013.fmap")
+        meshio.save_fmap(feats[:32], full[:32], feat_dir / "feat_rotation_000000_000000.fmap")
+        with pytest.raises(ConfigError, match="feat_rotation_000000_000000"):
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
 
 
@@ -263,6 +266,36 @@ class TestCli:
         shutil.copy(tmp_path / "model.obj", scene / "model.obj")
         code = cli_run(["track", "--config", str(scene / "config.cfg"), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_camera_width_mismatch_rejected_at_load(self, tmp_path, capsys):
+        # feature maps stay 64x64 while the camera claims 48 columns
+        scene = tmp_path / "scene"
+        cli_run(["synth", "--out", str(scene), "--frames", "1", "--level", "0",
+                 "--cloud-points", "64", "--seed", "5"])
+        cam = json.loads((scene / "camera.json").read_text())
+        cam["width"] = 48
+        (scene / "camera.json").write_text(json.dumps(cam))
+        capsys.readouterr()
+        code = cli_run(["track", "--config", str(scene / "config.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "feat_000000.fmap" in err and "48x64" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_mask_size_mismatch_rejected_at_load(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        cli_run(["synth", "--out", str(scene), "--frames", "1", "--level", "0",
+                 "--cloud-points", "64", "--seed", "5"])
+        meshio.save_pgm_mask(np.ones((64, 32), dtype=bool), scene / "mask_000000.pgm")
+        cfg = scene / "config.cfg"
+        cfg.write_text(cfg.read_text().replace("mask_dir = ", "mask_dir = ."))
+        capsys.readouterr()
+        code = cli_run(["track", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "mask_000000.pgm" in err and "32x64" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPrep:
