@@ -9,7 +9,6 @@ from .emission import (
     FrameObservation,
     PCABasis,
     dino_similarity,
-    emission_cost,
     estimate_scale,
     pca_basis,
     rasterize_silhouette,

@@ -9,7 +9,6 @@ rotation angles and absolute-position Euclidean distances respectively.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +88,11 @@ class AlignResult:
     translation_table: EmissionTable
 
 
-def _build_rows(evaluator, phase, frames, states_for_frame, threads):
-    rows = [None] * len(frames)
-
-    def fill(t):
-        cd, dino = evaluator.frame_terms(phase, t, frames[t], states_for_frame(t))
-        rows[t] = evaluator.combine_terms(cd, dino)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(frames))))
-    else:
-        for t in range(len(frames)):
-            fill(t)
+def _build_rows(evaluator, phase, frames, states_for_frame):
+    rows = []
+    for t, obs in enumerate(frames):
+        cd, dino = evaluator.frame_terms(phase, t, obs, states_for_frame(t))
+        rows.append(evaluator.combine_terms(cd, dino))
     return EmissionTable(np.stack(rows))
 
 
@@ -124,7 +115,6 @@ def align_sequence(
     penalty_factor: float = 10.0,
     scale: float | None = None,
     timestamps=None,
-    threads: int = 1,
 ) -> AlignResult:
     """Scale estimate, rotation Viterbi, then translation Viterbi.
 
@@ -154,7 +144,7 @@ def align_sequence(
     def rotation_states(t):
         return [SimilarityTransform(q, mus[t], 1.0) for q in quats]
 
-    rot_table = _build_rows(evaluator, "rotation", frames, rotation_states, threads)
+    rot_table = _build_rows(evaluator, "rotation", frames, rotation_states)
     rot_path = viterbi_decode(rot_table, rot_grid.pairwise_angles(), lam_rot)
     decoded_quats = quats[rot_path.states]
 
@@ -164,7 +154,7 @@ def align_sequence(
     def translation_states(t):
         return [SimilarityTransform(decoded_quats[t], p, 1.0) for p in positions[t]]
 
-    trans_table = _build_rows(evaluator, "translation", frames, translation_states, threads)
+    trans_table = _build_rows(evaluator, "translation", frames, translation_states)
     if len(frames) > 1:
         diffs = positions[1:, None, :, :] - positions[:-1, :, None, :]
         trans_costs = np.sqrt((diffs**2).sum(axis=-1))  # (T-1, S, S)

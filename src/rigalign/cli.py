@@ -32,7 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="run config file (key = value lines)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for emission rows")
         p.add_argument("--out", default="out", help="output directory")
 
     add_common(sub.add_parser("align", help="align the first frame only"))
@@ -88,12 +87,11 @@ def run(argv=None) -> int:
             cfg_path = write_scene(generate_synthetic_scene(spec), args.out)
             print(cfg_path)
         elif args.command == "track":
-            written = pipeline.run_track(_load(args), args.out, threads=args.threads)
+            written = pipeline.run_track(_load(args), args.out)
             for path in written.values():
                 print(path)
         elif args.command == "align":
-            written = pipeline.run_track(_load(args), args.out, threads=args.threads,
-                                         first_frame_only=True)
+            written = pipeline.run_track(_load(args), args.out, first_frame_only=True)
             for path in written.values():
                 print(path)
         elif args.command == "eval":

@@ -12,19 +12,26 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateCloud, EmptyOverlap, InsufficientSamples, ParseError
 from .geometry import (
     Camera,
+    HandPointMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
     apply_pose,
     first_hit_map,
+    resample_point_cloud,
     sample_mesh_surface,
 )
-from .metrics import chamfer_distance
+from .metrics import M2_TO_CM2
 from . import meshio
+
+# Query points per batched Chamfer block: bounds the posed-point buffers at
+# a few MB whatever the number of states scored.
+_CHAMFER_BLOCK_POINTS = 16384
 
 
 @dataclass(eq=False)
@@ -168,14 +175,15 @@ class FeatureSource:
     """Supplier of candidate-pose feature evidence.
 
     Either a precomputed (frames x states) table of feature errors, or
-    per-state feature maps rendered/loaded on demand.
+    per-state feature maps built from the state's ray cast, masked to it.
     """
 
     def errors_table(self, phase: str) -> np.ndarray | None:
         return None
 
     def candidate_features(self, phase: str, frame_index: int, state_index: int,
-                           pose: SimilarityTransform) -> FeatureMap:
+                           pose: SimilarityTransform, hit_map: HandPointMap) -> FeatureMap:
+        """Feature map of one posed state; its mask lies inside hit_map.hits."""
         raise NotImplementedError
 
 
@@ -198,26 +206,25 @@ class DirectoryFeatureSource(FeatureSource):
     def path_for(self, phase: str, frame_index: int, state_index: int) -> Path:
         return self.root / f"feat_{phase}_{frame_index:06d}_{state_index:06d}.fmap"
 
-    def candidate_features(self, phase, frame_index, state_index, pose) -> FeatureMap:
+    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
         p = self.path_for(phase, frame_index, state_index)
         if not p.is_file():
             raise ParseError(f"missing candidate feature map {p}")
         feats, mask = meshio.load_fmap(p)
-        return FeatureMap(feats, mask)
+        return FeatureMap(feats, mask & hit_map.hits)
 
 
 class SyntheticFeatureSource(FeatureSource):
-    """Renders a known pose-dependent feature field; used for end-to-end checks."""
+    """Evaluates a known pose-dependent feature field at the state's ray hits;
+    used for end-to-end checks."""
 
-    def __init__(self, mesh: TriangleMesh, camera: Camera, field):
-        self.mesh = mesh
-        self.camera = camera
+    def __init__(self, field):
         self.field = field
 
-    def candidate_features(self, phase, frame_index, state_index, pose) -> FeatureMap:
-        from .synthetic import render_feature_map
+    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
+        from .synthetic import field_features
 
-        return render_feature_map(self.mesh, pose, self.camera, self.field)
+        return field_features(hit_map, pose, self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +236,9 @@ class EmissionEvaluator:
 
     The model surface is sampled once (seeded); candidate poses move that
     sample. Chamfer runs against an equal-size resample of the observed
-    cloud, in cm^2. The feature term renders the posed mesh silhouette and
-    compares basis-projected features against the frame's input map.
+    cloud, in cm^2, batched over all states of a frame. The feature term ray
+    casts the posed mesh once per state and compares basis-projected
+    features inside its silhouette against the frame's input map.
     """
 
     def __init__(self, mesh: TriangleMesh, scale: float, *, camera: Camera | None = None,
@@ -250,6 +258,7 @@ class EmissionEvaluator:
         self.seed = int(seed)
         self.penalty_factor = float(penalty_factor)
         self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
+        self._sample_tree = cKDTree(self.sample)
 
     @property
     def use_features(self) -> bool:
@@ -259,11 +268,36 @@ class EmissionEvaluator:
         """Model-to-camera transform: the rigid state with the model scale folded in."""
         return SimilarityTransform(state.rotation, state.translation, self.scale * state.scale)
 
-    def posed_sample(self, state: SimilarityTransform) -> np.ndarray:
-        return self.full_pose(state).apply(self.sample)
+    def chamfer_term(self, x_resampled: np.ndarray, states) -> np.ndarray:
+        """Chamfer distance (cm^2) between the observed resample and the posed
+        model sample of every state, in state order.
 
-    def chamfer_term(self, x_resampled: np.ndarray, state: SimilarityTransform) -> float:
-        return chamfer_distance(x_resampled, self.posed_sample(state))
+        Sample->observed distances query the forward-posed samples against
+        one tree on the observed points. Observed->sample distances query the
+        inverse-posed observed points against the model sample's tree: a
+        similarity pose of scale s scales every distance by s, so those
+        distances are s times the model-frame ones. States go in blocks of
+        about _CHAMFER_BLOCK_POINTS query points.
+        """
+        x = np.asarray(x_resampled, dtype=float)
+        n, m = len(x), len(self.sample)
+        obs_tree = cKDTree(x)
+        poses = [self.full_pose(state) for state in states]
+        row = np.empty(len(poses))
+        per_block = max(1, _CHAMFER_BLOCK_POINTS // max(n, m))
+        for start in range(0, len(poses), per_block):
+            block = poses[start:start + per_block]
+            forward = np.concatenate([pose.apply(self.sample) for pose in block])
+            inverse = np.concatenate([((x - pose.translation) @ pose.matrix()) / pose.scale
+                                      for pose in block])
+            d_ba, _ = obs_tree.query(forward, k=1, workers=-1)
+            d_ab, _ = self._sample_tree.query(inverse, k=1, workers=-1)
+            scales = np.array([pose.scale for pose in block])[:, None]
+            d_ab = d_ab.reshape(len(block), n) * scales
+            d_ba = d_ba.reshape(len(block), m)
+            row[start:start + len(block)] = (
+                np.mean(d_ab**2, axis=1) + np.mean(d_ba**2, axis=1)) * M2_TO_CM2
+        return row
 
     def feature_term(self, phase: str, frame_index: int, state_index: int,
                      state: SimilarityTransform, obs: FrameObservation) -> float:
@@ -276,30 +310,9 @@ class EmissionEvaluator:
         if self.basis is None:
             raise ValueError("feature term needs a PCA basis")
         pose = self.full_pose(state)
-        fj = self.feature_source.candidate_features(phase, frame_index, state_index, pose)
-        silhouette = rasterize_silhouette(self.mesh, pose, self.camera)
-        fj = FeatureMap(fj.features, fj.mask & silhouette)
+        hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
+        fj = self.feature_source.candidate_features(phase, frame_index, state_index, pose, hit_map)
         return dino_similarity(fj, obs.features, self.basis)
-
-    def cost(self, state: SimilarityTransform, obs: FrameObservation, *,
-             phase: str = "rotation", frame_index: int = 0, state_index: int = 0,
-             x_resampled: np.ndarray | None = None) -> float:
-        """Raw weighted emission cost for a single rigid state (no normalization)."""
-        if x_resampled is None:
-            x_resampled = _resampled_points(obs, self.sample_count, self.seed)
-        total = 0.0
-        if self.w_cd != 0.0:
-            total += self.w_cd * self.chamfer_term(x_resampled, state)
-        if self.use_features:
-            table = self.feature_source.errors_table(phase)
-            if table is not None:
-                value = float(table[frame_index, state_index])
-                if not math.isfinite(value):
-                    raise EmptyOverlap("precomputed feature error marks empty overlap")
-                total += self.w_dino * value
-            else:
-                total += self.w_dino * self.feature_term(phase, frame_index, state_index, state, obs)
-        return total
 
     def frame_terms(self, phase: str, frame_index: int, obs: FrameObservation,
                     states) -> tuple[np.ndarray, np.ndarray | None]:
@@ -308,8 +321,8 @@ class EmissionEvaluator:
         The feature array uses NaN for empty-overlap states and is None when
         the feature term is disabled.
         """
-        x_res = _resampled_points(obs, self.sample_count, self.seed)
-        cd = np.array([self.chamfer_term(x_res, state) for state in states])
+        x_res = resample_point_cloud(obs.points, self.sample_count, self.seed).points
+        cd = self.chamfer_term(x_res, states)
         if not self.use_features:
             return cd, None
         table = self.feature_source.errors_table(phase)
@@ -340,23 +353,6 @@ class EmissionEvaluator:
             penalty = max(self.penalty_factor * float(np.median(good)), float(good.max()))
             costs[~valid] = penalty
         return costs
-
-
-def emission_cost(mesh: TriangleMesh, scale: float, state: SimilarityTransform,
-                  obs: FrameObservation, *, w_cd: float = 1.0, w_dino: float = 1.0,
-                  feature_source: FeatureSource | None = None, camera: Camera | None = None,
-                  basis: PCABasis | None = None, sample_count: int = 1024, seed: int = 0) -> float:
-    """Raw emission cost of one candidate pose state (convenience facade)."""
-    ev = EmissionEvaluator(mesh, scale, camera=camera, w_cd=w_cd, w_dino=w_dino,
-                           feature_source=feature_source, basis=basis,
-                           sample_count=sample_count, seed=seed)
-    return ev.cost(state, obs)
-
-
-def _resampled_points(obs: FrameObservation, n: int, seed: int) -> np.ndarray:
-    from .geometry import resample_point_cloud
-
-    return resample_point_cloud(obs.points, n, seed).points
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ class NearestNeighborIndex:
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
-        d, i = self._tree.query(_as_points(points), k=1)
+        d, i = self._tree.query(_as_points(points), k=1, workers=-1)
         return np.asarray(d, dtype=float), np.asarray(i, dtype=np.int64)
 
     def __len__(self) -> int:

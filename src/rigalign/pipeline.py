@@ -109,7 +109,7 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
         basis = pca_basis([f.features for f in frames])
         if cfg.feature_source == "synthetic":
             field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
-            feature_source = SyntheticFeatureSource(mesh, camera, field)
+            feature_source = SyntheticFeatureSource(field)
         elif cfg.feature_source == "table":
             if not cfg.dino_table_rot or not cfg.dino_table_trans:
                 raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
@@ -123,7 +123,7 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
                 raise ConfigError("maps feature source needs candidate_features_dir")
             feature_source = DirectoryFeatureSource(cfg.resolve(cfg.candidate_features_dir))
             _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid),
-                                  camera)
+                                  camera, len(basis.mean))
 
     ground_truths = None
     if cfg.gt_dir:
@@ -159,19 +159,23 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
 
 
 def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int, s_trans: int,
-                          camera) -> None:
+                          camera, channels: int) -> None:
+    """Every candidate map exists, and its header gives the camera's image size
+    and the input feature maps' channel count."""
     for phase, count in (("rotation", s_rot), ("translation", s_trans)):
         for t in range(frames):
             for j in range(count):
                 p = source.path_for(phase, t, j)
                 if not p.is_file():
                     raise ParseError(f"missing candidate feature map {p}")
-    # parse one file up front so format errors surface before compute
-    first = source.path_for("rotation", 0, 0)
-    _check_image_size(first, meshio.load_fmap(first)[0].shape[:2], camera)
+                h, w, c = meshio.read_fmap_header(p)
+                _check_image_size(p, (h, w), camera)
+                if c != channels:
+                    raise ConfigError(f"{p}: {c} feature channels, the input feature maps "
+                                      f"have {channels}")
 
 
-def _run_alignment(cfg: RunConfig, inputs: RunInputs, threads: int) -> AlignResult:
+def _run_alignment(cfg: RunConfig, inputs: RunInputs) -> AlignResult:
     return align_sequence(
         inputs.mesh,
         inputs.frames,
@@ -188,7 +192,6 @@ def _run_alignment(cfg: RunConfig, inputs: RunInputs, threads: int) -> AlignResu
         seed=cfg.seed,
         penalty_factor=cfg.penalty_factor,
         timestamps=np.array(inputs.frame_indices, dtype=np.int64),
-        threads=threads,
     )
 
 
@@ -200,7 +203,7 @@ def _metrics_json(per_frame, median, indices) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def run_track(cfg: RunConfig, out_dir, threads: int = 1, *, first_frame_only: bool = False) -> dict:
+def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dict:
     """Align the sequence and write track.json (+ metrics.json with ground truth)."""
     inputs = load_run_inputs(cfg)
     if first_frame_only:
@@ -213,7 +216,7 @@ def run_track(cfg: RunConfig, out_dir, threads: int = 1, *, first_frame_only: bo
                 inputs.feature_source.errors_table("rotation")[:1],
                 inputs.feature_source.errors_table("translation")[:1],
             )
-    result = _run_alignment(cfg, inputs, threads)
+    result = _run_alignment(cfg, inputs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "track.json").write_text(track_to_json(result.track))

@@ -18,6 +18,7 @@ from .align import PoseTrack, track_to_json
 from .emission import FeatureMap
 from .geometry import (
     Camera,
+    HandPointMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
@@ -61,8 +62,14 @@ class FeatureField:
 def render_feature_map(mesh: TriangleMesh, pose: SimilarityTransform, camera: Camera,
                        field: FeatureField) -> FeatureMap:
     """Ray-cast the posed mesh and evaluate the field at the model-frame hit points."""
-    hit_map = first_hit_map(apply_pose(mesh, pose), camera)
-    features = np.zeros((camera.height, camera.width, field.channels))
+    return field_features(first_hit_map(apply_pose(mesh, pose), camera), pose, field)
+
+
+def field_features(hit_map: HandPointMap, pose: SimilarityTransform,
+                   field: FeatureField) -> FeatureMap:
+    """The field at the model-frame points of a ray cast of the posed mesh,
+    masked to its hits."""
+    features = np.zeros(hit_map.hits.shape + (field.channels,))
     if hit_map.hits.any():
         model_points = pose.inverse().apply(hit_map.points[hit_map.hits])
         features[hit_map.hits] = field(model_points)

@@ -143,7 +143,7 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     frames = [FrameObservation(points=c.filter_label(LABEL_OBJECT), features=f)
               for c, f in zip(noisy.clouds, noisy.feature_maps)]
     basis = pca_basis([f.features for f in frames])
-    source = SyntheticFeatureSource(noisy.mesh, noisy.camera, noisy.field())
+    source = SyntheticFeatureSource(noisy.field())
     result = align_sequence(noisy.mesh, frames, noisy.rot_grid, noisy.trans_grid,
                             camera=noisy.camera, feature_source=source, basis=basis,
                             lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans, seed=11)

@@ -32,7 +32,7 @@ def observations(scene):
 def run_alignment(scene, frames=None, **kwargs):
     frames = observations(scene) if frames is None else frames
     basis = pca_basis([f.features for f in frames])
-    source = SyntheticFeatureSource(scene.mesh, scene.camera, scene.field())
+    source = SyntheticFeatureSource(scene.field())
     defaults = dict(
         camera=scene.camera, feature_source=source, basis=basis,
         lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans,
@@ -56,7 +56,7 @@ class TestAlignSequence:
         frames = observations(scene)
         res = run_alignment(scene)
         basis = pca_basis([frames[0].features])
-        source = SyntheticFeatureSource(scene.mesh, scene.camera, scene.field())
+        source = SyntheticFeatureSource(scene.field())
         pose = align_single_frame(
             scene.mesh, scene.rot_grid, scene.trans_grid, frames[0],
             camera=scene.camera, feature_source=source, basis=basis,
@@ -78,7 +78,7 @@ class TestAlignSequence:
         trans1 = build_translation_grid(np.zeros(3), 0.0, (1, 1, 1))
         frames = observations(scene)
         basis = pca_basis([f.features for f in frames])
-        source = SyntheticFeatureSource(scene.mesh, scene.camera, scene.field())
+        source = SyntheticFeatureSource(scene.field())
         res = align_sequence(scene.mesh, frames, rot1, trans1, camera=scene.camera,
                              feature_source=source, basis=basis, sample_count=256, seed=1)
         assert np.array_equal(res.rotation_path.states, [0, 0])
@@ -89,14 +89,14 @@ class TestAlignSequence:
         res = run_alignment(scene)
         assert res.track.scale == pytest.approx(scene.track.scale, rel=0.02)
 
-    def test_deterministic_across_thread_counts(self):
+    def test_deterministic_across_runs(self):
         scene = small_scene(frames=3, seed=9)
-        res1 = run_alignment(scene, threads=1)
-        res4 = run_alignment(scene, threads=4)
-        assert np.array_equal(res1.rotation_path.states, res4.rotation_path.states)
-        assert np.array_equal(res1.translation_path.states, res4.translation_path.states)
-        assert np.array_equal(res1.rotation_table.costs, res4.rotation_table.costs)
-        assert np.array_equal(res1.translation_table.costs, res4.translation_table.costs)
+        first = run_alignment(scene)
+        second = run_alignment(scene)
+        assert np.array_equal(first.rotation_path.states, second.rotation_path.states)
+        assert np.array_equal(first.translation_path.states, second.translation_path.states)
+        assert np.array_equal(first.rotation_table.costs, second.rotation_table.costs)
+        assert np.array_equal(first.translation_table.costs, second.translation_table.costs)
 
     def test_adversarial_frame_overridden_by_smoothness(self):
         scene = small_scene(frames=6, noise=0.005, seed=10)

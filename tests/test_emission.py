@@ -10,7 +10,6 @@ from rigalign.emission import (
     SyntheticFeatureSource,
     TableFeatureSource,
     dino_similarity,
-    emission_cost,
     estimate_scale,
     pca_basis,
     rasterize_silhouette,
@@ -24,8 +23,10 @@ from rigalign.geometry import (
     first_hit_map,
     apply_pose,
     random_unit_quaternions,
+    resample_point_cloud,
     sample_mesh_surface,
 )
+from rigalign.metrics import chamfer_distance
 from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import FeatureField, irregular_tetrahedron, render_feature_map
 
@@ -256,7 +257,7 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[gt_index], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.mesh, self.camera, self.field)
+        source = SyntheticFeatureSource(self.field)
         basis = pca_basis([obs.features])
         ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
                                basis=basis, sample_count=512, seed=5)
@@ -271,11 +272,10 @@ class TestEmissionCost:
         obs = self.observation(pose)
         ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=6)
         state = SimilarityTransform(self.grid.quaternions[5], obs.mean, 1.0)
-        x = np.asarray(obs.points.points)
-        from rigalign.geometry import resample_point_cloud
-
         x_res = resample_point_cloud(obs.points, 256, 6).points
-        assert ev.cost(state, obs) == ev.chamfer_term(x_res, state)
+        cd, dino = ev.frame_terms("rotation", 0, obs, [state])
+        assert dino is None
+        assert cd[0] == ev.chamfer_term(x_res, [state])[0]
 
     def test_cost_is_pure_function(self):
         mu = np.array([0.0, 0.0, 0.4])
@@ -283,15 +283,17 @@ class TestEmissionCost:
         obs = self.observation(pose)
         ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=7)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions[:6]]
-        forward = [ev.cost(s, obs) for s in states]
-        backward = [ev.cost(s, obs) for s in reversed(states)]
-        assert forward == backward[::-1]
+        forward, _ = ev.frame_terms("rotation", 0, obs, states)
+        backward, _ = ev.frame_terms("rotation", 0, obs, states[::-1])
+        assert list(forward) == list(backward[::-1])
+        # each state scored on its own gives the same value as in the row
+        assert [ev.frame_terms("rotation", 0, obs, [s])[0][0] for s in states] == list(forward)
 
     def test_doubled_weights_keep_argmin(self):
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[9], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.mesh, self.camera, self.field)
+        source = SyntheticFeatureSource(self.field)
         basis = pca_basis([obs.features])
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
         argmins = []
@@ -306,7 +308,7 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[0], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.mesh, self.camera, self.field)
+        source = SyntheticFeatureSource(self.field)
         basis = pca_basis([obs.features])
         ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
                                basis=basis, sample_count=256, seed=9)
@@ -332,12 +334,98 @@ class TestEmissionCost:
         cd, dino = ev.frame_terms("rotation", 0, obs, states)
         assert np.allclose(dino, table[0])
 
-    def test_facade_matches_evaluator(self):
+    def test_fresh_evaluators_agree(self):
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[4], mu, 1.0)
         obs = self.observation(pose)
-        got = emission_cost(self.mesh, 1.0, SimilarityTransform(self.grid.quaternions[6], obs.mean, 1.0),
-                            obs, w_dino=0.0, sample_count=256, seed=11)
-        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
-        want = ev.cost(SimilarityTransform(self.grid.quaternions[6], obs.mean, 1.0), obs)
-        assert got == want
+        state = SimilarityTransform(self.grid.quaternions[6], obs.mean, 1.0)
+        first = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
+        second = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
+        got, _ = first.frame_terms("rotation", 0, obs, [state])
+        want, _ = second.frame_terms("rotation", 0, obs, [state])
+        assert got[0] == want[0]
+
+    def test_feature_term_matches_render_masked_by_silhouette(self):
+        # one cast per state gives the values of a render masked by a second cast
+        gt_pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
+        obs = self.observation(gt_pose)
+        basis = pca_basis([obs.features])
+        ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera,
+                               feature_source=SyntheticFeatureSource(self.field), basis=basis,
+                               sample_count=256, seed=12)
+        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
+        _, dino = ev.frame_terms("rotation", 0, obs, states)
+        for j, state in enumerate(states):
+            pose = ev.full_pose(state)
+            rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
+            masked = FeatureMap(rendered.features,
+                                rendered.mask & rasterize_silhouette(self.mesh, pose, self.camera))
+            assert dino[j] == dino_similarity(masked, obs.features, basis)
+
+    def test_directory_source_masks_to_the_cast(self, tmp_path):
+        from rigalign import meshio
+        from rigalign.emission import DirectoryFeatureSource
+
+        pose = SimilarityTransform(self.grid.quaternions[4], np.array([0.0, 0.0, 0.4]), 1.0)
+        rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
+        everywhere = np.ones(rendered.mask.shape, dtype=bool)
+        source = DirectoryFeatureSource(tmp_path)
+        meshio.save_fmap(rendered.features, everywhere, source.path_for("rotation", 0, 3))
+        hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
+        loaded = source.candidate_features("rotation", 0, 3, pose, hit_map)
+        assert np.array_equal(loaded.mask, hit_map.hits)
+        assert np.array_equal(loaded.mask, rendered.mask)
+
+
+class TestBatchedChamfer:
+    """The batched Chamfer row against metrics.chamfer_distance per state."""
+
+    def setup_method(self):
+        self.mesh = irregular_tetrahedron()
+        self.grid = build_rotation_grid(1)
+
+    def check_row(self, ev, obs, states):
+        x_res = resample_point_cloud(obs.points, ev.sample_count, ev.seed).points
+        row, dino = ev.frame_terms("rotation", 0, obs, states)
+        assert dino is None
+        oracle = np.array([chamfer_distance(x_res, ev.full_pose(s).apply(ev.sample))
+                           for s in states])
+        assert row.shape == (len(states),)
+        np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0.0)
+        assert np.array_equal(np.argsort(row, kind="stable"), np.argsort(oracle, kind="stable"))
+
+    def observation(self, points: int, seed: int = 40) -> FrameObservation:
+        cloud = sample_mesh_surface(self.mesh, points, seed=seed).points
+        pose = SimilarityTransform(self.grid.quaternions[7], np.array([0.01, -0.02, 0.4]), 1.3)
+        return FrameObservation(points=PointCloud(pose.apply(cloud)))
+
+    def states(self, obs, count, scale=1.0):
+        quats = random_unit_quaternions(count, seed=count)
+        rng = np.random.default_rng(count)
+        offsets = rng.normal(scale=0.01, size=(count, 3))
+        return [SimilarityTransform(q, obs.mean + o, scale) for q, o in zip(quats, offsets)]
+
+    def test_state_count_not_a_multiple_of_the_block(self):
+        from rigalign.emission import _CHAMFER_BLOCK_POINTS
+
+        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=512, seed=3)
+        per_block = _CHAMFER_BLOCK_POINTS // 512
+        obs = self.observation(700)
+        self.check_row(ev, obs, self.states(obs, 2 * per_block + 5))
+
+    def test_single_state(self):
+        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=512, seed=4)
+        obs = self.observation(700)
+        self.check_row(ev, obs, self.states(obs, 1))
+
+    @pytest.mark.parametrize("model_scale, state_scale", [(0.7, 1.0), (1.3, 1.6), (2.5, 0.4)])
+    def test_scale_not_one(self, model_scale, state_scale):
+        ev = EmissionEvaluator(self.mesh, model_scale, w_dino=0.0, sample_count=256, seed=5)
+        obs = self.observation(700)
+        self.check_row(ev, obs, self.states(obs, 9, scale=state_scale))
+
+    @pytest.mark.parametrize("points", [100, 256, 3000])
+    def test_observed_cloud_smaller_or_larger_than_sample(self, points):
+        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=256, seed=6)
+        obs = self.observation(points)
+        self.check_row(ev, obs, self.states(obs, 12))

@@ -123,6 +123,28 @@ class TestFmap:
         with pytest.raises(ParseError):
             meshio.load_fmap(path)
 
+    def test_header_gives_dims_and_rejects_what_load_rejects(self, tmp_path):
+        import struct
+
+        path = tmp_path / "f.fmap"
+        meshio.save_fmap(np.zeros((5, 7, 3), dtype=np.float32), np.ones((5, 7), bool), path)
+        assert meshio.read_fmap_header(path) == (5, 7, 3)
+        bad = {
+            "magic": b"NOPE" + bytes(16),
+            "header": b"FMAP" + bytes(8),
+            "version": b"FMAP" + struct.pack("<IIII", 2, 1, 1, 1) + bytes(5),
+            "payload": b"FMAP" + struct.pack("<IIII", 1, 2, 2, 1) + bytes(3),
+        }
+        for name, blob in bad.items():
+            path = tmp_path / f"{name}.fmap"
+            path.write_bytes(blob)
+            with pytest.raises(ParseError):
+                meshio.read_fmap_header(path)
+            with pytest.raises(ParseError):
+                meshio.load_fmap(path)
+        with pytest.raises(ParseError):
+            meshio.read_fmap_header(tmp_path / "absent.fmap")
+
 
 class TestEmit:
     def test_round_trip(self, tmp_path):

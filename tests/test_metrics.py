@@ -125,6 +125,17 @@ class TestNearestNeighborIndex:
         assert np.array_equal(idx, np.argmin(d2, axis=1))
         assert np.allclose(d, np.sqrt(d2.min(axis=1)), atol=0)
 
+    def test_matches_single_threaded_query(self):
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(16)
+        data = rng.normal(size=(2000, 3))
+        queries = rng.normal(size=(20000, 3))
+        d, idx = NearestNeighborIndex(data).query(queries)
+        d1, idx1 = cKDTree(data).query(queries, k=1, workers=1)
+        assert np.array_equal(d, d1)
+        assert np.array_equal(idx, idx1)
+
 
 class TestFitSimilarity:
     def test_recovers_exact_transform(self):

@@ -21,6 +21,30 @@ def scene_dir(tmp_path_factory):
     return out
 
 
+def maps_scene(tmp_path):
+    """A one-frame scene whose candidate features come from per-state map files
+    (8 rotations, 27 translations); returns the root, features and mask used."""
+    spec = SceneSpec(frames=1, noise_std=0.0, rotation_level=0, cloud_points=128,
+                     hand_points=0, translation_counts=(3, 3, 3), seed=17)
+    scene = generate_synthetic_scene(spec)
+    root = tmp_path / "maps"
+    write_scene(scene, root)
+    feat_dir = root / "cand"
+    feat_dir.mkdir()
+    h, w = scene.camera.height, scene.camera.width
+    full = np.ones((h, w), dtype=bool)
+    feats = np.zeros((h, w, spec.feature_channels), dtype=np.float32)
+    for j in range(8):
+        meshio.save_fmap(feats, full, feat_dir / f"feat_rotation_000000_{j:06d}.fmap")
+    for j in range(27):
+        meshio.save_fmap(feats, full, feat_dir / f"feat_translation_000000_{j:06d}.fmap")
+    cfg_text = (root / "config.cfg").read_text()
+    cfg_text = cfg_text.replace("feature_source = synthetic", "feature_source = maps")
+    cfg_text = cfg_text.replace("candidate_features_dir = ", "candidate_features_dir = cand")
+    (root / "config.cfg").write_text(cfg_text)
+    return root, feats, full
+
+
 class TestSyntheticScene:
     def test_zero_noise_cloud_lies_on_posed_model(self):
         scene = generate_synthetic_scene(SceneSpec(frames=1, noise_std=0.0, rotation_level=1,
@@ -162,26 +186,8 @@ class TestRunTrack:
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
 
     def test_maps_feature_source_path(self, tmp_path):
-        import shutil
-
-        spec = SceneSpec(frames=1, noise_std=0.0, rotation_level=0, cloud_points=128,
-                         hand_points=0, translation_counts=(3, 3, 3), seed=17)
-        scene = generate_synthetic_scene(spec)
-        root = tmp_path / "maps"
-        write_scene(scene, root)
+        root, feats, full = maps_scene(tmp_path)
         feat_dir = root / "cand"
-        feat_dir.mkdir()
-        h, w = scene.camera.height, scene.camera.width
-        full = np.ones((h, w), dtype=bool)
-        feats = np.zeros((h, w, spec.feature_channels), dtype=np.float32)
-        for j in range(8):
-            meshio.save_fmap(feats, full, feat_dir / f"feat_rotation_000000_{j:06d}.fmap")
-        for j in range(27):
-            meshio.save_fmap(feats, full, feat_dir / f"feat_translation_000000_{j:06d}.fmap")
-        cfg_text = (root / "config.cfg").read_text()
-        cfg_text = cfg_text.replace("feature_source = synthetic", "feature_source = maps")
-        cfg_text = cfg_text.replace("candidate_features_dir = ", "candidate_features_dir = cand")
-        (root / "config.cfg").write_text(cfg_text)
         cfg = load_config(root / "config.cfg")
         cfg.eval_samples = 2000
         run_track(cfg, tmp_path / "out")
@@ -280,6 +286,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and "feat_000000.fmap" in err and "48x64" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_candidate_map_size_mismatch_rejected_at_load(self, tmp_path, capsys):
+        # a later candidate map, not the first, is 32 columns wide under a 64x64 camera
+        root, feats, full = maps_scene(tmp_path)
+        victim = root / "cand" / "feat_rotation_000000_000003.fmap"
+        meshio.save_fmap(feats[:, :32], full[:, :32], victim)
+        capsys.readouterr()
+        code = cli_run(["track", "--config", str(root / "config.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "feat_rotation_000000_000003.fmap" in err and "32x64" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_candidate_map_channel_mismatch_rejected_at_load(self, tmp_path, capsys):
+        root, feats, full = maps_scene(tmp_path)
+        victim = root / "cand" / "feat_translation_000000_000020.fmap"
+        meshio.save_fmap(feats[:, :, :3], full, victim)
+        capsys.readouterr()
+        code = cli_run(["track", "--config", str(root / "config.cfg"), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "feat_translation_000000_000020.fmap" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
