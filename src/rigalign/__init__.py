@@ -2,7 +2,7 @@
 clouds and image features, decoded over discretized pose grids, plus the
 point-cloud evaluation stack."""
 
-from .align import AlignResult, PoseTrack, align_sequence, align_single_frame, track_from_json, track_to_json
+from .align import AlignResult, PoseTrack, align_sequence, track_from_json, track_to_json
 from .emission import (
     EmissionEvaluator,
     FeatureMap,
@@ -21,10 +21,9 @@ from .geometry import (
     SimilarityTransform,
     TriangleMesh,
     apply_pose,
+    first_hit_map,
     normalize_points,
-    ray_triangle_intersect,
     resample_point_cloud,
-    sample_hand_points,
     sample_mesh_surface,
 )
 from .grids import RotationGrid, TranslationGrid, build_rotation_grid, build_translation_grid, rodrigues_error
@@ -36,6 +35,6 @@ from .metrics import (
     icp_with_scaling,
     median_metrics,
 )
-from .viterbi import EmissionTable, StatePath, brute_force_decode, path_cost, viterbi_decode
+from .viterbi import EmissionTable, StatePath, viterbi_decode
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Single-frame argmin alignment and multi-frame Viterbi decoding.
+"""Multi-frame alignment: per-frame emission tables and Viterbi decoding.
 
 Rotation states are evaluated with the model translated to the observed
 cloud's mean; decoded rotations are then held fixed while a per-frame voxel
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emission import EmissionEvaluator, FrameObservation, estimate_scale
+from .emission import EmissionEvaluator, estimate_scale
 from .errors import ParseError
 from .geometry import SimilarityTransform, TriangleMesh, quat_normalize, sample_mesh_surface
 from .grids import RotationGrid, TranslationGrid
@@ -145,22 +145,21 @@ def align_sequence(
         return [SimilarityTransform(q, mus[t], 1.0) for q in quats]
 
     rot_table = _build_rows(evaluator, "rotation", frames, rotation_states)
-    rot_path = viterbi_decode(rot_table, rot_grid.pairwise_angles(), lam_rot)
+    angles = rot_grid.pairwise_angles()
+    rot_path = viterbi_decode(rot_table, lambda t: angles, lam_rot)
     decoded_quats = quats[rot_path.states]
 
-    offsets = trans_grid.offsets
-    positions = np.stack([mu + offsets for mu in mus])  # (T, S, 3)
+    positions = np.stack([mu + trans_grid.offsets for mu in mus])  # (T, S, 3)
 
     def translation_states(t):
         return [SimilarityTransform(decoded_quats[t], p, 1.0) for p in positions[t]]
 
+    def translation_costs(t):
+        # (S, S) distances from every position at frame t-1 to every one at t
+        return np.sqrt(((positions[t][None] - positions[t - 1][:, None]) ** 2).sum(axis=-1))
+
     trans_table = _build_rows(evaluator, "translation", frames, translation_states)
-    if len(frames) > 1:
-        diffs = positions[1:, None, :, :] - positions[:-1, :, None, :]
-        trans_costs = np.sqrt((diffs**2).sum(axis=-1))  # (T-1, S, S)
-    else:
-        trans_costs = np.zeros((0, len(offsets), len(offsets)))
-    trans_path = viterbi_decode(trans_table, trans_costs, lam_trans)
+    trans_path = viterbi_decode(trans_table, translation_costs, lam_trans)
 
     track = PoseTrack(
         scale=scale,
@@ -175,16 +174,3 @@ def align_sequence(
         rotation_table=rot_table,
         translation_table=trans_table,
     )
-
-
-def align_single_frame(
-    mesh: TriangleMesh,
-    rot_grid: RotationGrid,
-    trans_grid: TranslationGrid,
-    obs: FrameObservation,
-    **kwargs,
-) -> SimilarityTransform:
-    """Two-phase argmin over the grids for one frame; equals a length-1
-    align_sequence. Returns the full pose (scale folded in)."""
-    result = align_sequence(mesh, [obs], rot_grid, trans_grid, **kwargs)
-    return result.track.pose(0)

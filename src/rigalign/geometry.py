@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,12 +71,6 @@ def matrix_to_quat(R) -> np.ndarray:
     return quat_normalize(q)
 
 
-def quat_angle(q1, q2) -> float:
-    """Geodesic angle in radians between two rotations given as quaternions."""
-    d = abs(float(np.dot(quat_normalize(q1), quat_normalize(q2))))
-    return 2.0 * math.acos(min(d, 1.0))
-
-
 def random_unit_quaternions(n: int, seed: int) -> np.ndarray:
     """n rotations drawn uniformly from SO(3), as (n, 4) unit quaternions."""
     rng = np.random.default_rng(seed)
@@ -104,15 +99,19 @@ class Camera:
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be positive")
 
+    @cached_property
     def pixel_rays(self) -> np.ndarray:
-        """(H, W, 3) unit ray directions through all pixel centers, camera at the origin."""
+        """(H, W, 3) unit ray directions through all pixel centers, camera at the
+        origin; built once per camera and read-only."""
         jj, ii = np.meshgrid(np.arange(self.width), np.arange(self.height))
         x = (jj + 0.5 - self.cx) / self.fx
         y = (ii + 0.5 - self.cy) / self.fy
         z = np.ones_like(x)
         d = np.stack([x, y, z], axis=-1)
         n = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2)
-        return d / n[..., None]
+        rays = d / n[..., None]
+        rays.flags.writeable = False
+        return rays
 
 
 @dataclass(eq=False)
@@ -257,38 +256,6 @@ class SimilarityTransform:
 # Ray casting.
 
 
-def ray_triangle_intersect(origin, direction, triangle):
-    """First intersection of a ray with a triangle.
-
-    Returns (t, (a1, a2, a3)) with t > 0 the distance along the unit
-    direction and a_i the barycentric weights of the three vertices, or
-    None for a miss. Edges and vertices count as hits (a_i >= 0).
-    """
-    o = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    v0, v1, v2 = (np.asarray(v, dtype=float) for v in triangle)
-    e1 = v1 - v0
-    e2 = v2 - v0
-    # p = d x e2, written out so the vectorized caster matches bit-for-bit
-    px = d[1] * e2[2] - d[2] * e2[1]
-    py = d[2] * e2[0] - d[0] * e2[2]
-    pz = d[0] * e2[1] - d[1] * e2[0]
-    det = e1[0] * px + e1[1] * py + e1[2] * pz
-    if det == 0.0:
-        return None
-    inv = 1.0 / det
-    tv = o - v0
-    u = (tv[0] * px + tv[1] * py + tv[2] * pz) * inv
-    qx = tv[1] * e1[2] - tv[2] * e1[1]
-    qy = tv[2] * e1[0] - tv[0] * e1[2]
-    qz = tv[0] * e1[1] - tv[1] * e1[0]
-    v = (d[0] * qx + d[1] * qy + d[2] * qz) * inv
-    t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv
-    if u < 0.0 or v < 0.0 or u + v > 1.0 or t <= 0.0:
-        return None
-    return t, (1.0 - u - v, u, v)
-
-
 def _visible_window(tris: np.ndarray, camera: Camera) -> tuple[int, int, int, int]:
     """Pixel rows [i0, i1) and columns [j0, j1) whose center rays can hit the triangles.
 
@@ -331,7 +298,7 @@ def first_hit_map(mesh: TriangleMesh, camera: Camera, chunk: int = 128) -> HandP
     i0, i1, j0, j1 = _visible_window(tris, camera)
     if i0 >= i1 or j0 >= j1:
         return HandPointMap(points, hits)
-    dirs = camera.pixel_rays()[i0:i1, j0:j1].reshape(-1, 3)
+    dirs = camera.pixel_rays[i0:i1, j0:j1].reshape(-1, 3)
     npix = dirs.shape[0]
     best_t = np.full(npix, np.inf)
     best_point = np.zeros((npix, 3))
@@ -340,7 +307,8 @@ def first_hit_map(mesh: TriangleMesh, camera: Camera, chunk: int = 128) -> HandP
         v0 = tris[start : start + chunk, 0]
         e1 = tris[start : start + chunk, 1] - v0
         e2 = tris[start : start + chunk, 2] - v0
-        # (npix, F) broadcasting of the scalar routine above
+        # Moller-Trumbore broadcast over (npix, F); the scalar form is the
+        # test oracle ray_triangle_intersect
         px = dy * e2[:, 2] - dz * e2[:, 1]
         py = dz * e2[:, 0] - dx * e2[:, 2]
         pz = dx * e2[:, 1] - dy * e2[:, 0]
@@ -373,11 +341,6 @@ def first_hit_map(mesh: TriangleMesh, camera: Camera, chunk: int = 128) -> HandP
     hits[i0:i1, j0:j1] = np.isfinite(best_t).reshape(i1 - i0, j1 - j0)
     points[i0:i1, j0:j1] = best_point.reshape(i1 - i0, j1 - j0, 3)
     return HandPointMap(points, hits)
-
-
-def sample_hand_points(hand: TriangleMesh, camera: Camera) -> HandPointMap:
-    """Per-pixel hand surface points via pinhole ray casting (misses marked in the mask)."""
-    return first_hit_map(hand, camera)
 
 
 # ---------------------------------------------------------------------------
@@ -467,64 +430,3 @@ def apply_pose(geometry, pose: SimilarityTransform):
     if isinstance(geometry, PointCloud):
         return PointCloud(pose.apply(geometry.points), geometry.colors, geometry.labels)
     raise TypeError(f"unsupported geometry type: {type(geometry).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Point-to-surface distance (used by validation and tests).
-
-
-def points_to_triangles_distance(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Min distance from each point to the nearest of the given triangles.
-
-    points (N, 3), tris (M, 3, 3) -> (N,). Closest-point-on-triangle via the
-    standard region decomposition, broadcast over all pairs.
-    """
-    p = points[:, None, :]
-    a, b, c = tris[None, :, 0], tris[None, :, 1], tris[None, :, 2]
-    ab = b - a
-    ac = c - a
-    ap = p - a
-    d1 = np.sum(ab * ap, axis=-1)
-    d2 = np.sum(ac * ap, axis=-1)
-    bp = p - b
-    d3 = np.sum(ab * bp, axis=-1)
-    d4 = np.sum(ac * bp, axis=-1)
-    cp = p - c
-    d5 = np.sum(ab * cp, axis=-1)
-    d6 = np.sum(ac * cp, axis=-1)
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-    denom = va + vb + vc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_face = np.where(denom != 0, vb / denom, 0.0)
-        w_face = np.where(denom != 0, vc / denom, 0.0)
-        v_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
-        v_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
-        v_bc = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) / ((d4 - d3) + (d5 - d6)), 0.0)
-    closest = a + v_face[..., None] * ab + w_face[..., None] * ac
-    # edge BC
-    on_bc = (d4 - d3 >= 0) & (d5 - d6 >= 0) & (va <= 0)
-    closest = np.where(on_bc[..., None], b + np.clip(v_bc, 0, 1)[..., None] * (c - b), closest)
-    # edge AC
-    on_ac = (d2 >= 0) & (d6 <= 0) & (vb <= 0)
-    closest = np.where(on_ac[..., None], a + np.clip(v_ac, 0, 1)[..., None] * ac, closest)
-    # edge AB
-    on_ab = (d1 >= 0) & (d3 <= 0) & (vc <= 0)
-    closest = np.where(on_ab[..., None], a + np.clip(v_ab, 0, 1)[..., None] * ab, closest)
-    # vertex regions
-    closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
-    closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
-    closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
-    return np.sqrt(np.sum((p - closest) ** 2, axis=-1)).min(axis=1)
-
-
-def points_to_mesh_distance(points, mesh: TriangleMesh, chunk: int = 64) -> np.ndarray:
-    """Distance from each point to the mesh surface, chunked over faces."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    tris = mesh.triangles()
-    best = np.full(len(pts), np.inf)
-    for start in range(0, len(tris), chunk):
-        d = points_to_triangles_distance(pts, tris[start : start + chunk])
-        best = np.minimum(best, d)
-    return best

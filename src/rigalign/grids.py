@@ -114,18 +114,3 @@ def rodrigues_error(r_i, r_j) -> float:
     r_j = np.asarray(r_j, dtype=float)
     c = (float(np.trace(r_i.T @ r_j)) - 1.0) / 2.0
     return math.acos(max(-1.0, min(1.0, c)))
-
-
-def covering_radius(grid: RotationGrid, samples: int, seed: int) -> float:
-    """Monte-Carlo covering radius: max over random rotations of the geodesic
-    distance to the nearest grid entry."""
-    from .geometry import random_unit_quaternions
-
-    q = random_unit_quaternions(samples, seed)
-    # |<q, g>| maximized over grid entries g, in manageable blocks
-    worst = 0.0
-    for start in range(0, samples, 65536):
-        block = q[start : start + 65536]
-        best = np.abs(block @ grid.quaternions.T).max(axis=1)
-        worst = max(worst, float(2.0 * np.arccos(np.clip(best, 0.0, 1.0)).max()))
-    return worst

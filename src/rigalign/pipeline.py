@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import meshio
-from .align import AlignResult, align_sequence, track_from_json, track_to_json
+from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
 from .emission import (
     DirectoryFeatureSource,
@@ -24,7 +24,7 @@ from .emission import (
 )
 from .errors import ConfigError, ParseError
 from .evaluate import evaluate_track
-from .geometry import LABEL_OBJECT, TriangleMesh, normalize_points, sample_hand_points
+from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_points
 from .grids import build_rotation_grid, build_translation_grid
 from .synthetic import FeatureField
 
@@ -175,26 +175,6 @@ def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: in
                                       f"have {channels}")
 
 
-def _run_alignment(cfg: RunConfig, inputs: RunInputs) -> AlignResult:
-    return align_sequence(
-        inputs.mesh,
-        inputs.frames,
-        inputs.rot_grid,
-        inputs.trans_grid,
-        camera=inputs.camera,
-        w_cd=cfg.w_cd,
-        w_dino=cfg.w_dino,
-        feature_source=inputs.feature_source,
-        basis=inputs.basis,
-        lam_rot=cfg.lambda_rot,
-        lam_trans=cfg.lambda_trans,
-        sample_count=cfg.emission_samples,
-        seed=cfg.seed,
-        penalty_factor=cfg.penalty_factor,
-        timestamps=np.array(inputs.frame_indices, dtype=np.int64),
-    )
-
-
 def _metrics_json(per_frame, median, indices) -> str:
     obj = {
         "frames": [dict(r.to_dict(), t=int(t)) for r, t in zip(per_frame, indices)],
@@ -207,16 +187,19 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
     """Align the sequence and write track.json (+ metrics.json with ground truth)."""
     inputs = load_run_inputs(cfg)
     if first_frame_only:
+        # a table feature source keeps all its rows; alignment reads only row 0
         inputs.frames = inputs.frames[:1]
         inputs.frame_indices = inputs.frame_indices[:1]
         if inputs.ground_truths is not None:
             inputs.ground_truths = inputs.ground_truths[:1]
-        if isinstance(inputs.feature_source, TableFeatureSource):
-            inputs.feature_source = TableFeatureSource(
-                inputs.feature_source.errors_table("rotation")[:1],
-                inputs.feature_source.errors_table("translation")[:1],
-            )
-    result = _run_alignment(cfg, inputs)
+    result = align_sequence(
+        inputs.mesh, inputs.frames, inputs.rot_grid, inputs.trans_grid,
+        camera=inputs.camera, w_cd=cfg.w_cd, w_dino=cfg.w_dino,
+        feature_source=inputs.feature_source, basis=inputs.basis,
+        lam_rot=cfg.lambda_rot, lam_trans=cfg.lambda_trans,
+        sample_count=cfg.emission_samples, seed=cfg.seed, penalty_factor=cfg.penalty_factor,
+        timestamps=np.array(inputs.frame_indices, dtype=np.int64),
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "track.json").write_text(track_to_json(result.track))
@@ -290,7 +273,7 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     written = {}
     for t, path in frame_files:
         hand = meshio.load_mesh(path)
-        hit_map = sample_hand_points(hand, camera)
+        hit_map = first_hit_map(hand, camera)
         hits = hit_map.hits
         if not hits.any():
             raise ParseError(f"frame {t}: hand mesh has no visible surface")

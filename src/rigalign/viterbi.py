@@ -1,23 +1,20 @@
-"""Min-sum Viterbi decoding over discretized pose states, with an exhaustive
-oracle for verification.
+"""Min-sum Viterbi decoding over discretized pose states.
 
-Both decoders accumulate path costs with the identical operation order, so
-their totals agree bitwise and tie-breaking can be compared exactly. Ties are
-broken toward the lowest state index at every backward step, which selects
-the minimal-cost path whose reversed state sequence is lexicographically
-smallest; the exhaustive oracle applies the same rule.
+Transition costs come from a per-step function: transition(t) returns the
+(S, S) matrix a[i, j] of moving from state i at frame t-1 to state j at
+frame t, and is called once for each t = 1..T-1, in order. Ties are broken
+toward the lowest state index at every backward step, which selects the
+minimal-cost path whose reversed state sequence is lexicographically
+smallest.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTable, TooLarge
-
-BRUTE_FORCE_LIMIT = 10_000_000
+from .errors import EmptyTable
 
 
 @dataclass(eq=False)
@@ -55,53 +52,34 @@ class StatePath:
         self.states = np.asarray(self.states, dtype=np.int64).reshape(-1)
 
 
-def _emissions_array(emissions) -> np.ndarray:
-    if isinstance(emissions, EmissionTable):
-        return emissions.costs
-    arr = np.asarray(emissions, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise EmptyTable("emission table must be (T >= 1, S >= 1)")
-    return arr
-
-
-def _transition_stack(transition, num_frames: int, num_states: int) -> np.ndarray:
-    """Normalize the transition spec to a (T-1, S, S) cost array.
-
-    Accepts a callable f(i, j), a single (S, S) matrix shared by all steps,
-    or a per-step (T-1, S, S) array.
-    """
-    if num_frames < 2:
-        return np.zeros((0, num_states, num_states))
-    if callable(transition):
-        mat = np.array(
-            [[float(transition(i, j)) for j in range(num_states)] for i in range(num_states)]
-        )
-        return np.broadcast_to(mat, (num_frames - 1, num_states, num_states))
-    arr = np.asarray(transition, dtype=float)
-    if arr.shape == (num_states, num_states):
-        return np.broadcast_to(arr, (num_frames - 1, num_states, num_states))
-    if arr.shape == (num_frames - 1, num_states, num_states):
-        return arr
-    raise ValueError(
-        f"transition must be (S, S) or (T-1, S, S); got {arr.shape} for S={num_states}, T={num_frames}"
-    )
+def _step_costs(transition, t: int, num_states: int) -> np.ndarray:
+    """transition(t) as a checked (S, S) array of finite, non-negative costs."""
+    a = np.asarray(transition(t), dtype=float)
+    if a.shape != (num_states, num_states):
+        raise ValueError(f"transition({t}) must be ({num_states}, {num_states}); got {a.shape}")
+    if not (np.isfinite(a).all() and (a >= 0).all()):
+        raise ValueError(f"transition({t}) costs must be finite and non-negative")
+    return a
 
 
 def viterbi_decode(emissions, transition, lam: float = 1.0) -> StatePath:
     """Exact min-sum dynamic program over the state trellis.
 
-    Minimizes sum_t b[t, q_t] + lam * sum_t a[q_(t-1), q_t] in O(T * S^2)
-    time with backpointers; deterministic lowest-index tie-breaking.
+    Minimizes sum_t b[t, q_t] + lam * sum_t a_t[q_(t-1), q_t] in O(T * S^2)
+    time with backpointers, where a_t = transition(t); deterministic
+    lowest-index tie-breaking. A plain (T, S) array of emissions is checked
+    as an EmissionTable.
     """
-    b = _emissions_array(emissions)
+    if not isinstance(emissions, EmissionTable):
+        emissions = EmissionTable(emissions)
+    b = emissions.costs
     if lam < 0:
         raise ValueError("transition weight must be >= 0")
     t_frames, s_states = b.shape
-    trans = _transition_stack(transition, t_frames, s_states)
     v = b[0].copy()
     backptr = np.zeros((t_frames, s_states), dtype=np.int64)
     for t in range(1, t_frames):
-        step = v[:, None] + lam * trans[t - 1]
+        step = v[:, None] + lam * _step_costs(transition, t, s_states)
         best_i = np.argmin(step, axis=0)
         v = step[best_i, np.arange(s_states)] + b[t]
         backptr[t] = best_i
@@ -111,43 +89,3 @@ def viterbi_decode(emissions, transition, lam: float = 1.0) -> StatePath:
     for t in range(t_frames - 1, 0, -1):
         states[t - 1] = backptr[t, states[t]]
     return StatePath(states=states, total_cost=float(v[last]))
-
-
-def path_cost(emissions, transition, lam: float, states) -> float:
-    """Objective of a given path, accumulated exactly as viterbi_decode does."""
-    b = _emissions_array(emissions)
-    t_frames, s_states = b.shape
-    trans = _transition_stack(transition, t_frames, s_states)
-    states = np.asarray(states, dtype=np.int64)
-    total = float(b[0, states[0]])
-    for t in range(1, t_frames):
-        total = (total + lam * float(trans[t - 1, states[t - 1], states[t]])) + float(b[t, states[t]])
-    return total
-
-
-def transition_cost(transition, lam: float, states, num_frames: int, num_states: int) -> float:
-    """The lam-weighted transition component of a path's objective."""
-    trans = _transition_stack(transition, num_frames, num_states)
-    states = np.asarray(states, dtype=np.int64)
-    return float(sum(lam * trans[t - 1, states[t - 1], states[t]] for t in range(1, num_frames)))
-
-
-def brute_force_decode(emissions, transition, lam: float = 1.0) -> StatePath:
-    """Exhaustive enumeration oracle; identical objective and tie-breaking to
-    viterbi_decode. Refuses state spaces beyond S^T = 1e7."""
-    b = _emissions_array(emissions)
-    t_frames, s_states = b.shape
-    if s_states**t_frames > BRUTE_FORCE_LIMIT:
-        raise TooLarge(f"{s_states}^{t_frames} paths exceed the enumeration budget")
-    trans = _transition_stack(transition, t_frames, s_states)
-    best_cost = None
-    best_rev = None
-    for path in itertools.product(range(s_states), repeat=t_frames):
-        total = float(b[0, path[0]])
-        for t in range(1, t_frames):
-            total = (total + lam * float(trans[t - 1, path[t - 1], path[t]])) + float(b[t, path[t]])
-        rev = path[::-1]
-        if best_cost is None or total < best_cost or (total == best_cost and rev < best_rev):
-            best_cost = total
-            best_rev = rev
-    return StatePath(states=np.array(best_rev[::-1]), total_cost=best_cost)

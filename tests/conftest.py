@@ -24,3 +24,8 @@ def random_blob_mesh(rng: np.random.Generator, n_faces: int, center=(0.0, 0.0, 1
     centers = rng.uniform(-spread, spread, size=(n_faces, 3)) + np.asarray(center)
     verts = (centers[:, None, :] + rng.normal(scale=tri_size, size=(n_faces, 3, 3))).reshape(-1, 3)
     return TriangleMesh(verts, np.arange(n_faces * 3).reshape(-1, 3))
+
+
+def const(tr):
+    """Transition provider that returns the same (S, S) matrix at every step."""
+    return lambda t: tr

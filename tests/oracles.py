@@ -1,9 +1,16 @@
 """Test-only oracles: slow, independent re-implementations that the package's
 fast paths are checked against."""
 
+import itertools
 import math
 
 import numpy as np
+
+from rigalign.errors import TooLarge
+from rigalign.geometry import random_unit_quaternions
+from rigalign.viterbi import StatePath
+
+BRUTE_FORCE_LIMIT = 10_000_000
 
 
 def solve_silhouette(mesh, pose, camera) -> np.ndarray:
@@ -46,3 +53,144 @@ def solve_silhouette(mesh, pose, camera) -> np.ndarray:
         covered = (bary >= 0.0).all(axis=0).reshape(i1 - i0 + 1, j1 - j0 + 1)
         mask[i0 : i1 + 1, j0 : j1 + 1] |= covered
     return mask
+
+
+def _step_stack(transition, num_frames: int) -> list:
+    """transition(t) for t = 1..T-1; entry t-1 holds the step into frame t."""
+    return [np.asarray(transition(t), dtype=float) for t in range(1, num_frames)]
+
+
+def path_cost(emissions, transition, lam: float, states) -> float:
+    """Objective of a given path, accumulated exactly as viterbi_decode does.
+    With zero emissions it is the path's lam-weighted transition cost."""
+    b = np.asarray(emissions, dtype=float)
+    trans = _step_stack(transition, len(b))
+    states = np.asarray(states, dtype=np.int64)
+    total = float(b[0, states[0]])
+    for t in range(1, len(b)):
+        total = (total + lam * float(trans[t - 1][states[t - 1], states[t]])) + float(b[t, states[t]])
+    return total
+
+
+def brute_force_decode(emissions, transition, lam: float = 1.0) -> StatePath:
+    """Exhaustive enumeration with viterbi_decode's objective and tie-breaking:
+    the minimal-cost path whose reversed state sequence is lexicographically
+    smallest. Refuses state spaces beyond S^T = 1e7."""
+    b = np.asarray(emissions, dtype=float)
+    t_frames, s_states = b.shape
+    if s_states**t_frames > BRUTE_FORCE_LIMIT:
+        raise TooLarge(f"{s_states}^{t_frames} paths exceed the enumeration budget")
+    trans = _step_stack(transition, t_frames)
+    best_cost = None
+    best_rev = None
+    for path in itertools.product(range(s_states), repeat=t_frames):
+        total = float(b[0, path[0]])
+        for t in range(1, t_frames):
+            total = (total + lam * float(trans[t - 1][path[t - 1], path[t]])) + float(b[t, path[t]])
+        rev = path[::-1]
+        if best_cost is None or total < best_cost or (total == best_cost and rev < best_rev):
+            best_cost = total
+            best_rev = rev
+    return StatePath(states=np.array(best_rev[::-1]), total_cost=best_cost)
+
+
+def covering_radius(grid, samples: int, seed: int) -> float:
+    """Monte-Carlo covering radius: max over random rotations of the geodesic
+    distance to the nearest grid entry."""
+    q = random_unit_quaternions(samples, seed)
+    # |<q, g>| maximized over grid entries g, in manageable blocks
+    worst = 0.0
+    for start in range(0, samples, 65536):
+        block = q[start : start + 65536]
+        best = np.abs(block @ grid.quaternions.T).max(axis=1)
+        worst = max(worst, float(2.0 * np.arccos(np.clip(best, 0.0, 1.0)).max()))
+    return worst
+
+
+def ray_triangle_intersect(origin, direction, triangle):
+    """First intersection of a ray with a triangle.
+
+    Returns (t, (a1, a2, a3)) with t > 0 the distance along the unit
+    direction and a_i the barycentric weights of the three vertices, or
+    None for a miss. Edges and vertices count as hits (a_i >= 0).
+    """
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    v0, v1, v2 = (np.asarray(v, dtype=float) for v in triangle)
+    e1 = v1 - v0
+    e2 = v2 - v0
+    # p = d x e2, written out so the vectorized caster matches bit-for-bit
+    px = d[1] * e2[2] - d[2] * e2[1]
+    py = d[2] * e2[0] - d[0] * e2[2]
+    pz = d[0] * e2[1] - d[1] * e2[0]
+    det = e1[0] * px + e1[1] * py + e1[2] * pz
+    if det == 0.0:
+        return None
+    inv = 1.0 / det
+    tv = o - v0
+    u = (tv[0] * px + tv[1] * py + tv[2] * pz) * inv
+    qx = tv[1] * e1[2] - tv[2] * e1[1]
+    qy = tv[2] * e1[0] - tv[0] * e1[2]
+    qz = tv[0] * e1[1] - tv[1] * e1[0]
+    v = (d[0] * qx + d[1] * qy + d[2] * qz) * inv
+    t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv
+    if u < 0.0 or v < 0.0 or u + v > 1.0 or t <= 0.0:
+        return None
+    return t, (1.0 - u - v, u, v)
+
+
+def points_to_triangles_distance(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Min distance from each point to the nearest of the given triangles.
+
+    points (N, 3), tris (M, 3, 3) -> (N,). Closest-point-on-triangle via the
+    standard region decomposition, broadcast over all pairs.
+    """
+    p = points[:, None, :]
+    a, b, c = tris[None, :, 0], tris[None, :, 1], tris[None, :, 2]
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    d1 = np.sum(ab * ap, axis=-1)
+    d2 = np.sum(ac * ap, axis=-1)
+    bp = p - b
+    d3 = np.sum(ab * bp, axis=-1)
+    d4 = np.sum(ac * bp, axis=-1)
+    cp = p - c
+    d5 = np.sum(ab * cp, axis=-1)
+    d6 = np.sum(ac * cp, axis=-1)
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
+    denom = va + vb + vc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_face = np.where(denom != 0, vb / denom, 0.0)
+        w_face = np.where(denom != 0, vc / denom, 0.0)
+        v_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
+        v_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
+        v_bc = np.where((d4 - d3) + (d5 - d6) != 0, (d4 - d3) / ((d4 - d3) + (d5 - d6)), 0.0)
+    closest = a + v_face[..., None] * ab + w_face[..., None] * ac
+    # edge BC
+    on_bc = (d4 - d3 >= 0) & (d5 - d6 >= 0) & (va <= 0)
+    closest = np.where(on_bc[..., None], b + np.clip(v_bc, 0, 1)[..., None] * (c - b), closest)
+    # edge AC
+    on_ac = (d2 >= 0) & (d6 <= 0) & (vb <= 0)
+    closest = np.where(on_ac[..., None], a + np.clip(v_ac, 0, 1)[..., None] * ac, closest)
+    # edge AB
+    on_ab = (d1 >= 0) & (d3 <= 0) & (vc <= 0)
+    closest = np.where(on_ab[..., None], a + np.clip(v_ab, 0, 1)[..., None] * ab, closest)
+    # vertex regions
+    closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
+    closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
+    closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
+    return np.sqrt(np.sum((p - closest) ** 2, axis=-1)).min(axis=1)
+
+
+def points_to_mesh_distance(points, mesh, chunk: int = 64) -> np.ndarray:
+    """Distance from each point to the mesh surface, chunked over faces."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    tris = mesh.triangles()
+    best = np.full(len(pts), np.inf)
+    for start in range(0, len(tris), chunk):
+        d = points_to_triangles_distance(pts, tris[start : start + chunk])
+        best = np.minimum(best, d)
+    return best

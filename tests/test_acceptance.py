@@ -28,13 +28,13 @@ from rigalign.geometry import (
     apply_pose,
     random_unit_quaternions,
 )
-from rigalign.grids import build_rotation_grid, covering_radius, rodrigues_error
+from rigalign.grids import build_rotation_grid, rodrigues_error
 from rigalign.metrics import chamfer_distance, f_score, icp_with_scaling
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
-from rigalign.viterbi import brute_force_decode, path_cost, viterbi_decode
+from rigalign.viterbi import viterbi_decode
 
-from conftest import random_blob_mesh
-from oracles import solve_silhouette
+from conftest import const, random_blob_mesh
+from oracles import brute_force_decode, covering_radius, path_cost, solve_silhouette
 from test_metrics import chamfer_oracle, f_score_oracle
 
 
@@ -47,8 +47,8 @@ def test_criterion_01_viterbi_exactness():
         emissions = rng.integers(0, 5, size=(t, s)).astype(float)
         transitions = rng.integers(0, 3, size=(s, s)).astype(float)
         lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-        fast = viterbi_decode(emissions, transitions, lam)
-        slow = brute_force_decode(emissions, transitions, lam)
+        fast = viterbi_decode(emissions, const(transitions), lam)
+        slow = brute_force_decode(emissions, const(transitions), lam)
         assert np.array_equal(fast.states, slow.states)
         assert fast.total_cost == slow.total_cost  # zero tolerance
     elapsed = time.monotonic() - start
@@ -155,10 +155,10 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     table[k] += 1.0
     table[k, far_state] = 0.0
     lam = 2.0  # strong smoothness so the outlier frame is overridden
-    decoded = viterbi_decode(table, angles, lam)
+    decoded = viterbi_decode(table, const(angles), lam)
     greedy = table.argmin(axis=1)
     assert greedy[k] == far_state
-    assert decoded.total_cost <= path_cost(table, angles, lam, greedy) + 1e-12
+    assert decoded.total_cost <= path_cost(table, const(angles), lam, greedy) + 1e-12
     radius = covering_radius(noisy.rot_grid, 100000, seed=1006)
     assert angles[decoded.states[k], gt_state] <= radius
     elapsed = time.monotonic() - start

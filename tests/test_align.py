@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from rigalign.align import (
-    PoseTrack,
-    align_sequence,
-    align_single_frame,
-    track_from_json,
-    track_to_json,
-)
+from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_json
 from rigalign.emission import FrameObservation, SyntheticFeatureSource, pca_basis
 from rigalign.geometry import LABEL_OBJECT
 from rigalign.grids import build_rotation_grid, build_translation_grid
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
-from rigalign.viterbi import path_cost, viterbi_decode
+from rigalign.viterbi import viterbi_decode
+
+from conftest import const
+from oracles import covering_radius, path_cost
 
 
 def small_scene(frames=4, noise=0.0, seed=3, level=1):
@@ -53,19 +50,11 @@ class TestAlignSequence:
 
     def test_single_frame_matches_sequence(self):
         scene = small_scene(frames=1, seed=6)
-        frames = observations(scene)
         res = run_alignment(scene)
-        basis = pca_basis([frames[0].features])
-        source = SyntheticFeatureSource(scene.field())
-        pose = align_single_frame(
-            scene.mesh, scene.rot_grid, scene.trans_grid, frames[0],
-            camera=scene.camera, feature_source=source, basis=basis,
-            lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans,
-            sample_count=512, seed=scene.spec.seed,
-        )
-        assert np.allclose(pose.rotation, res.track.rotations[0])
-        assert np.allclose(pose.translation, res.track.translations[0])
-        assert pose.scale == res.track.scale
+        pose = res.track.pose(0)
+        # a single frame decodes to its per-frame argmin in both phases
+        assert res.rotation_path.states[0] == res.rotation_table.costs[0].argmin()
+        assert res.translation_path.states[0] == res.translation_table.costs[0].argmin()
         # noise-free single frame recovers the generating grid rotation
         # (tolerance covers the pose's unit-norm renormalization only)
         gt_quat = scene.rot_grid.quaternions[scene.rotation_states[0]]
@@ -110,13 +99,11 @@ class TestAlignSequence:
         table[k] += 1.0
         table[k, far_state] = 0.0
         lam = 2.0
-        decoded = viterbi_decode(table, angles, lam)
+        decoded = viterbi_decode(table, const(angles), lam)
         greedy = table.argmin(axis=1)
         assert greedy[k] == far_state
-        assert decoded.total_cost <= path_cost(table, angles, lam, greedy) + 1e-12
+        assert decoded.total_cost <= path_cost(table, const(angles), lam, greedy) + 1e-12
         assert decoded.states[k] != far_state
-        from rigalign.grids import covering_radius
-
         radius = covering_radius(scene.rot_grid, 20000, seed=0)
         assert angles[decoded.states[k], gt_state] <= radius
 

@@ -15,21 +15,19 @@ from rigalign.geometry import (
     first_hit_map,
     matrix_to_quat,
     normalize_points,
-    points_to_mesh_distance,
     quat_to_matrix,
     random_unit_quaternions,
-    ray_triangle_intersect,
     resample_point_cloud,
-    sample_hand_points,
     sample_mesh_surface,
 )
 
 from conftest import random_blob_mesh
+from oracles import points_to_mesh_distance, ray_triangle_intersect
 
 
 def brute_force_pixel_cast(mesh, camera):
     """Pure-Python per-pixel, per-triangle oracle for the vectorized caster."""
-    rays = camera.pixel_rays()
+    rays = camera.pixel_rays
     tris = mesh.triangles()
     hits = np.zeros((camera.height, camera.width), dtype=bool)
     points = np.zeros((camera.height, camera.width, 3))
@@ -107,25 +105,46 @@ class TestRayTriangle:
         assert checked > 50
 
 
+class TestPixelRays:
+    def test_values_match_the_per_pixel_formula(self):
+        cam = Camera(fx=30.0, fy=40.0, cx=7.3, cy=4.1, width=11, height=6)
+        rays = cam.pixel_rays
+        assert rays.shape == (6, 11, 3)
+        for i in range(6):
+            for j in range(11):
+                d = np.array([(j + 0.5 - cam.cx) / cam.fx, (i + 0.5 - cam.cy) / cam.fy, 1.0])
+                n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+                assert np.array_equal(rays[i, j], d / n)
+
+    def test_built_once_and_read_only(self, camera64):
+        rays = camera64.pixel_rays
+        assert camera64.pixel_rays is rays
+        with pytest.raises(ValueError):
+            rays[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rays[:1].reshape(-1, 3)[0] = 0.0  # a view of the cache
+        assert rays[0, 0, 2] > 0.0
+
+
 class TestHandSampling:
     def test_full_cover_triangle(self, camera64):
         big = TriangleMesh(
             np.array([[-100.0, -100, 2], [100.0, -100, 2], [0.0, 200, 2]]), np.array([[0, 1, 2]])
         )
-        assert sample_hand_points(big, camera64).hit_fraction == 1.0
+        assert first_hit_map(big, camera64).hit_fraction == 1.0
 
     def test_mesh_behind_camera(self, camera64):
         behind = TriangleMesh(
             np.array([[-1.0, -1, -2], [1.0, -1, -2], [0.0, 1, -2]]), np.array([[0, 1, 2]])
         )
-        assert sample_hand_points(behind, camera64).hit_fraction == 0.0
+        assert first_hit_map(behind, camera64).hit_fraction == 0.0
 
     def test_empty_mesh_raises(self, camera64):
         with pytest.raises(EmptyMesh):
-            sample_hand_points(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), camera64)
+            first_hit_map(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3))), camera64)
 
     def test_quad_matches_bruteforce(self, camera64, unit_quad_mesh):
-        fast = sample_hand_points(unit_quad_mesh, camera64)
+        fast = first_hit_map(unit_quad_mesh, camera64)
         points, hits = brute_force_pixel_cast(unit_quad_mesh, camera64)
         assert np.array_equal(fast.hits, hits)
         assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
@@ -142,7 +161,7 @@ class TestHandSampling:
             assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
 
     def test_hits_lie_on_surface(self, camera64, unit_quad_mesh):
-        hit_map = sample_hand_points(unit_quad_mesh, camera64)
+        hit_map = first_hit_map(unit_quad_mesh, camera64)
         d = points_to_mesh_distance(hit_map.hit_points(), unit_quad_mesh)
         assert d.max() < 1e-6
 

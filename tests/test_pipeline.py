@@ -7,9 +7,11 @@ from rigalign import meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
 from rigalign.errors import ConfigError, ParseError
-from rigalign.geometry import Camera, TriangleMesh, points_to_mesh_distance
+from rigalign.geometry import Camera, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
+
+from oracles import points_to_mesh_distance
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,17 @@ class TestRunTrack:
         out = tmp_path / "out"
         run_track(cfg, out)
         assert (out / "track.json").is_file()
+        # align keeps the full four-row tables and scores the first frame only
+        run_track(cfg, tmp_path / "align", first_frame_only=True)
+        track = json.loads((out / "track.json").read_text())
+        single = json.loads((tmp_path / "align" / "track.json").read_text())
+        assert [f["t"] for f in single["frames"]] == [0]
+        assert single["frames"][0]["rotation_wxyz"] == track["frames"][0]["rotation_wxyz"]
+        metrics = json.loads((tmp_path / "align" / "metrics.json").read_text())
+        assert len(metrics["frames"]) == 1
+        for name, states in (("rotation", 40), ("translation", 125)):
+            table = meshio.load_emission_table(tmp_path / "align" / f"emissions_{name}.emit")
+            assert table.shape == (1, states)
 
     def test_table_shape_mismatch_rejected(self, scene_dir, tmp_path):
         import shutil
@@ -355,7 +368,7 @@ class TestPrep:
         assert params["scale"] == 0.7
 
     def test_prep_inversion_round_trip(self, tmp_path):
-        from rigalign.geometry import NormalizationParams, sample_hand_points
+        from rigalign.geometry import NormalizationParams, first_hit_map
 
         cam = Camera(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
         meshio.save_camera(cam, tmp_path / "camera.json")
@@ -370,5 +383,5 @@ class TestPrep:
         params = json.loads((tmp_path / "prep" / "prep_params_000003.json").read_text())
         norm = NormalizationParams(np.array(params["mean"]), params["sigma"], params["scale"])
         recovered = norm.invert(grid[mask].astype(float))
-        original = sample_hand_points(quad, cam).hit_points()
+        original = first_hit_map(quad, cam).hit_points()
         assert np.allclose(recovered, original, atol=1e-5)

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from rigalign.errors import EmptyTable, TooLarge
-from rigalign.viterbi import (
-    EmissionTable,
-    brute_force_decode,
-    path_cost,
-    transition_cost,
-    viterbi_decode,
-)
+from rigalign.viterbi import EmissionTable, viterbi_decode
+
+from conftest import const
+from oracles import brute_force_decode, path_cost
 
 
 class TestViterbiBasics:
@@ -16,7 +13,7 @@ class TestViterbiBasics:
         # emissions [[0,10],[10,0]], switch cost 1, stay 0: paths cost 10/1/21/10
         em = np.array([[0.0, 10.0], [10.0, 0.0]])
         tr = np.array([[0.0, 1.0], [1.0, 0.0]])
-        path = viterbi_decode(em, tr, 1.0)
+        path = viterbi_decode(em, const(tr), 1.0)
         assert list(path.states) == [0, 1]
         assert path.total_cost == 1.0
 
@@ -24,42 +21,71 @@ class TestViterbiBasics:
         rng = np.random.default_rng(0)
         em = rng.random((7, 5))
         tr = rng.random((5, 5)) * 100
-        path = viterbi_decode(em, tr, 0.0)
+        path = viterbi_decode(em, const(tr), 0.0)
         assert np.array_equal(path.states, em.argmin(axis=1))
 
     def test_single_frame_argmin(self):
         em = np.array([[3.0, 1.0, 2.0]])
-        path = viterbi_decode(em, np.zeros((3, 3)), 1.0)
+        path = viterbi_decode(em, const(np.zeros((3, 3))), 1.0)
         assert list(path.states) == [1]
         assert path.total_cost == 1.0
 
     def test_single_state(self):
         em = np.ones((4, 1))
-        path = brute_force_decode(em, np.zeros((1, 1)), 1.0)
+        path = brute_force_decode(em, const(np.zeros((1, 1))), 1.0)
         assert list(path.states) == [0, 0, 0, 0]
 
     def test_equal_transitions_reduce_to_argmin(self):
         rng = np.random.default_rng(1)
         em = rng.random((6, 4))
-        path = viterbi_decode(em, np.full((4, 4), 2.5), 3.0)
+        path = viterbi_decode(em, const(np.full((4, 4), 2.5)), 3.0)
         assert np.array_equal(path.states, em.argmin(axis=1))
 
     def test_callable_transition(self):
-        em = np.array([[0.0, 10.0], [10.0, 0.0]])
-        path = viterbi_decode(em, lambda i, j: float(i != j), 1.0)
-        assert list(path.states) == [0, 1]
+        # the provider is called with exactly t = 1..T-1, in order
+        em = np.array([[0.0, 10.0], [10.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        calls = []
+
+        def transition(t):
+            calls.append(t)
+            return np.array([[0.0, 1.0], [1.0, 0.0]])
+
+        path = viterbi_decode(em, transition, 1.0)
+        assert calls == [1, 2, 3]
+        assert list(path.states) == [0, 1, 1, 0]
+        calls.clear()
+        viterbi_decode(em[:1], transition, 1.0)
+        assert calls == []
 
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyTable):
-            viterbi_decode(np.zeros((0, 3)), np.zeros((3, 3)), 1.0)
+            viterbi_decode(np.zeros((0, 3)), const(np.zeros((3, 3))), 1.0)
         with pytest.raises(EmptyTable):
             EmissionTable(np.zeros((2, 0)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (1, 2, 2)])
+    def test_step_of_wrong_shape_rejected(self, shape):
+        em = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="must be"):
+            viterbi_decode(em, const(np.zeros(shape)), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_step_rejected(self, bad):
+        em = np.array([[0.0, 10.0], [10.0, 0.0], [0.0, 10.0]])
+        steps = np.zeros((2, 2, 2))
+        steps[1, 0, 1] = bad  # only the second step is corrupt
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            viterbi_decode(em, lambda t: steps[t - 1], 1.0)
 
     def test_emission_table_validation(self):
         with pytest.raises(ValueError):
             EmissionTable(np.array([[np.inf, 0.0]]))
         with pytest.raises(ValueError):
             EmissionTable(np.array([[-1.0, 0.0]]))
+        # a plain array handed to the decoder gets the same checks
+        for bad in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError):
+                viterbi_decode(np.array([[bad, 0.0], [0.0, 1.0]]), const(np.zeros((2, 2))), 1.0)
 
 
 class TestOracleAgreement:
@@ -72,8 +98,8 @@ class TestOracleAgreement:
             em = rng.integers(0, 4, size=(t, s)).astype(float)
             tr = rng.integers(0, 3, size=(s, s)).astype(float)
             lam = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
-            fast = viterbi_decode(em, tr, lam)
-            slow = brute_force_decode(em, tr, lam)
+            fast = viterbi_decode(em, const(tr), lam)
+            slow = brute_force_decode(em, const(tr), lam)
             assert np.array_equal(fast.states, slow.states)
             assert fast.total_cost == slow.total_cost
 
@@ -84,8 +110,8 @@ class TestOracleAgreement:
             s = int(rng.integers(2, 6))
             em = rng.random((t, s)).round(2)
             tr = rng.random((t - 1, s, s)).round(2)
-            fast = viterbi_decode(em, tr, 1.0)
-            slow = brute_force_decode(em, tr, 1.0)
+            fast = viterbi_decode(em, lambda k: tr[k - 1], 1.0)
+            slow = brute_force_decode(em, lambda k: tr[k - 1], 1.0)
             assert np.array_equal(fast.states, slow.states)
             assert fast.total_cost == slow.total_cost
 
@@ -93,12 +119,12 @@ class TestOracleAgreement:
         rng = np.random.default_rng(4)
         em = rng.random((5, 6))
         tr = rng.random((6, 6))
-        path = viterbi_decode(em, tr, 0.7)
-        assert path_cost(em, tr, 0.7, path.states) == path.total_cost
+        path = viterbi_decode(em, const(tr), 0.7)
+        assert path_cost(em, const(tr), 0.7, path.states) == path.total_cost
 
     def test_brute_force_size_guard(self):
         with pytest.raises(TooLarge):
-            brute_force_decode(np.zeros((10, 20)), np.zeros((20, 20)), 1.0)
+            brute_force_decode(np.zeros((10, 20)), const(np.zeros((20, 20))), 1.0)
 
 
 class TestOptimalityProperties:
@@ -108,9 +134,9 @@ class TestOptimalityProperties:
             em = rng.random((6, 5))
             tr = rng.random((5, 5))
             for lam in (0.0, 0.3, 1.0, 5.0):
-                decoded = viterbi_decode(em, tr, lam)
+                decoded = viterbi_decode(em, const(tr), lam)
                 greedy = em.argmin(axis=1)
-                assert decoded.total_cost <= path_cost(em, tr, lam, greedy) + 1e-12
+                assert decoded.total_cost <= path_cost(em, const(tr), lam, greedy) + 1e-12
 
     def test_transition_component_monotone_in_lambda(self):
         rng = np.random.default_rng(6)
@@ -120,7 +146,7 @@ class TestOptimalityProperties:
             lambdas = [0.0, 0.2, 0.5, 1.0, 2.0, 10.0]
             raw = []
             for lam in lambdas:
-                path = viterbi_decode(em, tr, lam)
+                path = viterbi_decode(em, const(tr), lam)
                 # unweighted transition sum along the decoded path
-                raw.append(transition_cost(tr, 1.0, path.states, 6, 5))
+                raw.append(path_cost(np.zeros((6, 5)), const(tr), 1.0, path.states))
             assert all(b <= a + 1e-12 for a, b in zip(raw, raw[1:]))
