@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import pipeline
+from . import meshio, pipeline
 from .config import load_config
 from .errors import ConfigError, ParseError, RigalignError
 from .synthetic import SceneSpec, generate_synthetic_scene, write_scene
@@ -70,7 +70,7 @@ def run(argv=None) -> int:
             if args.out:
                 out = Path(args.out)
                 out.mkdir(parents=True, exist_ok=True)
-                (out / "rotation_grid.csv").write_text(csv)
+                meshio.write_atomic(out / "rotation_grid.csv", csv.encode())
                 print(out / "rotation_grid.csv")
             else:
                 sys.stdout.write(csv)

@@ -8,7 +8,14 @@ import numpy as np
 
 from .align import PoseTrack
 from .geometry import PointCloud, TriangleMesh, resample_point_cloud, sample_mesh_surface
-from .metrics import MetricReport, chamfer_distance, f_score, icp_with_scaling, median_metrics
+from .metrics import (
+    MetricReport,
+    NearestNeighborIndex,
+    chamfer_from_distances,
+    f_score_from_distances,
+    icp_with_scaling,
+    median_metrics,
+)
 from .seeding import derive_seed
 
 _PRED, _GT = 101, 102
@@ -17,12 +24,19 @@ _PRED, _GT = 101, 102
 def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
                  icp_max_iters: int = 100, icp_tol: float = 1e-6) -> MetricReport:
     """Score one frame; the prediction is ICP-aligned (with scale) to the
-    ground truth first, the ground truth is never transformed."""
-    icp = icp_with_scaling(pred_points, gt_points, max_iters=icp_max_iters, tol=icp_tol)
+    ground truth first, the ground truth is never transformed.
+
+    ICP and the metrics share one k-d tree on the ground truth; with one more
+    on the aligned prediction, the two directed distance arrays are computed
+    once and every metric is reduced from them."""
+    gt_index = NearestNeighborIndex(gt_points)
+    icp = icp_with_scaling(pred_points, gt_index, max_iters=icp_max_iters, tol=icp_tol)
     aligned = icp.transform.apply(pred_points)
-    cd = chamfer_distance(aligned, gt_points)
-    p5, r5, f5 = f_score(aligned, gt_points, 0.005)
-    p10, r10, f10 = f_score(aligned, gt_points, 0.010)
+    d_pred, _ = gt_index.query(aligned)
+    d_gt, _ = NearestNeighborIndex(aligned).query(gt_points)
+    cd = chamfer_from_distances(d_pred, d_gt)
+    p5, r5, f5 = f_score_from_distances(d_pred, d_gt, 0.005)
+    p10, r10, f10 = f_score_from_distances(d_pred, d_gt, 0.010)
     return MetricReport(
         chamfer_cm2=cd, f5=f5, f10=f10,
         precision_5mm=p5, recall_5mm=r5, precision_10mm=p10, recall_10mm=r10,

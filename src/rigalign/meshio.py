@@ -7,6 +7,7 @@ All distances on disk are meters. PLY files are binary little-endian.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -17,6 +18,18 @@ from .geometry import Camera, PointCloud, TriangleMesh
 
 FMAP_MAGIC = b"FMAP"
 EMIT_MAGIC = b"EMIT"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`: a reader sees the old file or the whole new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +74,7 @@ def load_obj(path) -> TriangleMesh:
 def save_obj(mesh: TriangleMesh, path) -> None:
     lines = [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}" for v in mesh.vertices]
     lines += [f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}" for f in mesh.faces]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +196,7 @@ def save_ply_cloud(cloud: PointCloud, path) -> None:
     for k, arr in enumerate(fields):
         for c in range(arr.shape[1]):
             rec[f"p{k}_{c}"] = arr[:, c]
-    Path(path).write_bytes("\n".join(header).encode("ascii") + b"\n" + rec.tobytes())
+    write_atomic(path, "\n".join(header).encode("ascii") + b"\n" + rec.tobytes())
 
 
 def load_ply_mesh(path) -> TriangleMesh:
@@ -217,7 +230,7 @@ def save_ply_mesh(mesh: TriangleMesh, path) -> None:
     rec = np.empty(nf, dtype=face_dt)
     rec["n"] = 3
     rec["i"] = mesh.faces.astype("<i4")
-    Path(path).write_bytes(header.encode("ascii") + verts + rec.tobytes())
+    write_atomic(path, header.encode("ascii") + verts + rec.tobytes())
 
 
 def load_mesh(path) -> TriangleMesh:
@@ -250,11 +263,8 @@ def save_fmap(features: np.ndarray, mask: np.ndarray, path) -> None:
     m = np.ascontiguousarray(mask.astype(bool), dtype="u1")
     if m.shape != (h, w):
         raise ValueError("mask shape must match feature grid")
-    with open(path, "wb") as fh:
-        fh.write(FMAP_MAGIC)
-        fh.write(struct.pack("<IIII", 1, h, w, c))
-        fh.write(feats.tobytes())
-        fh.write(m.tobytes())
+    write_atomic(path, FMAP_MAGIC + struct.pack("<IIII", 1, h, w, c) + feats.tobytes()
+                 + m.tobytes())
 
 
 def load_fmap(path):
@@ -305,10 +315,7 @@ def _fmap_dims(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
 def save_emission_table(costs: np.ndarray, path) -> None:
     arr = np.ascontiguousarray(costs, dtype="<f4")
     t, s = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(EMIT_MAGIC)
-        fh.write(struct.pack("<II", t, s))
-        fh.write(arr.tobytes())
+    write_atomic(path, EMIT_MAGIC + struct.pack("<II", t, s) + arr.tobytes())
 
 
 def load_emission_table(path) -> np.ndarray:
@@ -332,7 +339,7 @@ def load_emission_table(path) -> np.ndarray:
 def save_pgm_mask(mask: np.ndarray, path) -> None:
     m = np.ascontiguousarray(mask.astype(bool), dtype="u1") * np.uint8(255)
     h, w = m.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + m.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + m.tobytes())
 
 
 def load_pgm_mask(path) -> np.ndarray:
@@ -388,4 +395,4 @@ def load_camera(path) -> Camera:
 def save_camera(camera: Camera, path) -> None:
     obj = {"fx": camera.fx, "fy": camera.fy, "cx": camera.cx, "cy": camera.cy,
            "width": camera.width, "height": camera.height}
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))

@@ -14,6 +14,15 @@ from .geometry import PointCloud, SimilarityTransform, matrix_to_quat
 
 M2_TO_CM2 = 1e4
 
+# Points per k-d tree leaf. ICP's non-identity starts put query points 1-11 mm
+# off a surface sampled every ~0.3 mm. Replaying the 99 queries (10k points
+# each) of an `eval-icp` call at seed 11 on one thread of a 2-core Xeon, the
+# far-start queries took 1.69 s at scipy's default of 16, 1.30 s at 32,
+# 1.12 s at 64 and 1.21 s at 128; the near-surface ones 0.16-0.17 s at 16-64.
+# Distances and indices were bit-identical at every size. The emission trees
+# keep scipy's default: with 64 there, `track-cloud-l3` ran slower.
+LEAFSIZE = 64
+
 
 class NearestNeighborIndex:
     """Exact nearest-neighbor queries over a fixed point set (kd-tree backed)."""
@@ -22,8 +31,8 @@ class NearestNeighborIndex:
         pts = _as_points(points)
         if len(pts) == 0:
             raise EmptyCloud("cannot index an empty point set")
-        self._points = pts
-        self._tree = cKDTree(pts)
+        self.points = pts
+        self._tree = cKDTree(pts, leafsize=LEAFSIZE)
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
@@ -31,7 +40,7 @@ class NearestNeighborIndex:
         return np.asarray(d, dtype=float), np.asarray(i, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -51,9 +60,37 @@ class MetricReport:
 
 
 def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
+    if isinstance(cloud, (PointCloud, NearestNeighborIndex)):
         return cloud.points
     return np.asarray(cloud, dtype=float).reshape(-1, 3)
+
+
+def _nearest_distances(a, b, what: str):
+    """(a->b, b->a) nearest-neighbor distances between two non-empty point sets."""
+    pa = _as_points(a)
+    pb = _as_points(b)
+    if len(pa) == 0 or len(pb) == 0:
+        raise EmptyCloud(f"{what} needs non-empty clouds")
+    return NearestNeighborIndex(pb).query(pa)[0], NearestNeighborIndex(pa).query(pb)[0]
+
+
+def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    """Symmetric mean squared nearest-neighbor distance in cm^2, from the two
+    directed distance arrays of two equal-size point sets."""
+    if len(d_ab) != len(d_ba):
+        raise SizeMismatch(f"point sets must have the same size ({len(d_ab)} vs {len(d_ba)})")
+    return float((np.mean(d_ab**2) + np.mean(d_ba**2)) * M2_TO_CM2)
+
+
+def f_score_from_distances(d_pred: np.ndarray, d_gt: np.ndarray, threshold: float):
+    """(precision, recall, F) at a threshold in meters, from the pred->gt and
+    gt->pred distance arrays; distances exactly at the threshold count as inliers."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    precision = float(np.mean(d_pred <= threshold))
+    recall = float(np.mean(d_gt <= threshold))
+    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f
 
 
 def chamfer_distance(a, b) -> float:
@@ -61,32 +98,13 @@ def chamfer_distance(a, b) -> float:
 
     Both sets must have the same size; resample first if they differ.
     """
-    pa = _as_points(a)
-    pb = _as_points(b)
-    if len(pa) == 0 or len(pb) == 0:
-        raise EmptyCloud("chamfer distance needs non-empty clouds")
-    if len(pa) != len(pb):
-        raise SizeMismatch(f"point sets must have the same size ({len(pa)} vs {len(pb)})")
-    d_ab, _ = cKDTree(pb).query(pa, k=1)
-    d_ba, _ = cKDTree(pa).query(pb, k=1)
-    return float((np.mean(d_ab**2) + np.mean(d_ba**2)) * M2_TO_CM2)
+    return chamfer_from_distances(*_nearest_distances(a, b, "chamfer distance"))
 
 
 def f_score(pred, gt, threshold: float):
     """(precision, recall, F) of point coverage at the given distance threshold
     in meters; distances exactly at the threshold count as inliers."""
-    pp = _as_points(pred)
-    pg = _as_points(gt)
-    if len(pp) == 0 or len(pg) == 0:
-        raise EmptyCloud("f-score needs non-empty clouds")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    d_pg, _ = cKDTree(pg).query(pp, k=1)
-    d_gp, _ = cKDTree(pp).query(pg, k=1)
-    precision = float(np.mean(d_pg <= threshold))
-    recall = float(np.mean(d_gp <= threshold))
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f
+    return f_score_from_distances(*_nearest_distances(pred, gt, "f-score"), threshold)
 
 
 @dataclass(eq=False)
@@ -183,13 +201,14 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     targets; stops when the RMS correspondence distance improves by less
     than tol (meters). Runs from a deterministic set of coarse starts and
     keeps the lowest final RMS. Each refit is the exact least-squares
-    optimum, so RMS never increases within a run.
+    optimum, so RMS never increases within a run. The target may be given as
+    a NearestNeighborIndex over it, so that a caller reuses its k-d tree.
     """
     src = _as_points(source)
     tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
-    index = NearestNeighborIndex(tgt)
+    index = target if isinstance(target, NearestNeighborIndex) else NearestNeighborIndex(tgt)
     best: IcpResult | None = None
     failure: DegenerateGeometry | None = None
     for init in _initial_candidates(src, tgt):

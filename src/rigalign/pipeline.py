@@ -200,19 +200,23 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
         sample_count=cfg.emission_samples, seed=cfg.seed, penalty_factor=cfg.penalty_factor,
         timestamps=np.array(inputs.frame_indices, dtype=np.int64),
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "track.json").write_text(track_to_json(result.track))
-    meshio.save_emission_table(result.rotation_table.costs, out / "emissions_rotation.emit")
-    meshio.save_emission_table(result.translation_table.costs, out / "emissions_translation.emit")
-    written = {"track": str(out / "track.json")}
+    metrics = None
     if inputs.ground_truths is not None:
         per_frame, median = evaluate_track(
             inputs.mesh, result.track, inputs.ground_truths,
             n=cfg.eval_samples, seed=cfg.seed,
             icp_max_iters=cfg.icp_max_iters, icp_tol=cfg.icp_tol,
         )
-        (out / "metrics.json").write_text(_metrics_json(per_frame, median, inputs.frame_indices))
+        metrics = _metrics_json(per_frame, median, inputs.frame_indices)
+    # nothing is written until every output is computed
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    meshio.write_atomic(out / "track.json", track_to_json(result.track).encode())
+    meshio.save_emission_table(result.rotation_table.costs, out / "emissions_rotation.emit")
+    meshio.save_emission_table(result.translation_table.costs, out / "emissions_translation.emit")
+    written = {"track": str(out / "track.json")}
+    if metrics is not None:
+        meshio.write_atomic(out / "metrics.json", metrics.encode())
         written["metrics"] = str(out / "metrics.json")
     return written
 
@@ -240,7 +244,8 @@ def run_eval(cfg: RunConfig, out_dir) -> dict:
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.json").write_text(_metrics_json(per_frame, median, inputs.frame_indices))
+    meshio.write_atomic(out / "metrics.json",
+                        _metrics_json(per_frame, median, inputs.frame_indices).encode())
     return {"metrics": str(out / "metrics.json")}
 
 
@@ -288,9 +293,8 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
             "scale": params.scale,
             "hit_fraction": hit_map.hit_fraction,
         }
-        (out / f"prep_params_{t:06d}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        meshio.write_atomic(out / f"prep_params_{t:06d}.json",
+                            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
         written[t] = str(out / f"prep_{t:06d}.fmap")
     return written
 

@@ -162,6 +162,22 @@ class TestEmit:
             meshio.load_emission_table(path)
 
 
+class TestAtomicWrite:
+    def test_failed_rename_keeps_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.emit"
+        meshio.save_emission_table(np.zeros((2, 3)), path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(meshio.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            meshio.save_emission_table(np.ones((4, 5)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.emit"]
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         mask = np.random.default_rng(3).random((9, 4)) > 0.3

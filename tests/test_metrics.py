@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rigalign.errors import DegenerateGeometry, EmptyCloud, EmptyList, SizeMismatch
 from rigalign.geometry import SimilarityTransform, random_unit_quaternions
 from rigalign.metrics import (
+    LEAFSIZE,
     MetricReport,
     NearestNeighborIndex,
     chamfer_distance,
@@ -130,11 +131,20 @@ class TestNearestNeighborIndex:
 
         rng = np.random.default_rng(16)
         data = rng.normal(size=(2000, 3))
-        queries = rng.normal(size=(20000, 3))
+        data = np.concatenate([data, data[:300]])  # duplicate points
+        # queries near the points, as late ICP iterations make, and far off them
+        queries = np.concatenate([data[rng.integers(len(data), size=10000)]
+                                  + rng.normal(scale=1e-3, size=(10000, 3)),
+                                  rng.normal(size=(20000, 3))])
         d, idx = NearestNeighborIndex(data).query(queries)
-        d1, idx1 = cKDTree(data).query(queries, k=1, workers=1)
+        d1, idx1 = cKDTree(data, leafsize=LEAFSIZE).query(queries, k=1, workers=1)
         assert np.array_equal(d, d1)
         assert np.array_equal(idx, idx1)
+        # scipy's default leaf size: the same distances and the same points;
+        # an index may differ only between duplicates of one point
+        d16, idx16 = cKDTree(data).query(queries, k=1, workers=1)
+        assert np.array_equal(d, d16)
+        assert np.array_equal(data[idx], data[idx16])
 
 
 class TestFitSimilarity:

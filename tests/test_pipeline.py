@@ -7,7 +7,7 @@ from rigalign import meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
 from rigalign.errors import ConfigError, ParseError
-from rigalign.geometry import Camera, TriangleMesh
+from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
@@ -285,6 +285,26 @@ class TestCli:
         shutil.copy(tmp_path / "model.obj", scene / "model.obj")
         code = cli_run(["track", "--config", str(scene / "config.cfg"), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_failed_evaluation_writes_no_outputs(self, tmp_path, capsys):
+        # the second frame's ground truth is 50 copies of one point, so its
+        # ICP fit is rank-deficient after alignment has already succeeded
+        scene = tmp_path / "scene"
+        write_scene(generate_synthetic_scene(SceneSpec(frames=3, rotation_level=1,
+                                                       translation_counts=(1, 1, 1), seed=11)),
+                    scene)
+        meshio.save_ply_cloud(PointCloud(np.full((50, 3), 0.3)), scene / "gt_000001.ply")
+        cfg = scene / "config.cfg"
+        cfg.write_text(cfg.read_text().replace("feature_source = synthetic", "feature_source = none")
+                       .replace("icp_max_iters = 100", "icp_max_iters = 8"))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = cli_run(["track", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and "rank-deficient" in err
+        assert "Traceback" not in err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_camera_width_mismatch_rejected_at_load(self, tmp_path, capsys):
         # feature maps stay 64x64 while the camera claims 48 columns
