@@ -26,7 +26,7 @@ from .geometry import (
     resample_point_cloud,
     sample_mesh_surface,
 )
-from .grids import RotationGrid, TranslationGrid, build_rotation_grid, build_translation_grid, rodrigues_error
+from .grids import RotationGrid, TranslationGrid, build_rotation_grid, build_translation_grid
 from .metrics import (
     MetricReport,
     NearestNeighborIndex,

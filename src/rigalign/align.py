@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emission import EmissionEvaluator, estimate_scale
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .geometry import SimilarityTransform, TriangleMesh, quat_normalize, sample_mesh_surface
 from .grids import RotationGrid, TranslationGrid
 from .viterbi import EmissionTable, StatePath, viterbi_decode
@@ -34,7 +34,7 @@ class PoseTrack:
         self.translations = np.asarray(self.translations, dtype=float).reshape(-1, 3)
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64).reshape(-1)
         if not (len(self.rotations) == len(self.translations) == len(self.timestamps)):
-            raise ValueError("per-frame arrays must have equal length")
+            raise InvalidInput("per-frame arrays must have equal length")
         self.rotations = np.stack([quat_normalize(q) for q in self.rotations])
 
     def __len__(self) -> int:
@@ -127,7 +127,7 @@ def align_sequence(
     """
     frames = list(frames)
     if not frames:
-        raise ValueError("need at least one frame")
+        raise InvalidInput("need at least one frame")
     if timestamps is None:
         timestamps = np.arange(len(frames))
     if scale is None:

@@ -2,8 +2,9 @@
 
 Subcommands: align (single frame), track (sequence), eval (metrics only),
 grid (dump rotation grid CSV), prep (hand sampling + normalization), and
-synth (generate a synthetic scene). Exit codes: 0 success, 2 config/parse
-error, 3 numerical or degenerate-input error.
+synth (generate a synthetic scene). Exit codes: 0 success, 2 invalid input
+(InvalidInput: a bad config value, input file or argument), 3 any other
+RigalignError (a numerical or geometric dead end).
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from pathlib import Path
 
 from . import meshio, pipeline
 from .config import load_config
-from .errors import ConfigError, ParseError, RigalignError
+from .errors import InvalidInput, RigalignError
 from .synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
-EXIT_CONFIG = 2
+EXIT_INVALID_INPUT = 2
 EXIT_NUMERIC = 3
 
 
@@ -102,9 +103,9 @@ def run(argv=None) -> int:
             written = pipeline.run_prep(_load(args), args.out)
             for path in written.values():
                 print(path)
-    except (ConfigError, ParseError) as e:
+    except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_INVALID_INPUT
     except RigalignError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC

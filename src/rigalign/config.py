@@ -6,10 +6,11 @@ file. Unknown keys are rejected so typos fail fast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 
 FEATURE_SOURCES = ("none", "synthetic", "table", "maps")
 
@@ -80,7 +81,7 @@ def _parse_triple(value: str, cast):
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
-        raise ValueError("expected a scalar or three comma-separated values")
+        raise InvalidInput("expected a scalar or three comma-separated values")
     return tuple(cast(p) for p in parts)
 
 
@@ -111,7 +112,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 cfg.translation_counts = _parse_triple(value, int)
             elif key == "feature_source":
                 if value not in FEATURE_SOURCES:
-                    raise ValueError(f"must be one of {FEATURE_SOURCES}")
+                    raise InvalidInput(f"must be one of {FEATURE_SOURCES}")
                 cfg.feature_source = value
             else:  # pragma: no cover - keys above are exhaustive
                 raise ConfigError(f"line {ln}: unhandled key '{key}'")
@@ -122,6 +123,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for key in _FLOAT_KEYS + ("translation_half_extent",):
+        value = getattr(cfg, key)
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite; got {value!r}")
     if cfg.rotation_level < 0:
         raise ConfigError("rotation_level must be >= 0")
     if any(c < 1 for c in cfg.translation_counts):
@@ -136,6 +142,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("icp parameters must be positive")
     if cfg.w_cd < 0 or cfg.w_dino < 0 or cfg.lambda_rot < 0 or cfg.lambda_trans < 0:
         raise ConfigError("weights must be >= 0")
+    if cfg.penalty_factor < 0:
+        raise ConfigError("penalty_factor must be >= 0")
     if cfg.synthetic_feature_channels < 3:
         raise ConfigError("synthetic_feature_channels must be >= 3")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCloud, EmptyOverlap, InsufficientSamples, ParseError
+from .errors import DegenerateCloud, EmptyOverlap, InvalidInput, ParseError
 from .geometry import (
     Camera,
     HandPointMap,
@@ -45,9 +45,9 @@ class FeatureMap:
         self.features = np.asarray(self.features, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.features.ndim != 3:
-            raise ValueError("features must be (H, W, C)")
+            raise InvalidInput("features must be (H, W, C)")
         if self.mask.shape != self.features.shape[:2]:
-            raise ValueError("mask dimensions must match the feature grid")
+            raise InvalidInput("mask dimensions must match the feature grid")
 
     @property
     def channels(self) -> int:
@@ -75,7 +75,7 @@ class FrameObservation:
 
     def __post_init__(self):
         if len(self.points) == 0:
-            raise ValueError("frame observation needs a non-empty object cloud")
+            raise InvalidInput("frame observation needs a non-empty object cloud")
 
     @property
     def mean(self) -> np.ndarray:
@@ -129,12 +129,12 @@ def pca_basis(maps) -> PCABasis:
     """
     maps = list(maps)
     if not maps:
-        raise InsufficientSamples("no feature maps given")
+        raise InvalidInput("no feature maps given")
     pooled = np.concatenate([m.features[m.mask] for m in maps], axis=0)
     if pooled.shape[0] < 3:
-        raise InsufficientSamples("need at least 3 masked-in pixels to fit a basis")
+        raise InvalidInput("need at least 3 masked-in pixels to fit a basis")
     if pooled.shape[1] < 3:
-        raise InsufficientSamples("need at least 3 feature channels")
+        raise InvalidInput("need at least 3 feature channels")
     mean = pooled.mean(axis=0)
     centered = pooled - mean
     cov = (centered.T @ centered) / len(centered)
@@ -153,9 +153,9 @@ def dino_similarity(f_j: FeatureMap, f_0: FeatureMap, basis: PCABasis, eps: floa
     then maps cosine similarity c to 1 - (c + 1) / 2.
     """
     if eps <= 0:
-        raise ValueError("eps must be positive")
+        raise InvalidInput("eps must be positive")
     if f_j.features.shape[:2] != f_0.features.shape[:2]:
-        raise ValueError("feature maps must share spatial dimensions")
+        raise InvalidInput("feature maps must share spatial dimensions")
     domain = f_j.mask & f_0.mask
     if not domain.any():
         raise EmptyOverlap("masked pixel domains do not intersect")
@@ -246,7 +246,7 @@ class EmissionEvaluator:
                  feature_source: FeatureSource | None = None, basis: PCABasis | None = None,
                  sample_count: int = 1024, seed: int = 0, penalty_factor: float = 10.0):
         if scale <= 0:
-            raise ValueError("scale must be positive")
+            raise InvalidInput("scale must be positive")
         self.mesh = mesh
         self.scale = float(scale)
         self.camera = camera
@@ -304,11 +304,11 @@ class EmissionEvaluator:
         """Feature error for one state; raises EmptyOverlap when the rendered
         silhouette misses the observed mask."""
         if obs.features is None:
-            raise ValueError("frame has no input feature map")
+            raise InvalidInput("frame has no input feature map")
         if self.camera is None:
-            raise ValueError("feature term needs a camera")
+            raise InvalidInput("feature term needs a camera")
         if self.basis is None:
-            raise ValueError("feature term needs a PCA basis")
+            raise InvalidInput("feature term needs a PCA basis")
         pose = self.full_pose(state)
         hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
         fj = self.feature_source.candidate_features(phase, frame_index, state_index, pose, hit_map)

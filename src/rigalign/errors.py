@@ -1,24 +1,25 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. The CLI exits 2 on
+`InvalidInput` (the input is wrong) and 3 on any other `RigalignError`."""
 
 
 class RigalignError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(RigalignError):
+class InvalidInput(RigalignError, ValueError):
+    """An input value, file or argument is out of range or malformed."""
+
+
+class ConfigError(InvalidInput):
     """Invalid or inconsistent run configuration."""
 
 
-class ParseError(RigalignError):
+class ParseError(InvalidInput):
     """A referenced file is missing or malformed."""
 
 
 class EmptyMesh(RigalignError):
     """Mesh has no faces."""
-
-
-class ZeroArea(RigalignError):
-    """Mesh has zero total surface area."""
 
 
 class EmptyCloud(RigalignError):
@@ -29,29 +30,9 @@ class DegenerateCloud(RigalignError):
     """Point cloud carries no usable spatial extent."""
 
 
-class SizeMismatch(RigalignError):
-    """Point sets must have the same size."""
-
-
 class DegenerateGeometry(RigalignError):
-    """Correspondence geometry is rank-deficient."""
-
-
-class EmptyList(RigalignError):
-    """An aggregate over an empty collection was requested."""
-
-
-class InsufficientSamples(RigalignError):
-    """Not enough samples to fit the requested model."""
+    """Geometry is degenerate: zero surface area or a rank-deficient fit."""
 
 
 class EmptyOverlap(RigalignError):
     """Masked pixel domains of two feature maps do not intersect."""
-
-
-class EmptyTable(RigalignError):
-    """Emission table has no frames or no states."""
-
-
-class TooLarge(RigalignError):
-    """Problem size exceeds the exhaustive-enumeration budget."""

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .align import PoseTrack
+from .errors import InvalidInput
 from .geometry import PointCloud, TriangleMesh, resample_point_cloud, sample_mesh_surface
 from .metrics import (
     MetricReport,
@@ -59,7 +60,7 @@ def evaluate_track(mesh: TriangleMesh, track: PoseTrack, ground_truths, *,
     ground-truth geometry (meshes or clouds)."""
     ground_truths = list(ground_truths)
     if len(ground_truths) != len(track):
-        raise ValueError("need one ground-truth geometry per frame")
+        raise InvalidInput("need one ground-truth geometry per frame")
     base = sample_mesh_surface(mesh, n, derive_seed(seed, _PRED)).points
     reports = []
     for k in range(len(track)):

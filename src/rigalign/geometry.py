@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCloud, EmptyCloud, EmptyMesh, ZeroArea
+from .errors import DegenerateCloud, DegenerateGeometry, EmptyCloud, EmptyMesh, InvalidInput
 
 LABEL_BACKGROUND = 0
 LABEL_HAND = 1
@@ -29,7 +29,7 @@ def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = math.sqrt(float(q @ q))
     if n == 0.0 or not math.isfinite(n):
-        raise ValueError("cannot normalize zero or non-finite quaternion")
+        raise InvalidInput("cannot normalize zero or non-finite quaternion")
     return q / n
 
 
@@ -71,13 +71,6 @@ def matrix_to_quat(R) -> np.ndarray:
     return quat_normalize(q)
 
 
-def random_unit_quaternions(n: int, seed: int) -> np.ndarray:
-    """n rotations drawn uniformly from SO(3), as (n, 4) unit quaternions."""
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n, 4))
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
 # Domain types.
 
@@ -94,10 +87,12 @@ class Camera:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise InvalidInput("focal lengths must be finite and positive")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise InvalidInput("principal point must be finite")
         if self.width < 1 or self.height < 1:
-            raise ValueError("image size must be positive")
+            raise InvalidInput("image size must be positive")
 
     @cached_property
     def pixel_rays(self) -> np.ndarray:
@@ -125,13 +120,13 @@ class TriangleMesh:
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("mesh vertices must be finite")
+            raise InvalidInput("mesh vertices must be finite")
         if self.faces.size:
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
-                raise ValueError("face index out of range")
+                raise InvalidInput("face index out of range")
             same = (self.faces[:, 0] == self.faces[:, 1]) & (self.faces[:, 1] == self.faces[:, 2])
             if same.any():
-                raise ValueError("degenerate face with three identical indices")
+                raise InvalidInput("degenerate face with three identical indices")
 
     def triangles(self) -> np.ndarray:
         """(M, 3, 3) vertex coordinates per face."""
@@ -149,19 +144,19 @@ class PointCloud:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(self.points)):
-            raise ValueError("point coordinates must be finite")
+            raise InvalidInput("point coordinates must be finite")
         if self.colors is not None:
             self.colors = np.asarray(self.colors, dtype=float).reshape(-1, 3)
             if len(self.colors) != len(self.points):
-                raise ValueError("colors must match point count")
+                raise InvalidInput("colors must match point count")
             if self.colors.size and (self.colors.min() < 0 or self.colors.max() > 1):
-                raise ValueError("colors must lie in [0, 1]")
+                raise InvalidInput("colors must lie in [0, 1]")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
             if len(self.labels) != len(self.points):
-                raise ValueError("labels must match point count")
+                raise InvalidInput("labels must match point count")
             if self.labels.size and not np.isin(self.labels, (0, 1, 2)).all():
-                raise ValueError("labels must be in {0, 1, 2}")
+                raise InvalidInput("labels must be in {0, 1, 2}")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -190,9 +185,6 @@ class HandPointMap:
     @property
     def hit_fraction(self) -> float:
         return float(self.hits.mean()) if self.hits.size else 0.0
-
-    def hit_points(self) -> np.ndarray:
-        return self.points[self.hits]
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,7 @@ class SimilarityTransform:
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
         self.scale = float(self.scale)
         if self.scale <= 0:
-            raise ValueError("scale must be positive")
+            raise InvalidInput("scale must be positive")
 
     @staticmethod
     def identity() -> "SimilarityTransform":
@@ -235,15 +227,6 @@ class SimilarityTransform:
     def apply(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=float)
         return self.scale * (p @ self.matrix().T) + self.translation
-
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """self applied after other: (self o other)(p) = self(other(p))."""
-        R = self.matrix()
-        return SimilarityTransform(
-            matrix_to_quat(R @ other.matrix()),
-            self.scale * (R @ other.translation) + self.translation,
-            self.scale * other.scale,
-        )
 
     def inverse(self) -> "SimilarityTransform":
         R = self.matrix()
@@ -353,7 +336,7 @@ def normalize_points(points, s: float = 0.7):
     Returns (normalized points, params); params.invert round-trips exactly.
     """
     if s <= 0:
-        raise ValueError("s must be positive")
+        raise InvalidInput("s must be positive")
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(p) < 2:
         raise DegenerateCloud("need at least 2 points to normalize")
@@ -376,7 +359,7 @@ def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
     areas = triangle_areas(mesh)
     total = areas.sum()
     if total == 0.0:
-        raise ZeroArea("mesh has zero surface area")
+        raise DegenerateGeometry("mesh has zero surface area")
     centers = mesh.triangles().mean(axis=1)
     return (areas[:, None] * centers).sum(axis=0) / total
 
@@ -384,13 +367,13 @@ def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
 def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     """n points uniform over the surface: faces by area, uniform within each face."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     if len(mesh.faces) == 0:
         raise EmptyMesh("mesh has no faces")
     areas = triangle_areas(mesh)
     total = areas.sum()
     if total == 0.0:
-        raise ZeroArea("mesh has zero surface area")
+        raise DegenerateGeometry("mesh has zero surface area")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(areas), size=n, p=areas / total)
     tris = mesh.triangles()[idx]
@@ -413,7 +396,7 @@ def resample_point_cloud(pc: PointCloud, n: int, seed: int) -> PointCloud:
     if len(pc) == 0:
         raise EmptyCloud("cannot resample an empty cloud")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     rng = np.random.default_rng(seed)
     if n <= len(pc):
         idx = rng.choice(len(pc), size=n, replace=False)

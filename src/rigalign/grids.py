@@ -3,12 +3,11 @@ used for sequence-decoding transitions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import quat_to_matrix
+from .errors import InvalidInput
 
 # Quantization grid for deduplicating quaternions that differ only by
 # floating-point noise or by sign.
@@ -24,9 +23,6 @@ class RotationGrid:
 
     def __len__(self) -> int:
         return len(self.quaternions)
-
-    def matrices(self) -> np.ndarray:
-        return np.stack([quat_to_matrix(q) for q in self.quaternions])
 
     def pairwise_angles(self) -> np.ndarray:
         """(S, S) geodesic angles, radians; equals the rotation-matrix form within 1e-9."""
@@ -52,9 +48,9 @@ class TranslationGrid:
         self.center = np.asarray(self.center, dtype=float).reshape(3)
         self.half_extent = np.asarray(self.half_extent, dtype=float).reshape(3)
         if any(c < 1 for c in self.counts):
-            raise ValueError("counts must be >= 1 per axis")
+            raise InvalidInput("counts must be >= 1 per axis")
         if (self.half_extent < 0).any():
-            raise ValueError("half_extent must be >= 0")
+            raise InvalidInput("half_extent must be >= 0")
         axes = []
         for c, h, n in zip(self.center, self.half_extent, self.counts):
             axes.append(np.array([c]) if n == 1 else np.linspace(c - h, c + h, n))
@@ -73,7 +69,7 @@ def build_rotation_grid(level: int) -> RotationGrid:
     (antipodal quaternions identified), deduplicated, and sorted.
     """
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise InvalidInput("level must be >= 0")
     ticks = np.linspace(-1.0, 1.0, 2**level + 1)
     gw, gx, gy, gz = np.meshgrid(ticks, ticks, ticks, ticks, indexing="ij")
     pts = np.stack([gw.ravel(), gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
@@ -106,11 +102,3 @@ def build_translation_grid(center, half_extent, counts) -> TranslationGrid:
     if h.size == 1:
         h = h.repeat(3)
     return TranslationGrid(center=center, half_extent=h, counts=tuple(int(x) for x in c))
-
-
-def rodrigues_error(r_i, r_j) -> float:
-    """Geodesic angle in [0, pi] between two rotation matrices."""
-    r_i = np.asarray(r_i, dtype=float)
-    r_j = np.asarray(r_j, dtype=float)
-    c = (float(np.trace(r_i.T @ r_j)) - 1.0) / 2.0
-    return math.acos(max(-1.0, min(1.0, c)))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 from .geometry import Camera, PointCloud, TriangleMesh
 
 FMAP_MAGIC = b"FMAP"
@@ -52,12 +52,17 @@ def load_obj(path) -> TriangleMesh:
         if parts[0] == "v":
             if len(parts) < 4:
                 raise ParseError(f"{path}:{ln}: vertex needs 3 coordinates")
-            vertices.append([float(x) for x in parts[1:4]])
+            try:
+                vertices.append([float(x) for x in parts[1:4]])
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: bad vertex coordinate: {e}") from e
         elif parts[0] == "f":
             idx = []
             for tok in parts[1:]:
-                head = tok.split("/")[0]
-                i = int(head)
+                try:
+                    i = int(tok.split("/")[0])
+                except ValueError as e:
+                    raise ParseError(f"{path}:{ln}: bad face index: {e}") from e
                 if i < 1:
                     raise ParseError(f"{path}:{ln}: face indices must be positive (1-based)")
                 idx.append(i - 1)
@@ -107,18 +112,24 @@ def _parse_ply_header(blob: bytes, path):
         if not parts:
             continue
         if parts[0] == "format":
-            if parts[1] != "binary_little_endian":
+            if parts[1:2] != ["binary_little_endian"]:
                 raise ParseError(f"{path}: only binary_little_endian PLY is supported")
             fmt_seen = True
         elif parts[0] == "element":
+            if len(parts) < 3 or not parts[2].isdigit():
+                raise ParseError(f"{path}: bad PLY element line '{line}'")
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
                 raise ParseError(f"{path}: property before any element")
-            if parts[1] == "list":
-                elements[-1][2].append(("list", _PLY_TYPES[parts[2]], _PLY_TYPES[parts[3]], parts[4]))
-            else:
-                elements[-1][2].append((parts[2], _PLY_TYPES[parts[1]]))
+            try:
+                if parts[1] == "list":
+                    prop = ("list", _PLY_TYPES[parts[2]], _PLY_TYPES[parts[3]], parts[4])
+                else:
+                    prop = (parts[2], _PLY_TYPES[parts[1]])
+            except (IndexError, KeyError):
+                raise ParseError(f"{path}: bad PLY property line '{line}'") from None
+            elements[-1][2].append(prop)
     if not fmt_seen:
         raise ParseError(f"{path}: PLY format line missing")
     return elements, body
@@ -132,6 +143,12 @@ def _read_ply(path):
     except OSError as e:
         raise ParseError(f"cannot read PLY file {path}: {e}") from e
     elements, body = _parse_ply_header(blob, path)
+
+    def take(dtype, count, offset):
+        if count < 0 or offset + dtype.itemsize * count > len(body):
+            raise ParseError(f"{path}: PLY body is truncated")
+        return np.frombuffer(body, dtype, count, offset)
+
     out: dict[str, dict[str, np.ndarray]] = {}
     offset = 0
     for name, count, props in elements:
@@ -143,14 +160,14 @@ def _read_ply(path):
             item_dt = np.dtype("<" + item_t)
             rows = []
             for _ in range(count):
-                n = int(np.frombuffer(body, cnt_dt, 1, offset)[0])
+                n = int(take(cnt_dt, 1, offset)[0])
                 offset += cnt_dt.itemsize
-                rows.append(np.frombuffer(body, item_dt, n, offset).astype(np.int64))
+                rows.append(take(item_dt, n, offset).astype(np.int64))
                 offset += item_dt.itemsize * n
             out.setdefault(name, {})[prop_name] = rows
         else:
             dt = np.dtype([(pn, "<" + pt) for pn, pt in props])
-            arr = np.frombuffer(body, dt, count, offset)
+            arr = take(dt, count, offset)
             offset += dt.itemsize * count
             out[name] = {pn: arr[pn] for pn, _ in props}
     return out
@@ -262,7 +279,7 @@ def save_fmap(features: np.ndarray, mask: np.ndarray, path) -> None:
     h, w, c = feats.shape
     m = np.ascontiguousarray(mask.astype(bool), dtype="u1")
     if m.shape != (h, w):
-        raise ValueError("mask shape must match feature grid")
+        raise InvalidInput("mask shape must match feature grid")
     write_atomic(path, FMAP_MAGIC + struct.pack("<IIII", 1, h, w, c) + feats.tobytes()
                  + m.tobytes())
 
@@ -357,7 +374,10 @@ def load_pgm_mask(path) -> np.ndarray:
         if blob[i : i + 1].isspace():
             i += 1
         elif blob[i : i + 1] == b"#":
-            i = blob.index(b"\n", i) + 1
+            i = blob.find(b"\n", i)
+            if i < 0:
+                break
+            i += 1
         else:
             j = i
             while j < len(blob) and not blob[j : j + 1].isspace():
@@ -366,7 +386,12 @@ def load_pgm_mask(path) -> np.ndarray:
             i = j
     if len(tokens) < 3:
         raise ParseError(f"{path}: truncated PGM header")
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise ParseError(f"{path}: non-numeric PGM header") from None
+    if w < 0 or h < 0:
+        raise ParseError(f"{path}: negative PGM size {w}x{h}")
     if maxval != 255:
         raise ParseError(f"{path}: PGM maxval must be 255")
     i += 1  # single whitespace after maxval
@@ -388,7 +413,7 @@ def load_camera(path) -> Camera:
                       cy=float(obj["cy"]), width=int(obj["width"]), height=int(obj["height"]))
     except OSError as e:
         raise ParseError(f"cannot read camera file {path}: {e}") from e
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: invalid camera file: {e}") from e
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometry, EmptyCloud, EmptyList, SizeMismatch
+from .errors import DegenerateGeometry, EmptyCloud, InvalidInput
 from .geometry import PointCloud, SimilarityTransform, matrix_to_quat
 
 M2_TO_CM2 = 1e4
@@ -78,7 +78,7 @@ def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
     """Symmetric mean squared nearest-neighbor distance in cm^2, from the two
     directed distance arrays of two equal-size point sets."""
     if len(d_ab) != len(d_ba):
-        raise SizeMismatch(f"point sets must have the same size ({len(d_ab)} vs {len(d_ba)})")
+        raise InvalidInput(f"point sets must have the same size ({len(d_ab)} vs {len(d_ba)})")
     return float((np.mean(d_ab**2) + np.mean(d_ba**2)) * M2_TO_CM2)
 
 
@@ -86,7 +86,7 @@ def f_score_from_distances(d_pred: np.ndarray, d_gt: np.ndarray, threshold: floa
     """(precision, recall, F) at a threshold in meters, from the pred->gt and
     gt->pred distance arrays; distances exactly at the threshold count as inliers."""
     if threshold <= 0:
-        raise ValueError("threshold must be positive")
+        raise InvalidInput("threshold must be positive")
     precision = float(np.mean(d_pred <= threshold))
     recall = float(np.mean(d_gt <= threshold))
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -123,7 +123,7 @@ def fit_similarity(source: np.ndarray, target: np.ndarray) -> SimilarityTransfor
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
     if len(src) != len(tgt):
-        raise SizeMismatch("paired fits need equal-size point sets")
+        raise InvalidInput("paired fits need equal-size point sets")
     mu_s = src.mean(axis=0)
     mu_t = tgt.mean(axis=0)
     sc = src - mu_s
@@ -228,7 +228,7 @@ def median_metrics(reports) -> MetricReport:
     """Component-wise median; even counts take the lower of the two middle values."""
     reports = list(reports)
     if not reports:
-        raise EmptyList("no reports to aggregate")
+        raise InvalidInput("no reports to aggregate")
 
     def med(values):
         v = sorted(values)

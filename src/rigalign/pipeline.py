@@ -156,6 +156,8 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
         raise ConfigError(
             f"{name} shape {table.shape} does not match (frames={frames}, states={states})"
         )
+    if np.isinf(table).any() or (table < 0).any():
+        raise ConfigError(f"{name} holds infinite or negative feature errors (NaN marks no overlap)")
 
 
 def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int, s_trans: int,
@@ -273,9 +275,7 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
             frame_files.append((int(m.group(1)), p))
     if not frame_files:
         raise ParseError(f"no hand_NNNNNN.obj/.ply files in {hand_dir}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = {}
+    computed = []
     for t, path in frame_files:
         hand = meshio.load_mesh(path)
         hit_map = first_hit_map(hand, camera)
@@ -285,14 +285,20 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
         normalized, params = normalize_points(hit_map.points[hits], s=cfg.norm_scale)
         grid = np.zeros((camera.height, camera.width, 3))
         grid[hits] = normalized
-        meshio.save_fmap(grid, hits, out / f"prep_{t:06d}.fmap")
-        meshio.save_pgm_mask(hits, out / f"prep_mask_{t:06d}.pgm")
         payload = {
             "mean": [float(v) for v in params.mean],
             "sigma": params.sigma,
             "scale": params.scale,
             "hit_fraction": hit_map.hit_fraction,
         }
+        computed.append((t, grid, hits, payload))
+    # nothing is written until every frame is computed
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for t, grid, hits, payload in computed:
+        meshio.save_fmap(grid, hits, out / f"prep_{t:06d}.fmap")
+        meshio.save_pgm_mask(hits, out / f"prep_mask_{t:06d}.pgm")
         meshio.write_atomic(out / f"prep_params_{t:06d}.json",
                             (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
         written[t] = str(out / f"prep_{t:06d}.fmap")

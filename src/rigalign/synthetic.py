@@ -8,6 +8,7 @@ exactly when the candidate pose equals the generating pose.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -16,6 +17,7 @@ import numpy as np
 
 from .align import PoseTrack, track_to_json
 from .emission import FeatureMap
+from .errors import InvalidInput
 from .geometry import (
     Camera,
     HandPointMap,
@@ -118,9 +120,17 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.frames < 1:
-            raise ValueError("need at least one frame")
+            raise InvalidInput("need at least one frame")
+        if self.cloud_points < 1:
+            raise InvalidInput("cloud_points must be >= 1")
+        if self.hand_points < 0:
+            raise InvalidInput("hand_points must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise InvalidInput("noise_std must be finite and >= 0")
+        if self.feature_channels < 3:
+            raise InvalidInput("feature_channels must be >= 3")
         if any(c % 2 == 0 for c in self.translation_counts):
-            raise ValueError("translation counts must be odd so the center is a grid point")
+            raise InvalidInput("translation counts must be odd so the center is a grid point")
 
 
 @dataclass(eq=False)
@@ -246,16 +256,17 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
         fm = scene.feature_maps[t]
         meshio.save_fmap(fm.features, fm.mask, out / f"feat_{t:06d}.fmap")
         meshio.save_ply_mesh(scene.gt_mesh(t), out / f"gt_{t:06d}.ply")
-    gt_json = track_to_json(scene.track)
-    (out / "gt_track.json").write_text(gt_json)
+    meshio.write_atomic(out / "gt_track.json", track_to_json(scene.track).encode())
+    states_csv = io.StringIO()
     np.savetxt(
-        out / "gt_states.csv",
+        states_csv,
         np.column_stack([scene.rotation_states, np.full(len(scene.track), scene.translation_state)]),
         fmt="%d",
         header="rotation_state,translation_state",
         delimiter=",",
         comments="# ",
     )
+    meshio.write_atomic(out / "gt_states.csv", states_csv.getvalue().encode())
     cfg = RunConfig(
         model_mesh="model.obj",
         cloud_dir=".",
@@ -273,5 +284,5 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
         synthetic_feature_seed=scene.field_seed,
         synthetic_feature_channels=scene.spec.feature_channels,
     )
-    (out / "config.cfg").write_text(serialize_config(cfg))
+    meshio.write_atomic(out / "config.cfg", serialize_config(cfg).encode())
     return out / "config.cfg"

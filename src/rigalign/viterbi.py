@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTable
+from .errors import InvalidInput
 
 
 @dataclass(eq=False)
@@ -26,19 +26,11 @@ class EmissionTable:
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=float)
         if self.costs.ndim != 2 or self.costs.shape[0] < 1 or self.costs.shape[1] < 1:
-            raise EmptyTable("emission table must be (T >= 1, S >= 1)")
+            raise InvalidInput("emission table must be (T >= 1, S >= 1)")
         if not np.isfinite(self.costs).all():
-            raise ValueError("emission costs must be finite (substitute penalties first)")
+            raise InvalidInput("emission costs must be finite (substitute penalties first)")
         if (self.costs < 0).any():
-            raise ValueError("emission costs must be non-negative")
-
-    @property
-    def num_frames(self) -> int:
-        return self.costs.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.costs.shape[1]
+            raise InvalidInput("emission costs must be non-negative")
 
 
 @dataclass(eq=False)
@@ -56,9 +48,9 @@ def _step_costs(transition, t: int, num_states: int) -> np.ndarray:
     """transition(t) as a checked (S, S) array of finite, non-negative costs."""
     a = np.asarray(transition(t), dtype=float)
     if a.shape != (num_states, num_states):
-        raise ValueError(f"transition({t}) must be ({num_states}, {num_states}); got {a.shape}")
+        raise InvalidInput(f"transition({t}) must be ({num_states}, {num_states}); got {a.shape}")
     if not (np.isfinite(a).all() and (a >= 0).all()):
-        raise ValueError(f"transition({t}) costs must be finite and non-negative")
+        raise InvalidInput(f"transition({t}) costs must be finite and non-negative")
     return a
 
 
@@ -74,7 +66,7 @@ def viterbi_decode(emissions, transition, lam: float = 1.0) -> StatePath:
         emissions = EmissionTable(emissions)
     b = emissions.costs
     if lam < 0:
-        raise ValueError("transition weight must be >= 0")
+        raise InvalidInput("transition weight must be >= 0")
     t_frames, s_states = b.shape
     v = b[0].copy()
     backptr = np.zeros((t_frames, s_states), dtype=np.int64)

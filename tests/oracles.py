@@ -6,11 +6,50 @@ import math
 
 import numpy as np
 
-from rigalign.errors import TooLarge
-from rigalign.geometry import random_unit_quaternions
+from rigalign.errors import RigalignError
+from rigalign.geometry import SimilarityTransform, matrix_to_quat, quat_to_matrix
 from rigalign.viterbi import StatePath
 
 BRUTE_FORCE_LIMIT = 10_000_000
+
+
+class TooLarge(RigalignError):
+    """Problem size exceeds the exhaustive-enumeration budget."""
+
+
+def random_unit_quaternions(n: int, seed: int) -> np.ndarray:
+    """n rotations drawn uniformly from SO(3), as (n, 4) unit quaternions."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    return q / np.linalg.norm(q, axis=1, keepdims=True)
+
+
+def compose(a: SimilarityTransform, b: SimilarityTransform) -> SimilarityTransform:
+    """a applied after b: (a o b)(p) = a(b(p))."""
+    R = a.matrix()
+    return SimilarityTransform(
+        matrix_to_quat(R @ b.matrix()),
+        a.scale * (R @ b.translation) + a.translation,
+        a.scale * b.scale,
+    )
+
+
+def hit_points(hit_map) -> np.ndarray:
+    """(K, 3) intersection points of the pixels a HandPointMap marks as hits."""
+    return hit_map.points[hit_map.hits]
+
+
+def rotation_matrices(grid) -> np.ndarray:
+    """(S, 3, 3) rotation matrices of a RotationGrid's quaternions."""
+    return np.stack([quat_to_matrix(q) for q in grid.quaternions])
+
+
+def rodrigues_error(r_i, r_j) -> float:
+    """Geodesic angle in [0, pi] between two rotation matrices."""
+    r_i = np.asarray(r_i, dtype=float)
+    r_j = np.asarray(r_j, dtype=float)
+    c = (float(np.trace(r_i.T @ r_j)) - 1.0) / 2.0
+    return math.acos(max(-1.0, min(1.0, c)))
 
 
 def solve_silhouette(mesh, pose, camera) -> np.ndarray:

@@ -26,15 +26,21 @@ from rigalign.geometry import (
     SimilarityTransform,
     first_hit_map,
     apply_pose,
-    random_unit_quaternions,
 )
-from rigalign.grids import build_rotation_grid, rodrigues_error
+from rigalign.grids import build_rotation_grid
 from rigalign.metrics import chamfer_distance, f_score, icp_with_scaling
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const, random_blob_mesh
-from oracles import brute_force_decode, covering_radius, path_cost, solve_silhouette
+from oracles import (
+    brute_force_decode,
+    covering_radius,
+    path_cost,
+    random_unit_quaternions,
+    rodrigues_error,
+    solve_silhouette,
+)
 from test_metrics import chamfer_oracle, f_score_oracle
 
 

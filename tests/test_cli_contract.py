@@ -1,0 +1,274 @@
+"""The CLI's error contract: a bad input ends in exit 2 (`InvalidInput`) or
+exit 3 (any other `RigalignError`) with one `error:` line on stderr, never a
+traceback, and leaves no output directory behind."""
+
+import contextlib
+import io
+import json
+import math
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigalign import meshio
+from rigalign.cli import run as cli_run
+from rigalign.errors import ConfigError, InvalidInput, ParseError, RigalignError
+from rigalign.geometry import Camera, TriangleMesh
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """cli.run with stdout and stderr captured; returns (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_run(argv)
+    return code, err.getvalue()
+
+
+def assert_rejected(code, err, out: Path, codes=(2,)):
+    assert code in codes, err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def set_config(scene: Path, **values) -> None:
+    path = scene / "config.cfg"
+    lines = []
+    for line in path.read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {values.pop(key)}" if key in values else line)
+    assert not values, f"keys not in the config: {values}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory) -> Path:
+    """A valid 2-frame scene with PGM masks; one in-process track takes well
+    under a second."""
+    scene = tmp_path_factory.mktemp("tiny") / "scene"
+    code, err = run_quietly(["synth", "--out", str(scene), "--frames", "2", "--level", "0",
+                             "--cloud-points", "64"])
+    assert code == 0, err
+    for t in range(2):
+        _, mask = meshio.load_fmap(scene / f"feat_{t:06d}.fmap")
+        meshio.save_pgm_mask(mask, scene / f"mask_{t:06d}.pgm")
+    set_config(scene, translation_counts="3,3,1", eval_samples="500", icp_max_iters="8",
+               mask_dir=".")
+    return scene
+
+
+@pytest.fixture
+def scene(tiny_scene, tmp_path) -> Path:
+    copy = tmp_path / "scene"
+    shutil.copytree(tiny_scene, copy)
+    return copy
+
+
+def track(scene: Path, out: Path) -> tuple[int, str]:
+    return run_quietly(["track", "--config", str(scene / "config.cfg"), "--out", str(out)])
+
+
+def test_invalid_input_is_a_value_error():
+    assert issubclass(InvalidInput, ValueError)
+    assert issubclass(InvalidInput, RigalignError)
+    assert issubclass(ConfigError, InvalidInput)
+    assert issubclass(ParseError, InvalidInput)
+
+
+def test_tiny_scene_runs(scene, tmp_path):
+    code, err = track(scene, tmp_path / "out")
+    assert code == 0, err
+    assert (tmp_path / "out" / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("w_cd", "nan"), ("w_dino", "inf"), ("lambda_rot", "inf"), ("lambda_trans", "nan"),
+    ("penalty_factor", "nan"), ("penalty_factor", "-1"), ("translation_half_extent", "nan"),
+])
+def test_bad_config_value_rejected_at_load(scene, tmp_path, key, value):
+    set_config(scene, **{key: value})
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert key in err
+
+
+@pytest.mark.parametrize("field, value", [("fx", "NaN"), ("cy", "NaN"), ("cx", "Infinity")])
+def test_bad_camera_rejected(scene, tmp_path, field, value):
+    cam = json.loads((scene / "camera.json").read_text())
+    cam[field] = "@"
+    (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "camera.json" in err
+
+
+@pytest.mark.parametrize("prefix, token", [("v", "abc"), ("f", "x1")])
+def test_bad_model_token_rejected(scene, tmp_path, prefix, token):
+    lines = (scene / "model.obj").read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines) if line.startswith(prefix + " "))
+    parts = lines[ln].split()
+    lines[ln] = " ".join([prefix, token] + parts[2:])
+    (scene / "model.obj").write_text("\n".join(lines) + "\n")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"model.obj:{ln + 1}: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--frames", "0"],
+    ["synth", "--channels", "2"],
+    ["synth", "--cloud-points", "0"],
+    ["synth", "--hand-points", "-1"],
+    ["synth", "--noise-std", "-0.001"],
+    ["synth", "--noise-std", "nan"],
+    ["grid", "--level", "-1"],
+])
+def test_bad_generator_argument_rejected(tmp_path, argv):
+    out = tmp_path / "out"
+    code, err = run_quietly(argv + ["--out", str(out)])
+    assert_rejected(code, err, out)
+
+
+def test_prep_writes_nothing_when_a_later_frame_fails(tmp_path):
+    cam = Camera(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
+    meshio.save_camera(cam, tmp_path / "camera.json")
+    verts = np.array([[-0.2, -0.2, 1.0], [0.2, -0.2, 1.0], [0.2, 0.2, 1.0], [-0.2, 0.2, 1.0]])
+    faces = np.array([[0, 1, 2], [0, 2, 3]])
+    meshio.save_obj(TriangleMesh(verts, faces), tmp_path / "hand_000000.obj")
+    # the same quad mirrored behind the camera: no pixel ray hits it
+    meshio.save_obj(TriangleMesh(-verts, faces), tmp_path / "hand_000001.obj")
+    (tmp_path / "run.cfg").write_text("hand_dir = .\ncamera = camera.json\n")
+    out = tmp_path / "prep"
+    code, err = run_quietly(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "frame 1" in err
+    assert not list(tmp_path.rglob("prep_*"))
+
+
+# ---------------------------------------------------------------------------
+# Property test: one corruption of the tiny scene per example. Each corruption
+# returns True when it may leave the input valid (then track may exit 0).
+
+_READ_FILES = ("camera.json", "model.obj", "cloud_000000.ply", "cloud_000001.ply",
+               "feat_000000.fmap", "feat_000001.fmap", "mask_000000.pgm", "mask_000001.pgm",
+               "gt_000000.ply", "gt_000001.ply")
+_CONFIG_FLOATS = ("w_cd", "w_dino", "lambda_rot", "lambda_trans", "norm_scale",
+                  "penalty_factor", "icp_tol", "translation_half_extent")
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _truncate(scene, draw):
+    name = draw(st.sampled_from(_READ_FILES))
+    data = (scene / name).read_bytes()
+    cut = draw(st.integers(0, len(data) - 1))
+    (scene / name).write_bytes(data[:cut])
+    # a mesh cut in its face lines keeps fewer faces; a JSON cut after its
+    # closing brace drops only whitespace
+    return name == "model.obj" or (name == "camera.json" and cut > data.rindex(b"}"))
+
+
+def _flip_dimension(scene, draw):
+    t = draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        path = scene / f"feat_{t:06d}.fmap"
+        data = bytearray(path.read_bytes())
+        offset = 8 + 4 * draw(st.integers(0, 2))  # H, W or C
+        old = int.from_bytes(data[offset:offset + 4], "little")
+        new = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != old))
+        data[offset:offset + 4] = new.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+    else:
+        path = scene / f"mask_{t:06d}.pgm"
+        magic, w, h, rest = path.read_bytes().split(maxsplit=3)
+        dims = [int(w), int(h)]
+        axis = draw(st.integers(0, 1))
+        dims[axis] = draw(st.integers(0, 10**6).filter(lambda v: v != dims[axis]))
+        path.write_bytes(b"%s\n%d %d\n%s" % (magic, dims[0], dims[1], rest))
+    return False
+
+
+def _ply_vertex_offsets(data: bytes) -> tuple[int, int, int]:
+    """(body start, vertex record size, vertex count) of a binary PLY."""
+    end = data.index(b"end_header\n") + len(b"end_header\n")
+    header = data[:end].decode("ascii")
+    count = int(re.search(r"element vertex (\d+)", header).group(1))
+    block = header.split("element vertex")[1].split("element")[0]
+    sizes = {"float": 4, "uchar": 1}
+    stride = sum(sizes[m] for m in re.findall(r"property (\w+) \w+", block))
+    return end, stride, count
+
+
+def _non_finite_value(scene, draw):
+    value = draw(_NON_FINITE)
+    target = draw(st.sampled_from(["ply", "obj", "camera"]))
+    if target == "ply":
+        path = scene / draw(st.sampled_from(["cloud_000000.ply", "cloud_000001.ply",
+                                             "gt_000000.ply", "gt_000001.ply"]))
+        data = bytearray(path.read_bytes())
+        start, stride, count = _ply_vertex_offsets(bytes(data))
+        at = start + stride * draw(st.integers(0, count - 1)) + 4 * draw(st.integers(0, 2))
+        data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+    elif target == "obj":
+        _replace_obj_token(scene, draw, "v", repr(value))
+    else:
+        cam = json.loads((scene / "camera.json").read_text())
+        cam[draw(st.sampled_from(sorted(cam)))] = value
+        (scene / "camera.json").write_text(json.dumps(cam))
+    return False
+
+
+def _replace_obj_token(scene, draw, prefix, token):
+    lines = (scene / "model.obj").read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.startswith(prefix + " ")]
+    i = draw(st.sampled_from(rows))
+    parts = lines[i].split()
+    parts[draw(st.integers(1, len(parts) - 1))] = token
+    lines[i] = " ".join(parts)
+    (scene / "model.obj").write_text("\n".join(lines) + "\n")
+
+
+def _non_numeric_obj_token(scene, draw):
+    token = draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz?!", min_size=1, max_size=6))
+    _replace_obj_token(scene, draw, draw(st.sampled_from(["v", "f"])), token)
+    return False
+
+
+def _delete(scene, draw):
+    name = draw(st.sampled_from(["cloud_000000.ply", "cloud_000001.ply", "feat_000000.fmap",
+                                 "feat_000001.fmap", "gt_000000.ply", "gt_000001.ply"]))
+    (scene / name).unlink()
+    # frames are discovered from the clouds: one cloud less is one frame less
+    return name.startswith("cloud_")
+
+
+def _config_float(scene, draw):
+    set_config(scene, **{draw(st.sampled_from(_CONFIG_FLOATS)): repr(draw(_NON_FINITE))})
+    return False
+
+
+_CORRUPTIONS = (_truncate, _flip_dimension, _non_finite_value, _non_numeric_obj_token,
+                _delete, _config_float)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_corrupted_scene_keeps_the_contract(tiny_scene, data):
+    corrupt = data.draw(st.sampled_from(_CORRUPTIONS))
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp) / "scene"
+        shutil.copytree(tiny_scene, scene)
+        may_stay_valid = corrupt(scene, data.draw)
+        out = Path(tmp) / "out"
+        code, err = track(scene, out)
+        if code == 0:
+            assert may_stay_valid, f"{corrupt.__name__} was accepted"
+            assert (out / "track.json").is_file()
+        else:
+            assert_rejected(code, err, out, codes=(2, 3))

@@ -14,7 +14,7 @@ from rigalign.emission import (
     pca_basis,
     rasterize_silhouette,
 )
-from rigalign.errors import DegenerateCloud, EmptyOverlap, InsufficientSamples
+from rigalign.errors import DegenerateCloud, EmptyOverlap, InvalidInput
 from rigalign.geometry import (
     Camera,
     PointCloud,
@@ -22,7 +22,6 @@ from rigalign.geometry import (
     TriangleMesh,
     first_hit_map,
     apply_pose,
-    random_unit_quaternions,
     resample_point_cloud,
     sample_mesh_surface,
 )
@@ -31,7 +30,7 @@ from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import FeatureField, irregular_tetrahedron, render_feature_map
 
 from conftest import random_blob_mesh
-from oracles import solve_silhouette
+from oracles import random_unit_quaternions, solve_silhouette
 
 
 class TestEstimateScale:
@@ -190,9 +189,9 @@ class TestPcaBasis:
         assert np.allclose(basis.components @ basis.components.T, np.eye(3), atol=1e-9)
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InvalidInput, match="at least 3 masked-in pixels"):
             pca_basis([map_from(np.zeros((2, 1, 8)), np.zeros((2, 1), dtype=bool))])
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InvalidInput, match="at least 3 feature channels"):
             pca_basis([map_from(np.zeros((4, 4, 2)))])
 
 

@@ -4,10 +4,12 @@ from scipy.spatial import cKDTree
 
 from rigalign import metrics
 from rigalign.evaluate import evaluate_track, frame_report
-from rigalign.geometry import PointCloud, SimilarityTransform, random_unit_quaternions
+from rigalign.geometry import PointCloud, SimilarityTransform
 from rigalign.geometry import resample_point_cloud
 from rigalign.metrics import MetricReport, chamfer_distance, f_score, icp_with_scaling
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
+
+from oracles import random_unit_quaternions
 
 
 def per_metric_report(pred, gt, max_iters):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigalign.geometry import quat_to_matrix, random_unit_quaternions
-from rigalign.grids import build_rotation_grid, build_translation_grid, rodrigues_error
+from rigalign.geometry import quat_to_matrix
+from rigalign.grids import build_rotation_grid, build_translation_grid
 
-from oracles import covering_radius
+from oracles import covering_radius, random_unit_quaternions, rodrigues_error, rotation_matrices
 
 
 def rz(angle):
@@ -127,7 +127,7 @@ class TestRodriguesError:
 class TestPairwiseAngles:
     def test_matches_rodrigues_on_grid(self):
         grid = build_rotation_grid(0)
-        mats = grid.matrices()
+        mats = rotation_matrices(grid)
         table = grid.pairwise_angles()
         for i in range(len(grid)):
             for j in range(len(grid)):

@@ -44,6 +44,20 @@ class TestObj:
         with pytest.raises(ParseError):
             meshio.load_obj(path)
 
+    @pytest.mark.parametrize("line", ["v 0 abc 0", "f x1 2 3", "f 1 2/1 ?/3"])
+    def test_non_numeric_token_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\n")
+        with pytest.raises(ParseError, match=f"{path}:4: "):
+            meshio.load_obj(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.obj"
+        path.write_text(f"v 0 0 0\nv 1 {token} 0\nv 0 1 0\nf 1 2 3\n")
+        with pytest.raises(ParseError, match="finite"):
+            meshio.load_obj(path)
+
 
 class TestPly:
     def test_mesh_round_trip(self, mesh, tmp_path):
@@ -94,8 +108,26 @@ class TestPly:
         meshio.save_ply_mesh(mesh, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="truncated"):
             meshio.load_ply_mesh(path)
+
+    @pytest.mark.parametrize("cut", [1, 5, 12])
+    def test_truncated_cloud_rejected(self, tmp_path, cut):
+        path = tmp_path / "c.ply"
+        meshio.save_ply_cloud(PointCloud(np.ones((4, 3)), labels=np.array([0, 1, 2, 2])), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - cut])
+        with pytest.raises(ParseError, match="truncated"):
+            meshio.load_ply_cloud(path)
+
+    @pytest.mark.parametrize("line", ["element vertex many", "element vertex -1",
+                                      "property float128 x", "property list uchar"])
+    def test_bad_header_line_rejected(self, tmp_path, line):
+        path = tmp_path / "h.ply"
+        path.write_bytes(f"ply\nformat binary_little_endian 1.0\nelement vertex 0\n{line}\n"
+                         "end_header\n".encode())
+        with pytest.raises(ParseError, match="bad PLY"):
+            meshio.load_ply_cloud(path)
 
 
 class TestFmap:
@@ -192,6 +224,13 @@ class TestPgm:
         mask = meshio.load_pgm_mask(path)
         assert np.array_equal(mask, [[True, False], [False, True]])
 
+    @pytest.mark.parametrize("header", [b"P5\n4 x\n255\n", b"P5\n-2 -2\n255\n", b"P5\n# no end"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + bytes(4))
+        with pytest.raises(ParseError):
+            meshio.load_pgm_mask(path)
+
     def test_p2_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
@@ -210,6 +249,19 @@ class TestCameraJson:
         path = tmp_path / "cam.json"
         path.write_text('{"fx": 100}')
         with pytest.raises(ParseError):
+            meshio.load_camera(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fx", "NaN"), ("fy", "Infinity"), ("fx", "0"), ("fy", "-1"),
+        ("cx", "Infinity"), ("cy", "NaN"), ("cx", "-Infinity"),
+        ("width", "Infinity"), ("height", "NaN"), ("width", "null"), ("fx", "null"),
+    ])
+    def test_malformed_field_rejected(self, tmp_path, field, value):
+        fields = {"fx": "150.0", "fy": "150.0", "cx": "32.0", "cy": "32.0",
+                  "width": "64", "height": "64", field: value}
+        path = tmp_path / "cam.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        with pytest.raises(ParseError, match="invalid camera file"):
             meshio.load_camera(path)
 
 
@@ -244,6 +296,8 @@ class TestRunConfig:
             parse_config("feature_source = magic\n")
         with pytest.raises(ConfigError):
             parse_config("rotation_level = -1\n")
+        with pytest.raises(ConfigError, match="penalty_factor must be >= 0"):
+            parse_config("penalty_factor = -1\n")
 
     def test_relative_path_resolution(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
-from oracles import points_to_mesh_distance
+from oracles import hit_points, points_to_mesh_distance
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,19 @@ def scene_dir(tmp_path_factory):
                      hand_points=50, seed=13)
     write_scene(generate_synthetic_scene(spec), out)
     return out
+
+
+def table_scene(scene_dir, root, rot, trans):
+    """A copy of scene_dir whose feature errors come from the two given tables."""
+    shutil.copytree(scene_dir, root)
+    meshio.save_emission_table(rot, root / "rot.emit")
+    meshio.save_emission_table(trans, root / "trans.emit")
+    cfg_text = (root / "config.cfg").read_text()
+    cfg_text = cfg_text.replace("feature_source = synthetic", "feature_source = table")
+    cfg_text = cfg_text.replace("dino_table_rot = ", "dino_table_rot = rot.emit")
+    cfg_text = cfg_text.replace("dino_table_trans = ", "dino_table_trans = trans.emit")
+    (root / "config.cfg").write_text(cfg_text)
+    return root
 
 
 def maps_scene(tmp_path):
@@ -153,19 +167,7 @@ class TestRunTrack:
         assert np.isfinite(rot).all() and (rot >= 0).all()
 
     def test_table_feature_source_path(self, scene_dir, tmp_path):
-        import shutil
-
-        root = tmp_path / "tbl"
-        shutil.copytree(scene_dir, root)
-        rot = np.zeros((4, 40), dtype=np.float32)
-        trans = np.zeros((4, 125), dtype=np.float32)
-        meshio.save_emission_table(rot, root / "rot.emit")
-        meshio.save_emission_table(trans, root / "trans.emit")
-        cfg_text = (root / "config.cfg").read_text()
-        cfg_text = cfg_text.replace("feature_source = synthetic", "feature_source = table")
-        cfg_text = cfg_text.replace("dino_table_rot = ", "dino_table_rot = rot.emit")
-        cfg_text = cfg_text.replace("dino_table_trans = ", "dino_table_trans = trans.emit")
-        (root / "config.cfg").write_text(cfg_text)
+        root = table_scene(scene_dir, tmp_path / "tbl", np.zeros((4, 40)), np.zeros((4, 125)))
         cfg = load_config(root / "config.cfg")
         cfg.eval_samples = 2000
         out = tmp_path / "out"
@@ -184,19 +186,21 @@ class TestRunTrack:
             assert table.shape == (1, states)
 
     def test_table_shape_mismatch_rejected(self, scene_dir, tmp_path):
-        import shutil
-
-        root = tmp_path / "badtbl"
-        shutil.copytree(scene_dir, root)
-        meshio.save_emission_table(np.zeros((4, 7), dtype=np.float32), root / "rot.emit")
-        meshio.save_emission_table(np.zeros((4, 125), dtype=np.float32), root / "trans.emit")
-        cfg_text = (root / "config.cfg").read_text()
-        cfg_text = cfg_text.replace("feature_source = synthetic", "feature_source = table")
-        cfg_text = cfg_text.replace("dino_table_rot = ", "dino_table_rot = rot.emit")
-        cfg_text = cfg_text.replace("dino_table_trans = ", "dino_table_trans = trans.emit")
-        (root / "config.cfg").write_text(cfg_text)
+        root = table_scene(scene_dir, tmp_path / "badtbl", np.zeros((4, 7)), np.zeros((4, 125)))
         with pytest.raises(ConfigError, match="dino_table_rot"):
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    def test_table_values_checked_at_load(self, scene_dir, tmp_path, value):
+        rot = np.zeros((4, 40))
+        rot[2, 7] = value
+        root = table_scene(scene_dir, tmp_path / "tbl", rot, np.zeros((4, 125)))
+        cfg = load_config(root / "config.cfg")
+        if np.isnan(value):  # NaN marks an empty-overlap state
+            assert load_run_inputs(cfg).feature_source is not None
+        else:
+            with pytest.raises(ConfigError, match="dino_table_rot holds infinite or negative"):
+                load_run_inputs(cfg)
 
     def test_maps_feature_source_path(self, tmp_path):
         root, feats, full = maps_scene(tmp_path)
@@ -403,5 +407,5 @@ class TestPrep:
         params = json.loads((tmp_path / "prep" / "prep_params_000003.json").read_text())
         norm = NormalizationParams(np.array(params["mean"]), params["sigma"], params["scale"])
         recovered = norm.invert(grid[mask].astype(float))
-        original = first_hit_map(quad, cam).hit_points()
+        original = hit_points(first_hit_map(quad, cam))
         assert np.allclose(recovered, original, atol=1e-5)
