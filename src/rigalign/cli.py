@@ -10,6 +10,7 @@ RigalignError (a numerical or geometric dead end).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -87,21 +88,14 @@ def run(argv=None) -> int:
             )
             cfg_path = write_scene(generate_synthetic_scene(spec), args.out)
             print(cfg_path)
-        elif args.command == "track":
-            written = pipeline.run_track(_load(args), args.out)
-            for path in written.values():
-                print(path)
-        elif args.command == "align":
-            written = pipeline.run_track(_load(args), args.out, first_frame_only=True)
-            for path in written.values():
-                print(path)
-        elif args.command == "eval":
-            written = pipeline.run_eval(_load(args), args.out)
-            for path in written.values():
-                print(path)
-        elif args.command == "prep":
-            written = pipeline.run_prep(_load(args), args.out)
-            for path in written.values():
+        else:
+            command = {
+                "track": pipeline.run_track,
+                "align": functools.partial(pipeline.run_track, first_frame_only=True),
+                "eval": pipeline.run_eval,
+                "prep": pipeline.run_prep,
+            }[args.command]
+            for path in command(_load(args), args.out).values():
                 print(path)
     except InvalidInput as e:
         print(f"error: {e}", file=sys.stderr)

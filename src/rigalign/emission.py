@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCloud, EmptyOverlap, InvalidInput, ParseError
+from .errors import DegenerateCloud, EmptyOverlap, InvalidInput
 from .geometry import (
     Camera,
     HandPointMap,
@@ -26,7 +26,7 @@ from .geometry import (
     resample_point_cloud,
     sample_mesh_surface,
 )
-from .metrics import M2_TO_CM2
+from .metrics import chamfer_from_distances
 from . import meshio
 
 # Query points per batched Chamfer block: bounds the posed-point buffers at
@@ -48,10 +48,6 @@ class FeatureMap:
             raise InvalidInput("features must be (H, W, C)")
         if self.mask.shape != self.features.shape[:2]:
             raise InvalidInput("mask dimensions must match the feature grid")
-
-    @property
-    def channels(self) -> int:
-        return self.features.shape[2]
 
 
 @dataclass(eq=False)
@@ -198,7 +194,8 @@ class TableFeatureSource(FeatureSource):
 
 
 class DirectoryFeatureSource(FeatureSource):
-    """Feature maps from files feat_<phase>_<frame>_<state>.fmap under a root dir."""
+    """Feature maps from files feat_<phase>_<t>_<state>.fmap under a root dir,
+    t the frame's position in the sequence (not its frame index)."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -207,10 +204,7 @@ class DirectoryFeatureSource(FeatureSource):
         return self.root / f"feat_{phase}_{frame_index:06d}_{state_index:06d}.fmap"
 
     def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
-        p = self.path_for(phase, frame_index, state_index)
-        if not p.is_file():
-            raise ParseError(f"missing candidate feature map {p}")
-        feats, mask = meshio.load_fmap(p)
+        feats, mask = meshio.load_fmap(self.path_for(phase, frame_index, state_index))
         return FeatureMap(feats, mask & hit_map.hits)
 
 
@@ -293,10 +287,8 @@ class EmissionEvaluator:
             d_ba, _ = obs_tree.query(forward, k=1, workers=-1)
             d_ab, _ = self._sample_tree.query(inverse, k=1, workers=-1)
             scales = np.array([pose.scale for pose in block])[:, None]
-            d_ab = d_ab.reshape(len(block), n) * scales
-            d_ba = d_ba.reshape(len(block), m)
-            row[start:start + len(block)] = (
-                np.mean(d_ab**2, axis=1) + np.mean(d_ba**2, axis=1)) * M2_TO_CM2
+            row[start:start + len(block)] = chamfer_from_distances(
+                d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
         return row
 
     def feature_term(self, phase: str, frame_index: int, state_index: int,

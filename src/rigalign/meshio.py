@@ -32,6 +32,11 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def frame_file(kind: str, t: int, ext: str) -> str:
+    """Frame t's `kind` file name, `<kind>_NNNNNN.<ext>`: six-digit frame index."""
+    return f"{kind}_{t:06d}.{ext}"
+
+
 # ---------------------------------------------------------------------------
 # OBJ (ASCII).
 
@@ -173,9 +178,17 @@ def _read_ply(path):
     return out
 
 
+def _face_rows(data) -> list:
+    face = data.get("face", {})
+    return face.get("vertex_indices", face.get("vertex_index", []))
+
+
 def load_ply_cloud(path) -> PointCloud:
     """Point cloud with optional uchar red/green/blue and uchar label properties."""
-    data = _read_ply(path)
+    return _cloud_from(_read_ply(path), path)
+
+
+def _cloud_from(data, path) -> PointCloud:
     if "vertex" not in data:
         raise ParseError(f"{path}: PLY has no vertex element")
     v = data["vertex"]
@@ -217,14 +230,16 @@ def save_ply_cloud(cloud: PointCloud, path) -> None:
 
 
 def load_ply_mesh(path) -> TriangleMesh:
-    data = _read_ply(path)
+    return _mesh_from(_read_ply(path), path)
+
+
+def _mesh_from(data, path) -> TriangleMesh:
     if "vertex" not in data or "face" not in data:
         raise ParseError(f"{path}: PLY mesh needs vertex and face elements")
     v = data["vertex"]
     points = np.stack([v["x"], v["y"], v["z"]], axis=1).astype(float)
-    rows = data["face"]["vertex_indices" if "vertex_indices" in data["face"] else "vertex_index"]
     faces = []
-    for row in rows:
+    for row in _face_rows(data):
         if len(row) < 3:
             raise ParseError(f"{path}: face with fewer than 3 indices")
         for k in range(1, len(row) - 1):
@@ -263,9 +278,9 @@ def load_mesh(path) -> TriangleMesh:
 def load_ply_geometry(path):
     """PLY as a TriangleMesh when faces are present, else a PointCloud."""
     data = _read_ply(path)
-    if "face" in data and any(len(r) for r in data["face"].get("vertex_indices", data["face"].get("vertex_index", []))):
-        return load_ply_mesh(path)
-    return load_ply_cloud(path)
+    if any(len(r) for r in _face_rows(data)):
+        return _mesh_from(data, path)
+    return _cloud_from(data, path)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,6 @@ class NearestNeighborIndex:
         d, i = self._tree.query(_as_points(points), k=1, workers=-1)
         return np.asarray(d, dtype=float), np.asarray(i, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -74,12 +71,15 @@ def _nearest_distances(a, b, what: str):
     return NearestNeighborIndex(pb).query(pa)[0], NearestNeighborIndex(pa).query(pb)[0]
 
 
-def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray):
     """Symmetric mean squared nearest-neighbor distance in cm^2, from the two
-    directed distance arrays of two equal-size point sets."""
-    if len(d_ab) != len(d_ba):
-        raise InvalidInput(f"point sets must have the same size ({len(d_ab)} vs {len(d_ba)})")
-    return float((np.mean(d_ab**2) + np.mean(d_ba**2)) * M2_TO_CM2)
+    directed distance arrays of two equal-size point sets. Reduces over the
+    last axis: (n,) arrays give a float, (B, n) arrays one value per row."""
+    n_ab, n_ba = np.shape(d_ab)[-1], np.shape(d_ba)[-1]
+    if n_ab != n_ba:
+        raise InvalidInput(f"point sets must have the same size ({n_ab} vs {n_ba})")
+    cd = (np.mean(d_ab**2, axis=-1) + np.mean(d_ba**2, axis=-1)) * M2_TO_CM2
+    return float(cd) if np.ndim(cd) == 0 else cd
 
 
 def f_score_from_distances(d_pred: np.ndarray, d_gt: np.ndarray, threshold: float):

@@ -28,7 +28,16 @@ from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_point
 from .grids import build_rotation_grid, build_translation_grid
 from .synthetic import FeatureField
 
-_CLOUD_RE = re.compile(r"^cloud_(\d{6})\.ply$")
+
+# Per-frame input kinds, each file named meshio.frame_file(kind, t, ext):
+# kind -> (config key of its directory, accepted extensions, name in errors).
+FRAME_INPUTS = {
+    "cloud": ("cloud_dir", ("ply",), "cloud"),
+    "feat": ("features_dir", ("fmap",), "feature map"),
+    "mask": ("mask_dir", ("pgm",), "mask"),
+    "gt": ("gt_dir", ("ply",), "ground truth"),
+    "hand": ("hand_dir", ("obj", "ply"), "hand mesh"),
+}
 
 
 @dataclass(eq=False)
@@ -46,67 +55,85 @@ class RunInputs:
     trans_grid: object
 
 
-def discover_frame_indices(cloud_dir: Path) -> list[int]:
-    if not cloud_dir.is_dir():
-        raise ParseError(f"cloud directory {cloud_dir} does not exist")
-    indices = sorted(
-        int(m.group(1)) for m in (_CLOUD_RE.match(p.name) for p in cloud_dir.iterdir()) if m
-    )
-    if not indices:
-        raise ParseError(f"no cloud_NNNNNN.ply files in {cloud_dir}")
-    return indices
+def frame_files(cfg: RunConfig, kind: str, frames=None) -> dict[int, Path]:
+    """{frame index: path} of the `kind` files in the kind's directory; one
+    index with two files is rejected. Without `frames` the files define the
+    frame set, so there must be at least one. With `frames` (the cloud
+    files' indices), each of them needs a file and no file may lie outside."""
+    dir_key, exts, noun = FRAME_INPUTS[kind]
+    root = cfg.resolve(getattr(cfg, dir_key))
+    if frames is None and not root.is_dir():
+        raise ParseError(f"{kind} directory {root} does not exist")
+    pattern = re.compile(rf"^{kind}_(\d{{6}})\.({'|'.join(exts)})$")
+    found: dict[int, Path] = {}
+    for p in sorted(root.iterdir()) if root.is_dir() else ():
+        if m := pattern.match(p.name):
+            t = int(m.group(1))
+            if t in found:
+                raise ParseError(f"frame {t} has two {kind} files: {found[t]} and {p}")
+            found[t] = p
+    if frames is None:
+        if not found:
+            raise ParseError(f"no {kind}_NNNNNN.{'/.'.join(exts)} files in {root}")
+        return found
+    extra = sorted(set(found) - set(frames))
+    if extra:
+        raise ParseError(f"{found[extra[0]]}: frame {extra[0]} has no cloud file (the cloud "
+                         f"files define the frame set)")
+    for t in frames:
+        if t not in found:
+            raise ParseError(f"frame {t}: missing {noun} {root / meshio.frame_file(kind, t, exts[0])}")
+    return found
 
 
-def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
-    """Parse and validate every referenced input before any compute starts."""
+def load_run_inputs(cfg: RunConfig) -> RunInputs:
+    """Parse and validate every referenced input before any compute starts.
+
+    The cloud files define the frame set. Input feature maps, masks and a PCA
+    basis are loaded only when candidate features are computed per state
+    (`synthetic` and `maps`); a `table` run reads its tables alone."""
     if not cfg.model_mesh:
         raise ConfigError("model_mesh is required")
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
 
     camera = meshio.load_camera(cfg.resolve(cfg.camera)) if cfg.camera else None
     use_features = cfg.feature_source != "none" and cfg.w_dino != 0.0
-    if use_features and camera is None:
+    use_maps = use_features and cfg.feature_source != "table"
+    if use_maps and camera is None:
         raise ConfigError("feature_source requires a camera file")
 
     rot_grid = build_rotation_grid(cfg.rotation_level)
-    trans_grid = build_translation_grid(
-        np.zeros(3), np.array(cfg.translation_half_extent), cfg.translation_counts
-    )
+    trans_grid = build_translation_grid(np.zeros(3), np.array(cfg.translation_half_extent),
+                                        cfg.translation_counts)
+
+    if not cfg.cloud_dir:
+        raise ConfigError("cloud_dir is required")
+    clouds = frame_files(cfg, "cloud")
+    indices = sorted(clouds)
+    reads = {"feat": use_maps, "mask": use_maps and cfg.mask_dir, "gt": cfg.gt_dir}
+    paths = {kind: frame_files(cfg, kind, indices) for kind, read in reads.items() if read}
 
     frames: list[FrameObservation] = []
-    indices: list[int] = []
-    if need_clouds:
-        if not cfg.cloud_dir:
-            raise ConfigError("cloud_dir is required")
-        cloud_dir = cfg.resolve(cfg.cloud_dir)
-        indices = discover_frame_indices(cloud_dir)
-        for t in indices:
-            cloud = meshio.load_ply_cloud(cloud_dir / f"cloud_{t:06d}.ply")
-            obj = cloud.filter_label(LABEL_OBJECT)
-            if len(obj) == 0:
-                raise ParseError(f"frame {t}: no object-labeled points in cloud_{t:06d}.ply")
-            features = None
-            if use_features:
-                fpath = cfg.resolve(cfg.features_dir) / f"feat_{t:06d}.fmap"
-                if not fpath.is_file():
-                    raise ParseError(f"frame {t}: missing feature map {fpath}")
-                feats, mask = meshio.load_fmap(fpath)
-                _check_image_size(fpath, feats.shape[:2], camera)
-                if cfg.mask_dir:
-                    mpath = cfg.resolve(cfg.mask_dir) / f"mask_{t:06d}.pgm"
-                    if not mpath.is_file():
-                        raise ParseError(f"frame {t}: missing mask {mpath}")
-                    mask = meshio.load_pgm_mask(mpath)
-                    _check_image_size(mpath, mask.shape, camera)
-                features = FeatureMap(feats, mask)
-            frames.append(FrameObservation(points=obj, features=features))
+    for t in indices:
+        obj = meshio.load_ply_cloud(clouds[t]).filter_label(LABEL_OBJECT)
+        if len(obj) == 0:
+            raise ParseError(f"frame {t}: no object-labeled points in {clouds[t].name}")
+        features = None
+        if use_maps:
+            feats, mask = meshio.load_fmap(paths["feat"][t])
+            _check_image_size(paths["feat"][t], feats.shape[:2], camera)
+            if "mask" in paths:
+                mask = meshio.load_pgm_mask(paths["mask"][t])
+                _check_image_size(paths["mask"][t], mask.shape, camera)
+            features = FeatureMap(feats, mask)
+        frames.append(FrameObservation(points=obj, features=features))
 
-    basis = None
-    feature_source = None
+    basis = feature_source = None
     if use_features:
-        if not any(f.features.mask.any() for f in frames):
-            raise ParseError("no masked-in pixels across all input feature maps")
-        basis = pca_basis([f.features for f in frames])
+        if use_maps:
+            if not any(f.features.mask.any() for f in frames):
+                raise ParseError("no masked-in pixels across all input feature maps")
+            basis = pca_basis([f.features for f in frames])
         if cfg.feature_source == "synthetic":
             field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
             feature_source = SyntheticFeatureSource(field)
@@ -125,15 +152,7 @@ def load_run_inputs(cfg: RunConfig, *, need_clouds: bool = True) -> RunInputs:
             _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid),
                                   camera, len(basis.mean))
 
-    ground_truths = None
-    if cfg.gt_dir:
-        gt_dir = cfg.resolve(cfg.gt_dir)
-        ground_truths = []
-        for t in indices:
-            gpath = gt_dir / f"gt_{t:06d}.ply"
-            if not gpath.is_file():
-                raise ParseError(f"frame {t}: missing ground truth {gpath}")
-            ground_truths.append(meshio.load_ply_geometry(gpath))
+    ground_truths = [meshio.load_ply_geometry(paths["gt"][t]) for t in indices] if cfg.gt_dir else None
 
     return RunInputs(
         mesh=mesh, frames=frames, frame_indices=indices, camera=camera,
@@ -177,12 +196,16 @@ def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: in
                                       f"have {channels}")
 
 
-def _metrics_json(per_frame, median, indices) -> str:
-    obj = {
-        "frames": [dict(r.to_dict(), t=int(t)) for r, t in zip(per_frame, indices)],
-        "median": median.to_dict(),
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _evaluate(cfg: RunConfig, inputs: RunInputs, track) -> bytes:
+    """metrics.json of a track scored against the inputs' per-frame ground truth."""
+    per_frame, median = evaluate_track(
+        inputs.mesh, track, inputs.ground_truths,
+        n=cfg.eval_samples, seed=cfg.seed,
+        icp_max_iters=cfg.icp_max_iters, icp_tol=cfg.icp_tol,
+    )
+    obj = {"frames": [dict(r.to_dict(), t=int(t)) for r, t in zip(per_frame, inputs.frame_indices)],
+           "median": median.to_dict()}
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dict:
@@ -204,12 +227,7 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
     )
     metrics = None
     if inputs.ground_truths is not None:
-        per_frame, median = evaluate_track(
-            inputs.mesh, result.track, inputs.ground_truths,
-            n=cfg.eval_samples, seed=cfg.seed,
-            icp_max_iters=cfg.icp_max_iters, icp_tol=cfg.icp_tol,
-        )
-        metrics = _metrics_json(per_frame, median, inputs.frame_indices)
+        metrics = _evaluate(cfg, inputs, result.track)
     # nothing is written until every output is computed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +236,7 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
     meshio.save_emission_table(result.translation_table.costs, out / "emissions_translation.emit")
     written = {"track": str(out / "track.json")}
     if metrics is not None:
-        meshio.write_atomic(out / "metrics.json", metrics.encode())
+        meshio.write_atomic(out / "metrics.json", metrics)
         written["metrics"] = str(out / "metrics.json")
     return written
 
@@ -230,8 +248,6 @@ def run_eval(cfg: RunConfig, out_dir) -> dict:
     if not cfg.gt_dir:
         raise ConfigError("eval needs gt_dir")
     inputs = load_run_inputs(cfg)
-    if inputs.ground_truths is None:
-        raise ConfigError("eval needs gt_dir with per-frame gt_NNNNNN.ply files")
     track_path = cfg.resolve(cfg.track)
     try:
         track = track_from_json(track_path.read_text())
@@ -239,19 +255,11 @@ def run_eval(cfg: RunConfig, out_dir) -> dict:
         raise ParseError(f"cannot read track file {track_path}: {e}") from e
     if len(track) != len(inputs.ground_truths):
         raise ConfigError("track length does not match ground-truth frame count")
-    per_frame, median = evaluate_track(
-        inputs.mesh, track, inputs.ground_truths,
-        n=cfg.eval_samples, seed=cfg.seed,
-        icp_max_iters=cfg.icp_max_iters, icp_tol=cfg.icp_tol,
-    )
+    metrics = _evaluate(cfg, inputs, track)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meshio.write_atomic(out / "metrics.json",
-                        _metrics_json(per_frame, median, inputs.frame_indices).encode())
+    meshio.write_atomic(out / "metrics.json", metrics)
     return {"metrics": str(out / "metrics.json")}
-
-
-_HAND_PATTERNS = ("hand_{t:06d}.obj", "hand_{t:06d}.ply")
 
 
 def run_prep(cfg: RunConfig, out_dir) -> dict:
@@ -265,20 +273,9 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     if not cfg.camera:
         raise ConfigError("prep needs a camera file")
     camera = meshio.load_camera(cfg.resolve(cfg.camera))
-    hand_dir = cfg.resolve(cfg.hand_dir)
-    if not hand_dir.is_dir():
-        raise ParseError(f"hand directory {hand_dir} does not exist")
-    frame_files = []
-    for p in sorted(hand_dir.iterdir()):
-        m = re.match(r"^hand_(\d{6})\.(obj|ply)$", p.name)
-        if m:
-            frame_files.append((int(m.group(1)), p))
-    if not frame_files:
-        raise ParseError(f"no hand_NNNNNN.obj/.ply files in {hand_dir}")
     computed = []
-    for t, path in frame_files:
-        hand = meshio.load_mesh(path)
-        hit_map = first_hit_map(hand, camera)
+    for t, path in frame_files(cfg, "hand").items():
+        hit_map = first_hit_map(meshio.load_mesh(path), camera)
         hits = hit_map.hits
         if not hits.any():
             raise ParseError(f"frame {t}: hand mesh has no visible surface")
@@ -297,11 +294,11 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     written = {}
     for t, grid, hits, payload in computed:
-        meshio.save_fmap(grid, hits, out / f"prep_{t:06d}.fmap")
-        meshio.save_pgm_mask(hits, out / f"prep_mask_{t:06d}.pgm")
-        meshio.write_atomic(out / f"prep_params_{t:06d}.json",
+        meshio.save_fmap(grid, hits, out / meshio.frame_file("prep", t, "fmap"))
+        meshio.save_pgm_mask(hits, out / meshio.frame_file("prep_mask", t, "pgm"))
+        meshio.write_atomic(out / meshio.frame_file("prep_params", t, "json"),
                             (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
-        written[t] = str(out / f"prep_{t:06d}.fmap")
+        written[t] = str(out / meshio.frame_file("prep", t, "fmap"))
     return written
 
 

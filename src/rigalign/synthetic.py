@@ -252,10 +252,10 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
     meshio.save_obj(scene.mesh, out / "model.obj")
     meshio.save_camera(scene.camera, out / "camera.json")
     for t in range(len(scene.track)):
-        meshio.save_ply_cloud(scene.clouds[t], out / f"cloud_{t:06d}.ply")
+        meshio.save_ply_cloud(scene.clouds[t], out / meshio.frame_file("cloud", t, "ply"))
         fm = scene.feature_maps[t]
-        meshio.save_fmap(fm.features, fm.mask, out / f"feat_{t:06d}.fmap")
-        meshio.save_ply_mesh(scene.gt_mesh(t), out / f"gt_{t:06d}.ply")
+        meshio.save_fmap(fm.features, fm.mask, out / meshio.frame_file("feat", t, "fmap"))
+        meshio.save_ply_mesh(scene.gt_mesh(t), out / meshio.frame_file("gt", t, "ply"))
     meshio.write_atomic(out / "gt_track.json", track_to_json(scene.track).encode())
     states_csv = io.StringIO()
     np.savetxt(

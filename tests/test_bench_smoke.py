@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: one traced `track-dense` call.
+"""Smoke test of the benchmark harness: one traced call of each declared workload.
 
 Every span boundary the harness wraps must still exist in the package, so a
 refactor that renames or removes a traced function fails here instead of
@@ -33,3 +33,17 @@ def test_traced_track_dense_call(tmp_path):
     assert (out / "track.json").is_file()
     assert result["missing"] == []
     assert result["calls"]["emission.chamfer"] > 0
+
+
+def test_traced_eval_icp_call(tmp_path):
+    scene, out, report = tmp_path / "scene", tmp_path / "out", tmp_path / "report.json"
+    setup = worker("setup", "--workload", "eval-icp", "--seed", "11", "--scene", str(scene))
+    assert setup.returncode == 0, setup.stderr
+    call = worker("call", "--workload", "eval-icp", "--scene", str(scene), "--out", str(out),
+                  "--report", str(report), "--trace")
+    assert call.returncode == 0, call.stderr
+    result = json.loads(report.read_text())
+    assert result["rc"] == 0, result["output"]
+    assert (out / "metrics.json").is_file()
+    assert result["missing"] == []
+    assert result["calls"]["metrics.icp"] > 0

@@ -151,6 +151,35 @@ def test_prep_writes_nothing_when_a_later_frame_fails(tmp_path):
     assert not list(tmp_path.rglob("prep_*"))
 
 
+def test_two_hand_files_for_one_frame_rejected(tmp_path):
+    cam = Camera(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
+    meshio.save_camera(cam, tmp_path / "camera.json")
+    quad = TriangleMesh(np.array([[-0.2, -0.2, 1.0], [0.2, -0.2, 1.0], [0.2, 0.2, 1.0],
+                                  [-0.2, 0.2, 1.0]]), np.array([[0, 1, 2], [0, 2, 3]]))
+    meshio.save_obj(quad, tmp_path / "hand_000000.obj")
+    meshio.save_ply_mesh(quad, tmp_path / "hand_000000.ply")
+    (tmp_path / "run.cfg").write_text("hand_dir = .\ncamera = camera.json\n")
+    out = tmp_path / "prep"
+    code, err = run_quietly(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "hand_000000.obj" in err and "hand_000000.ply" in err
+
+
+def test_deleted_cloud_rejected(scene, tmp_path):
+    (scene / "cloud_000000.ply").unlink()
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "feat_000000.fmap" in err and "frame 0 has no cloud file" in err
+
+
+@pytest.mark.parametrize("kind, ext", [("feat", "fmap"), ("mask", "pgm"), ("gt", "ply")])
+def test_frame_file_outside_the_frame_set_rejected(scene, tmp_path, kind, ext):
+    shutil.copy(scene / f"{kind}_000001.{ext}", scene / f"{kind}_000002.{ext}")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"{kind}_000002.{ext}" in err
+
+
 # ---------------------------------------------------------------------------
 # Property test: one corruption of the tiny scene per example. Each corruption
 # returns True when it may leave the input valid (then track may exit 0).
@@ -244,8 +273,8 @@ def _delete(scene, draw):
     name = draw(st.sampled_from(["cloud_000000.ply", "cloud_000001.ply", "feat_000000.fmap",
                                  "feat_000001.fmap", "gt_000000.ply", "gt_000001.ply"]))
     (scene / name).unlink()
-    # frames are discovered from the clouds: one cloud less is one frame less
-    return name.startswith("cloud_")
+    # a frame without its cloud leaves its other files outside the frame set
+    return False
 
 
 def _config_float(scene, draw):

@@ -10,6 +10,7 @@ from rigalign.metrics import (
     MetricReport,
     NearestNeighborIndex,
     chamfer_distance,
+    chamfer_from_distances,
     f_score,
     fit_similarity,
     icp_with_scaling,
@@ -73,6 +74,23 @@ class TestChamfer:
     def test_empty(self):
         with pytest.raises(EmptyCloud):
             chamfer_distance(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("rows, n", [(1, 1), (7, 64), (33, 1000), (5, 4097)])
+    def test_rows_reduce_like_single_arrays(self, rows, n):
+        """A (B, n) pair reduces over its last axis, each row bit-equal to the
+        same row given alone."""
+        rng = np.random.default_rng(rows * n)
+        d_ab = rng.random((rows, n)) * rng.choice([1e-4, 1e-2, 1.0], size=(rows, 1))
+        d_ba = rng.random((rows, n)) * 0.01
+        batched = chamfer_from_distances(d_ab, d_ba)
+        assert batched.shape == (rows,)
+        single = [chamfer_from_distances(a, b) for a, b in zip(d_ab, d_ba)]
+        assert all(isinstance(v, float) for v in single)
+        assert batched.tolist() == single
+
+    def test_rows_size_checked_on_last_axis(self):
+        with pytest.raises(InvalidInput, match=r"same size \(5 vs 6\)"):
+            chamfer_from_distances(np.zeros((2, 5)), np.zeros((2, 6)))
 
 
 class TestFScore:

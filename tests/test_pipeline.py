@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,38 @@ class TestRunTrack:
         for name, states in (("rotation", 40), ("translation", 125)):
             table = meshio.load_emission_table(tmp_path / "align" / f"emissions_{name}.emit")
             assert table.shape == (1, states)
+
+    def test_table_source_reads_no_feature_maps_and_needs_no_camera(self, scene_dir, tmp_path):
+        rng = np.random.default_rng(5)
+        root = table_scene(scene_dir, tmp_path / "tbl", rng.random((4, 40)), rng.random((4, 125)))
+        cfg = load_config(root / "config.cfg")
+        cfg.gt_dir = ""
+        run_track(cfg, tmp_path / "with")
+        for p in root.glob("feat_*.fmap"):
+            p.unlink()
+        cfg.camera = ""
+        assert load_run_inputs(cfg).basis is None
+        run_track(cfg, tmp_path / "without")
+        for name in ("track.json", "emissions_rotation.emit", "emissions_translation.emit"):
+            assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+    def test_each_ply_parsed_once(self, scene_dir, tmp_path, monkeypatch):
+        from collections import Counter
+
+        parsed = Counter()
+        read_ply = meshio._read_ply
+
+        def counting(path):
+            parsed[Path(path).name] += 1
+            return read_ply(path)
+
+        monkeypatch.setattr(meshio, "_read_ply", counting)
+        cfg = load_config(scene_dir / "config.cfg")
+        cfg.eval_samples = 500
+        run_track(cfg, tmp_path / "out")
+        assert (tmp_path / "out" / "metrics.json").is_file()
+        expected = {f"{kind}_{t:06d}.ply" for kind in ("cloud", "gt") for t in range(4)}
+        assert parsed == Counter(expected)
 
     def test_table_shape_mismatch_rejected(self, scene_dir, tmp_path):
         root = table_scene(scene_dir, tmp_path / "badtbl", np.zeros((4, 7)), np.zeros((4, 125)))
