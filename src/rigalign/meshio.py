@@ -188,14 +188,19 @@ def load_ply_cloud(path) -> PointCloud:
     return _cloud_from(_read_ply(path), path)
 
 
+def _vertex_points(v, path) -> np.ndarray:
+    """(N, 3) float positions of a PLY vertex element, which must have x, y and z."""
+    for k in ("x", "y", "z"):
+        if k not in v:
+            raise ParseError(f"{path}: vertex element lacks property '{k}'")
+    return np.stack([v["x"], v["y"], v["z"]], axis=1).astype(float)
+
+
 def _cloud_from(data, path) -> PointCloud:
     if "vertex" not in data:
         raise ParseError(f"{path}: PLY has no vertex element")
     v = data["vertex"]
-    for k in ("x", "y", "z"):
-        if k not in v:
-            raise ParseError(f"{path}: vertex element lacks property '{k}'")
-    points = np.stack([v["x"], v["y"], v["z"]], axis=1).astype(float)
+    points = _vertex_points(v, path)
     colors = None
     if all(k in v for k in ("red", "green", "blue")):
         colors = np.stack([v["red"], v["green"], v["blue"]], axis=1).astype(float) / 255.0
@@ -236,8 +241,7 @@ def load_ply_mesh(path) -> TriangleMesh:
 def _mesh_from(data, path) -> TriangleMesh:
     if "vertex" not in data or "face" not in data:
         raise ParseError(f"{path}: PLY mesh needs vertex and face elements")
-    v = data["vertex"]
-    points = np.stack([v["x"], v["y"], v["z"]], axis=1).astype(float)
+    points = _vertex_points(data["vertex"], path)
     faces = []
     for row in _face_rows(data):
         if len(row) < 3:

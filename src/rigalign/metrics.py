@@ -179,20 +179,6 @@ def _initial_candidates(src: np.ndarray, tgt: np.ndarray) -> list[SimilarityTran
     return candidates
 
 
-def _icp_loop(src, tgt, index, init, max_iters, tol):
-    transform = init
-    history: list[float] = []
-    for _ in range(max_iters):
-        moved = transform.apply(src)
-        d, idx = index.query(moved)
-        rms = float(np.sqrt(np.mean(d**2)))
-        history.append(rms)
-        if len(history) >= 2 and history[-2] - rms < tol:
-            break
-        transform = fit_similarity(src, tgt[idx])
-    return IcpResult(transform=transform, rms_history=history)
-
-
 def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) -> IcpResult:
     """Iterative closest point with a global scale.
 
@@ -203,20 +189,58 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     keeps the lowest final RMS. Each refit is the exact least-squares
     optimum, so RMS never increases within a run. The target may be given as
     a NearestNeighborIndex over it, so that a caller reuses its k-d tree.
+
+    The starts advance in lockstep: each iteration makes one k-d tree query
+    over the moved source of every live start, with each start's points in
+    one spatial order of the source (nearby queries walk the same leaves).
+    A query point's result does not depend on the rest of its batch, and the
+    results go back to the source's own order before the RMS and the refit,
+    so every start's history and transform are those of a run on its own.
+    A start leaves the batch when it converges or its refit is degenerate.
     """
     src = _as_points(source)
     tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
     index = target if isinstance(target, NearestNeighborIndex) else NearestNeighborIndex(tgt)
+    n = len(src)
+    order = cKDTree(src).indices  # the source's points in k-d tree leaf order
+    transforms = _initial_candidates(src, tgt)
+    histories: list[list[float]] = [[] for _ in transforms]
+    failures: list[DegenerateGeometry | None] = [None] * len(transforms)
+    live = list(range(len(transforms)))
+    batch = np.empty((len(live) * n, 3))
+    d, idx = np.empty(n), np.empty(n, dtype=np.int64)
+    for _ in range(max_iters):
+        if not live:
+            break
+        for slot, k in enumerate(live):
+            batch[slot * n:(slot + 1) * n] = transforms[k].apply(src)[order]
+        d_all, idx_all = index.query(batch[:len(live) * n])
+        for slot, k in enumerate(live):
+            d[order] = d_all[slot * n:(slot + 1) * n]
+            histories[k].append(float(np.sqrt(np.mean(d**2))))
+        del d_all  # the refits need only the indices
+        still = []
+        for slot, k in enumerate(live):
+            history = histories[k]
+            if len(history) >= 2 and history[-2] - history[-1] < tol:
+                continue
+            idx[order] = idx_all[slot * n:(slot + 1) * n]
+            try:
+                transforms[k] = fit_similarity(src, tgt[idx])
+            except DegenerateGeometry as e:
+                failures[k] = e
+                continue
+            still.append(k)
+        live = still
     best: IcpResult | None = None
     failure: DegenerateGeometry | None = None
-    for init in _initial_candidates(src, tgt):
-        try:
-            result = _icp_loop(src, tgt, index, init, max_iters, tol)
-        except DegenerateGeometry as e:
-            failure = e
+    for transform, history, error in zip(transforms, histories, failures):
+        if error is not None:
+            failure = error
             continue
+        result = IcpResult(transform=transform, rms_history=history)
         if best is None or result.rms < best.rms:
             best = result
     if best is None:

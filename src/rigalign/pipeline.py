@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +247,8 @@ def run_eval(cfg: RunConfig, out_dir) -> dict:
         raise ConfigError("eval needs a 'track' path in the config")
     if not cfg.gt_dir:
         raise ConfigError("eval needs gt_dir")
-    inputs = load_run_inputs(cfg)
+    # evaluation reads no features: no feature map, mask or PCA basis is loaded
+    inputs = load_run_inputs(replace(cfg, feature_source="none"))
     track_path = cfg.resolve(cfg.track)
     try:
         track = track_from_json(track_path.read_text())

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 
-from rigalign.errors import RigalignError
+from rigalign.errors import DegenerateGeometry, RigalignError
 from rigalign.geometry import SimilarityTransform, matrix_to_quat, quat_to_matrix
+from rigalign.metrics import IcpResult, NearestNeighborIndex, _initial_candidates, fit_similarity
 from rigalign.viterbi import StatePath
 
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -232,4 +233,34 @@ def points_to_mesh_distance(points, mesh, chunk: int = 64) -> np.ndarray:
     for start in range(0, len(tris), chunk):
         d = points_to_triangles_distance(pts, tris[start : start + chunk])
         best = np.minimum(best, d)
+    return best
+
+
+def icp_per_start(source, target, max_iters: int = 100, tol: float = 1e-6) -> IcpResult:
+    """icp_with_scaling run one start at a time, each iteration querying that
+    start's moved source in its own order; same starts, stop rule and selection."""
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    if len(src) < 3 or len(tgt) < 3:
+        raise DegenerateGeometry("ICP needs at least 3 points per cloud")
+    index = NearestNeighborIndex(tgt)
+    best = failure = None
+    for transform in _initial_candidates(src, tgt):
+        history = []
+        try:
+            for _ in range(max_iters):
+                d, idx = index.query(transform.apply(src))
+                rms = float(np.sqrt(np.mean(d**2)))
+                history.append(rms)
+                if len(history) >= 2 and history[-2] - rms < tol:
+                    break
+                transform = fit_similarity(src, tgt[idx])
+        except DegenerateGeometry as e:
+            failure = e
+            continue
+        result = IcpResult(transform=transform, rms_history=history)
+        if best is None or result.rms < best.rms:
+            best = result
+    if best is None:
+        raise failure if failure is not None else DegenerateGeometry("no ICP start succeeded")
     return best

@@ -120,6 +120,23 @@ def test_bad_model_token_rejected(scene, tmp_path, prefix, token):
     assert f"model.obj:{ln + 1}: " in err
 
 
+def test_model_ply_without_xyz_rejected(scene, tmp_path):
+    mesh = meshio.load_obj(scene / "model.obj")
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {len(mesh.vertices)}\n"
+              "property float a\nproperty float b\nproperty float c\n"
+              f"element face {len(mesh.faces)}\n"
+              "property list uchar int vertex_indices\nend_header\n")
+    faces = np.empty(len(mesh.faces), dtype=[("n", "u1"), ("i", "<i4", (3,))])
+    faces["n"], faces["i"] = 3, mesh.faces
+    (scene / "model.ply").write_bytes(header.encode() + mesh.vertices.astype("<f4").tobytes()
+                                      + faces.tobytes())
+    set_config(scene, model_mesh="model.ply")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "model.ply: vertex element lacks property 'x'" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--frames", "0"],
     ["synth", "--channels", "2"],

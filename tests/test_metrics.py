@@ -17,7 +17,7 @@ from rigalign.metrics import (
     median_metrics,
 )
 
-from oracles import random_unit_quaternions
+from oracles import icp_per_start, random_unit_quaternions
 
 
 def chamfer_oracle(a, b):
@@ -225,6 +225,92 @@ class TestIcpWithScaling:
     def test_too_few_points(self):
         with pytest.raises(DegenerateGeometry):
             icp_with_scaling(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def icp_case(seed: int, n: int = 400):
+    """A source with distinct principal axes and a noisy similarity image of it."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(size=(n, 3)) * np.array([0.05, 0.03, 0.02])
+    q = random_unit_quaternions(1, seed=seed + 1000)[0]
+    gt = SimilarityTransform(q, rng.normal(size=3) * 0.1, float(rng.uniform(0.5, 2.0)))
+    return src, gt.apply(src) + rng.normal(scale=0.002, size=src.shape)
+
+
+def assert_same_icp(a, b):
+    assert a.rms_history == b.rms_history
+    assert np.array_equal(a.transform.rotation, b.transform.rotation)
+    assert np.array_equal(a.transform.translation, b.transform.translation)
+    assert a.transform.scale == b.transform.scale
+
+
+class TestLockstepIcp:
+    """The lockstep starts give bitwise the result of running each start alone."""
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 8, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_per_start_oracle(self, seed, max_iters):
+        src, tgt = icp_case(seed)
+        assert_same_icp(icp_with_scaling(src, tgt, max_iters=max_iters),
+                        icp_per_start(src, tgt, max_iters=max_iters))
+
+    def test_equals_oracle_with_a_shared_index(self):
+        src, tgt = icp_case(4)
+        assert_same_icp(icp_with_scaling(src, NearestNeighborIndex(tgt), max_iters=100),
+                        icp_per_start(src, tgt, max_iters=100))
+
+    def test_one_query_per_iteration_as_starts_finish(self, monkeypatch):
+        src, tgt = icp_case(5)
+        sizes = []
+        query = NearestNeighborIndex.query
+
+        def spy(self, points):
+            sizes.append(len(points))
+            return query(self, points)
+
+        monkeypatch.setattr(NearestNeighborIndex, "query", spy)
+        result = icp_with_scaling(src, tgt, max_iters=100)
+        monkeypatch.undo()
+        assert_same_icp(result, icp_per_start(src, tgt, max_iters=100))
+        # five starts in the first query, then one fewer each time a start
+        # converges; they converge at three or more different iterations
+        assert sizes[0] == 5 * len(src)
+        assert all(s % len(src) == 0 for s in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        assert len(set(sizes)) >= 3
+
+    @pytest.mark.parametrize("max_iters", [2, 8])
+    def test_degenerate_target_raises_like_oracle(self, max_iters):
+        rng = np.random.default_rng(6)
+        src = rng.normal(size=(200, 3)) * np.array([0.05, 0.03, 0.02])
+        tgt = np.outer(rng.uniform(-0.1, 0.1, size=200), np.array([1.0, 2.0, 0.5]))
+        with pytest.raises(DegenerateGeometry) as expected:
+            icp_per_start(src, tgt, max_iters=max_iters)
+        with pytest.raises(DegenerateGeometry) as got:
+            icp_with_scaling(src, tgt, max_iters=max_iters)
+        assert str(got.value) == str(expected.value)
+
+
+class TestBatchedQueryOrder:
+    def test_permuted_batch_equals_direct_queries(self):
+        """One query over several point sets, concatenated and permuted, gives
+        each point bitwise the distance and index of querying its set alone."""
+        rng = np.random.default_rng(17)
+        data = rng.normal(size=(1500, 3))
+        data = np.concatenate([data, data[:200], data[:50]])  # duplicated targets
+        index = NearestNeighborIndex(data)
+        sets = [data[rng.integers(len(data), size=3000)] + rng.normal(scale=s, size=(3000, 3))
+                for s in (0.0, 1e-3, 0.1, 1.0)]
+        batch = np.concatenate(sets)
+        perm = rng.permutation(len(batch))
+        d_perm, i_perm = index.query(batch[perm])
+        d, i = np.empty(len(batch)), np.empty(len(batch), dtype=np.int64)
+        d[perm], i[perm] = d_perm, i_perm
+        start = 0
+        for points in sets:
+            d_own, i_own = index.query(points)
+            assert np.array_equal(d[start:start + len(points)], d_own)
+            assert np.array_equal(i[start:start + len(points)], i_own)
+            start += len(points)
 
 
 def report(cd, f5=0.5, f10=0.8):

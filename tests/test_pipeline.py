@@ -289,6 +289,20 @@ class TestCli:
         assert metrics["median"]["chamfer_cm2"] < 0.01
         assert metrics["median"]["f10"] == 1.0
 
+    def test_eval_reads_no_feature_inputs(self, tmp_path):
+        scene = tmp_path / "scene"
+        cli_run(["synth", "--out", str(scene), "--frames", "2", "--level", "0",
+                 "--cloud-points", "256", "--seed", "4"])
+        cfg_path = scene / "config.cfg"
+        text = cfg_path.read_text().replace("track = ", "track = gt_track.json")
+        cfg_path.write_text(text.replace("eval_samples = 10000", "eval_samples = 2000"))
+        eval_argv = ["eval", "--config", str(cfg_path), "--out"]
+        assert cli_run(eval_argv + [str(tmp_path / "a")]) == 0
+        (scene / "feat_000000.fmap").unlink()
+        assert cli_run(eval_argv + [str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "metrics.json").read_bytes()
+                == (tmp_path / "b" / "metrics.json").read_bytes())
+
     def test_eval_accepts_cloud_ground_truth(self, tmp_path):
         from rigalign.geometry import sample_mesh_surface
 
