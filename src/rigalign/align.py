@@ -19,6 +19,8 @@ from .geometry import SimilarityTransform, TriangleMesh, quat_normalize, sample_
 from .grids import RotationGrid, TranslationGrid
 from .viterbi import EmissionTable, StatePath, viterbi_decode
 
+_SCALE_SAMPLE_COUNT = 16384
+
 
 @dataclass(eq=False)
 class PoseTrack:
@@ -35,6 +37,8 @@ class PoseTrack:
         self.timestamps = np.asarray(self.timestamps, dtype=np.int64).reshape(-1)
         if not (len(self.rotations) == len(self.translations) == len(self.timestamps)):
             raise InvalidInput("per-frame arrays must have equal length")
+        if not (np.isfinite(self.scale) and self.scale > 0 and np.isfinite(self.translations).all()):
+            raise InvalidInput("scale must be finite and positive, and translations finite")
         self.rotations = np.stack([quat_normalize(q) for q in self.rotations])
 
     def __len__(self) -> int:
@@ -102,41 +106,36 @@ def align_sequence(
     rot_grid: RotationGrid,
     trans_grid: TranslationGrid,
     *,
-    camera=None,
     w_cd: float = 1.0,
     w_dino: float = 1.0,
     feature_source=None,
-    basis=None,
     lam_rot: float = 1.0,
     lam_trans: float = 1.0,
     sample_count: int = 1024,
-    scale_sample_count: int = 16384,
     seed: int = 0,
     penalty_factor: float = 10.0,
-    scale: float | None = None,
     timestamps=None,
 ) -> AlignResult:
     """Scale estimate, rotation Viterbi, then translation Viterbi.
 
-    The global scale is the median of per-frame estimates unless given; the
-    model side of that estimate uses a dense one-off surface sample so its
-    sampling error does not bias every frame the same way. Rotation states
-    pin the translation to each frame's cloud mean; the translation grid is
+    The global scale is the median of per-frame estimates; the model side of
+    that estimate uses a dense one-off surface sample so its sampling error
+    does not bias every frame the same way. Rotation states pin the
+    translation to each frame's cloud mean; the translation grid is
     re-centered there per frame, and its transition costs use absolute world
-    positions.
+    positions. `feature_source` alone supplies the feature term.
     """
     frames = list(frames)
     if not frames:
         raise InvalidInput("need at least one frame")
     if timestamps is None:
         timestamps = np.arange(len(frames))
-    if scale is None:
-        scale_sample = sample_mesh_surface(mesh, max(scale_sample_count, sample_count), seed).points
-        estimates = sorted(estimate_scale(f.points, scale_sample) for f in frames)
-        scale = estimates[(len(estimates) - 1) // 2]
+    scale_sample = sample_mesh_surface(mesh, max(_SCALE_SAMPLE_COUNT, sample_count), seed).points
+    estimates = sorted(estimate_scale(f.points, scale_sample) for f in frames)
+    scale = estimates[(len(estimates) - 1) // 2]
     evaluator = EmissionEvaluator(
-        mesh, scale, camera=camera, w_cd=w_cd, w_dino=w_dino, feature_source=feature_source,
-        basis=basis, sample_count=sample_count, seed=seed, penalty_factor=penalty_factor,
+        mesh, scale, w_cd=w_cd, w_dino=w_dino, feature_source=feature_source,
+        sample_count=sample_count, seed=seed, penalty_factor=penalty_factor,
     )
     mus = [f.mean for f in frames]
     quats = rot_grid.quaternions

@@ -144,6 +144,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("weights must be >= 0")
     if cfg.penalty_factor < 0:
         raise ConfigError("penalty_factor must be >= 0")
+    for key in ("seed", "synthetic_feature_seed"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0; got {getattr(cfg, key)}")
     if cfg.synthetic_feature_channels < 3:
         raise ConfigError("synthetic_feature_channels must be >= 3")
 

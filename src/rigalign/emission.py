@@ -164,41 +164,58 @@ def dino_similarity(f_j: FeatureMap, f_0: FeatureMap, basis: PCABasis, eps: floa
 
 
 # ---------------------------------------------------------------------------
-# Candidate feature sources.
+# Candidate feature sources: each works out a frame's row of feature errors.
 
 
-class FeatureSource:
-    """Supplier of candidate-pose feature evidence.
+class TableFeatureSource:
+    """Precomputed per-frame, per-state feature errors (NaN marks empty overlap)."""
 
-    Either a precomputed (frames x states) table of feature errors, or
-    per-state feature maps built from the state's ray cast, masked to it.
-    """
+    def __init__(self, rotation_table: np.ndarray, translation_table: np.ndarray):
+        self._tables = {"rotation": rotation_table, "translation": translation_table}
 
-    def errors_table(self, phase: str) -> np.ndarray | None:
-        return None
+    def frame_errors(self, phase: str, frame_index: int, obs: FrameObservation,
+                     mesh: TriangleMesh, poses) -> np.ndarray:
+        """A copy of the frame's row of the phase's table."""
+        return np.asarray(self._tables[phase][frame_index], dtype=float).copy()
+
+
+@dataclass(eq=False)
+class CastFeatureSource:
+    """Per-state feature maps, each built from a ray cast of the posed mesh
+    under `camera` and masked to it, compared against the frame's input map
+    in the PCA `basis`."""
+
+    camera: Camera
+    basis: PCABasis
 
     def candidate_features(self, phase: str, frame_index: int, state_index: int,
                            pose: SimilarityTransform, hit_map: HandPointMap) -> FeatureMap:
         """Feature map of one posed state; its mask lies inside hit_map.hits."""
         raise NotImplementedError
 
+    def frame_errors(self, phase: str, frame_index: int, obs: FrameObservation,
+                     mesh: TriangleMesh, poses) -> np.ndarray:
+        """Feature error of each model-to-camera pose; NaN where the cast
+        silhouette misses the observed mask."""
+        if obs.features is None:
+            raise InvalidInput("frame has no input feature map")
+        errors = np.empty(len(poses))
+        for j, pose in enumerate(poses):
+            hit_map = first_hit_map(apply_pose(mesh, pose), self.camera)
+            fj = self.candidate_features(phase, frame_index, j, pose, hit_map)
+            try:
+                errors[j] = dino_similarity(fj, obs.features, self.basis)
+            except EmptyOverlap:
+                errors[j] = np.nan
+        return errors
 
-class TableFeatureSource(FeatureSource):
-    """Precomputed per-frame, per-state feature errors (NaN marks empty overlap)."""
 
-    def __init__(self, rotation_table: np.ndarray | None, translation_table: np.ndarray | None):
-        self._tables = {"rotation": rotation_table, "translation": translation_table}
-
-    def errors_table(self, phase: str) -> np.ndarray | None:
-        return self._tables.get(phase)
-
-
-class DirectoryFeatureSource(FeatureSource):
+@dataclass(eq=False)
+class DirectoryFeatureSource(CastFeatureSource):
     """Feature maps from files feat_<phase>_<t>_<state>.fmap under a root dir,
     t the frame's position in the sequence (not its frame index)."""
 
-    def __init__(self, root):
-        self.root = Path(root)
+    root: Path
 
     def path_for(self, phase: str, frame_index: int, state_index: int) -> Path:
         return self.root / f"feat_{phase}_{frame_index:06d}_{state_index:06d}.fmap"
@@ -208,12 +225,12 @@ class DirectoryFeatureSource(FeatureSource):
         return FeatureMap(feats, mask & hit_map.hits)
 
 
-class SyntheticFeatureSource(FeatureSource):
+@dataclass(eq=False)
+class SyntheticFeatureSource(CastFeatureSource):
     """Evaluates a known pose-dependent feature field at the state's ray hits;
     used for end-to-end checks."""
 
-    def __init__(self, field):
-        self.field = field
+    field: object  # synthetic.FeatureField
 
     def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
         from .synthetic import field_features
@@ -230,33 +247,26 @@ class EmissionEvaluator:
 
     The model surface is sampled once (seeded); candidate poses move that
     sample. Chamfer runs against an equal-size resample of the observed
-    cloud, in cm^2, batched over all states of a frame. The feature term ray
-    casts the posed mesh once per state and compares basis-projected
-    features inside its silhouette against the frame's input map.
+    cloud, in cm^2, batched over all states of a frame. The feature term
+    comes from `feature_source` (a table or a cast source that carries its
+    camera and PCA basis); without one, or with `w_dino = 0`, there is none.
     """
 
-    def __init__(self, mesh: TriangleMesh, scale: float, *, camera: Camera | None = None,
-                 w_cd: float = 1.0, w_dino: float = 1.0,
-                 feature_source: FeatureSource | None = None, basis: PCABasis | None = None,
+    def __init__(self, mesh: TriangleMesh, scale: float, *, w_cd: float = 1.0,
+                 w_dino: float = 1.0, feature_source=None,
                  sample_count: int = 1024, seed: int = 0, penalty_factor: float = 10.0):
         if scale <= 0:
             raise InvalidInput("scale must be positive")
         self.mesh = mesh
         self.scale = float(scale)
-        self.camera = camera
         self.w_cd = float(w_cd)
         self.w_dino = float(w_dino)
-        self.feature_source = feature_source
-        self.basis = basis
+        self.feature_source = feature_source if self.w_dino != 0.0 else None
         self.sample_count = int(sample_count)
         self.seed = int(seed)
         self.penalty_factor = float(penalty_factor)
         self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
         self._sample_tree = cKDTree(self.sample)
-
-    @property
-    def use_features(self) -> bool:
-        return self.w_dino != 0.0 and self.feature_source is not None
 
     def full_pose(self, state: SimilarityTransform) -> SimilarityTransform:
         """Model-to-camera transform: the rigid state with the model scale folded in."""
@@ -291,42 +301,19 @@ class EmissionEvaluator:
                 d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
         return row
 
-    def feature_term(self, phase: str, frame_index: int, state_index: int,
-                     state: SimilarityTransform, obs: FrameObservation) -> float:
-        """Feature error for one state; raises EmptyOverlap when the rendered
-        silhouette misses the observed mask."""
-        if obs.features is None:
-            raise InvalidInput("frame has no input feature map")
-        if self.camera is None:
-            raise InvalidInput("feature term needs a camera")
-        if self.basis is None:
-            raise InvalidInput("feature term needs a PCA basis")
-        pose = self.full_pose(state)
-        hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
-        fj = self.feature_source.candidate_features(phase, frame_index, state_index, pose, hit_map)
-        return dino_similarity(fj, obs.features, self.basis)
-
     def frame_terms(self, phase: str, frame_index: int, obs: FrameObservation,
                     states) -> tuple[np.ndarray, np.ndarray | None]:
         """Raw chamfer and feature term arrays over all states of one frame.
 
         The feature array uses NaN for empty-overlap states and is None when
-        the feature term is disabled.
+        there is no feature source.
         """
         x_res = resample_point_cloud(obs.points, self.sample_count, self.seed).points
         cd = self.chamfer_term(x_res, states)
-        if not self.use_features:
+        if self.feature_source is None:
             return cd, None
-        table = self.feature_source.errors_table(phase)
-        if table is not None:
-            return cd, np.asarray(table[frame_index], dtype=float).copy()
-        dino = np.empty(len(states))
-        for j, state in enumerate(states):
-            try:
-                dino[j] = self.feature_term(phase, frame_index, j, state, obs)
-            except EmptyOverlap:
-                dino[j] = np.nan
-        return cd, dino
+        poses = [self.full_pose(state) for state in states]
+        return cd, self.feature_source.frame_errors(phase, frame_index, obs, self.mesh, poses)
 
     def combine_terms(self, cd: np.ndarray, dino: np.ndarray | None) -> np.ndarray:
         """Per-frame min-max normalization of each term, weighted sum, and

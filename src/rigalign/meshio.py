@@ -362,6 +362,8 @@ def load_emission_table(path) -> np.ndarray:
         raise ParseError(f"cannot read emission table {path}: {e}") from e
     if blob[:4] != EMIT_MAGIC:
         raise ParseError(f"{path}: bad EMIT magic")
+    if len(blob) < 12:
+        raise ParseError(f"{path}: EMIT header cut short ({len(blob)} of 12 bytes)")
     t, s = struct.unpack("<II", blob[4:12])
     if len(blob) != 12 + t * s * 4:
         raise ParseError(f"{path}: EMIT payload size mismatch")

@@ -185,10 +185,12 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     Alternates nearest-neighbor correspondences against the target with a
     closed-form similarity refit of the original source onto the matched
     targets; stops when the RMS correspondence distance improves by less
-    than tol (meters). Runs from a deterministic set of coarse starts and
-    keeps the lowest final RMS. Each refit is the exact least-squares
-    optimum, so RMS never increases within a run. The target may be given as
-    a NearestNeighborIndex over it, so that a caller reuses its k-d tree.
+    than tol (meters) or after max_iters queries. No refit follows the last
+    query, so a result's RMS is that of its transform. Runs from a
+    deterministic set of coarse starts and keeps the lowest final RMS. Each
+    refit is the exact least-squares optimum, so RMS never increases within
+    a run. The target may be given as a NearestNeighborIndex over it, so
+    that a caller reuses its k-d tree.
 
     The starts advance in lockstep: each iteration makes one k-d tree query
     over the moved source of every live start, with each start's points in
@@ -224,7 +226,7 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
         still = []
         for slot, k in enumerate(live):
             history = histories[k]
-            if len(history) >= 2 and history[-2] - history[-1] < tol:
+            if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
                 continue
             idx[order] = idx_all[slot * n:(slot + 1) * n]
             try:

@@ -47,9 +47,7 @@ class RunInputs:
     mesh: TriangleMesh
     frames: list
     frame_indices: list
-    camera: object | None
     feature_source: object | None
-    basis: object | None
     ground_truths: list | None
     rot_grid: object
     trans_grid: object
@@ -97,8 +95,8 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
 
     camera = meshio.load_camera(cfg.resolve(cfg.camera)) if cfg.camera else None
-    use_features = cfg.feature_source != "none" and cfg.w_dino != 0.0
-    use_maps = use_features and cfg.feature_source != "table"
+    source_name = cfg.feature_source if cfg.w_dino != 0.0 else "none"  # w_dino = 0: no features
+    use_maps = source_name in ("synthetic", "maps")
     if use_maps and camera is None:
         raise ConfigError("feature_source requires a camera file")
 
@@ -129,34 +127,32 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         frames.append(FrameObservation(points=obj, features=features))
 
     basis = feature_source = None
-    if use_features:
-        if use_maps:
-            if not any(f.features.mask.any() for f in frames):
-                raise ParseError("no masked-in pixels across all input feature maps")
-            basis = pca_basis([f.features for f in frames])
-        if cfg.feature_source == "synthetic":
-            field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
-            feature_source = SyntheticFeatureSource(field)
-        elif cfg.feature_source == "table":
-            if not cfg.dino_table_rot or not cfg.dino_table_trans:
-                raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
-            rot_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_rot))
-            trans_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_trans))
-            _check_table(rot_tab, len(frames), len(rot_grid), "dino_table_rot")
-            _check_table(trans_tab, len(frames), len(trans_grid), "dino_table_trans")
-            feature_source = TableFeatureSource(rot_tab, trans_tab)
-        elif cfg.feature_source == "maps":
-            if not cfg.candidate_features_dir:
-                raise ConfigError("maps feature source needs candidate_features_dir")
-            feature_source = DirectoryFeatureSource(cfg.resolve(cfg.candidate_features_dir))
-            _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid),
-                                  camera, len(basis.mean))
+    if use_maps:
+        if not any(f.features.mask.any() for f in frames):
+            raise ParseError("no masked-in pixels across all input feature maps")
+        basis = pca_basis([f.features for f in frames])
+    if source_name == "synthetic":
+        field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
+        feature_source = SyntheticFeatureSource(camera, basis, field)
+    elif source_name == "table":
+        if not cfg.dino_table_rot or not cfg.dino_table_trans:
+            raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
+        rot_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_rot))
+        trans_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_trans))
+        _check_table(rot_tab, len(frames), len(rot_grid), "dino_table_rot")
+        _check_table(trans_tab, len(frames), len(trans_grid), "dino_table_trans")
+        feature_source = TableFeatureSource(rot_tab, trans_tab)
+    elif source_name == "maps":
+        if not cfg.candidate_features_dir:
+            raise ConfigError("maps feature source needs candidate_features_dir")
+        feature_source = DirectoryFeatureSource(camera, basis, cfg.resolve(cfg.candidate_features_dir))
+        _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid))
 
     ground_truths = [meshio.load_ply_geometry(paths["gt"][t]) for t in indices] if cfg.gt_dir else None
 
     return RunInputs(
-        mesh=mesh, frames=frames, frame_indices=indices, camera=camera,
-        feature_source=feature_source, basis=basis, ground_truths=ground_truths,
+        mesh=mesh, frames=frames, frame_indices=indices,
+        feature_source=feature_source, ground_truths=ground_truths,
         rot_grid=rot_grid, trans_grid=trans_grid,
     )
 
@@ -179,10 +175,10 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
         raise ConfigError(f"{name} holds infinite or negative feature errors (NaN marks no overlap)")
 
 
-def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int, s_trans: int,
-                          camera, channels: int) -> None:
-    """Every candidate map exists, and its header gives the camera's image size
-    and the input feature maps' channel count."""
+def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int,
+                          s_trans: int) -> None:
+    """Every candidate map exists, and its header gives the source camera's
+    image size and the channel count of the input feature maps (its basis)."""
     for phase, count in (("rotation", s_rot), ("translation", s_trans)):
         for t in range(frames):
             for j in range(count):
@@ -190,10 +186,10 @@ def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: in
                 if not p.is_file():
                     raise ParseError(f"missing candidate feature map {p}")
                 h, w, c = meshio.read_fmap_header(p)
-                _check_image_size(p, (h, w), camera)
-                if c != channels:
+                _check_image_size(p, (h, w), source.camera)
+                if c != len(source.basis.mean):
                     raise ConfigError(f"{p}: {c} feature channels, the input feature maps "
-                                      f"have {channels}")
+                                      f"have {len(source.basis.mean)}")
 
 
 def _evaluate(cfg: RunConfig, inputs: RunInputs, track) -> bytes:
@@ -219,8 +215,7 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
             inputs.ground_truths = inputs.ground_truths[:1]
     result = align_sequence(
         inputs.mesh, inputs.frames, inputs.rot_grid, inputs.trans_grid,
-        camera=inputs.camera, w_cd=cfg.w_cd, w_dino=cfg.w_dino,
-        feature_source=inputs.feature_source, basis=inputs.basis,
+        w_cd=cfg.w_cd, w_dino=cfg.w_dino, feature_source=inputs.feature_source,
         lam_rot=cfg.lambda_rot, lam_trans=cfg.lambda_trans,
         sample_count=cfg.emission_samples, seed=cfg.seed, penalty_factor=cfg.penalty_factor,
         timestamps=np.array(inputs.frame_indices, dtype=np.int64),

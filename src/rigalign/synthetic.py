@@ -125,6 +125,8 @@ class SceneSpec:
             raise InvalidInput("cloud_points must be >= 1")
         if self.hand_points < 0:
             raise InvalidInput("hand_points must be >= 0")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")
         if not 0 <= self.noise_std < math.inf:
             raise InvalidInput("noise_std must be finite and >= 0")
         if self.feature_channels < 3:

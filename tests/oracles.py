@@ -252,7 +252,7 @@ def icp_per_start(source, target, max_iters: int = 100, tol: float = 1e-6) -> Ic
                 d, idx = index.query(transform.apply(src))
                 rms = float(np.sqrt(np.mean(d**2)))
                 history.append(rms)
-                if len(history) >= 2 and history[-2] - rms < tol:
+                if len(history) == max_iters or (len(history) >= 2 and history[-2] - rms < tol):
                     break
                 transform = fit_similarity(src, tgt[idx])
         except DegenerateGeometry as e:

@@ -148,11 +148,10 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     noisy = generate_synthetic_scene(spec)
     frames = [FrameObservation(points=c.filter_label(LABEL_OBJECT), features=f)
               for c, f in zip(noisy.clouds, noisy.feature_maps)]
-    basis = pca_basis([f.features for f in frames])
-    source = SyntheticFeatureSource(noisy.field())
+    source = SyntheticFeatureSource(noisy.camera, pca_basis([f.features for f in frames]),
+                                    noisy.field())
     result = align_sequence(noisy.mesh, frames, noisy.rot_grid, noisy.trans_grid,
-                            camera=noisy.camera, feature_source=source, basis=basis,
-                            lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans, seed=11)
+                            feature_source=source, lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans, seed=11)
     angles = noisy.rot_grid.pairwise_angles()
     table = result.rotation_table.costs.copy()
     k = 4

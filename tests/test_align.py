@@ -3,6 +3,7 @@ import pytest
 
 from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_json
 from rigalign.emission import FrameObservation, SyntheticFeatureSource, pca_basis
+from rigalign.errors import ParseError
 from rigalign.geometry import LABEL_OBJECT
 from rigalign.grids import build_rotation_grid, build_translation_grid
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
@@ -28,10 +29,10 @@ def observations(scene):
 
 def run_alignment(scene, frames=None, **kwargs):
     frames = observations(scene) if frames is None else frames
-    basis = pca_basis([f.features for f in frames])
-    source = SyntheticFeatureSource(scene.field())
+    source = SyntheticFeatureSource(scene.camera, pca_basis([f.features for f in frames]),
+                                    scene.field())
     defaults = dict(
-        camera=scene.camera, feature_source=source, basis=basis,
+        feature_source=source,
         lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans,
         sample_count=512, seed=scene.spec.seed,
     )
@@ -66,10 +67,10 @@ class TestAlignSequence:
         rot1.quaternions = rot1.quaternions[:1]
         trans1 = build_translation_grid(np.zeros(3), 0.0, (1, 1, 1))
         frames = observations(scene)
-        basis = pca_basis([f.features for f in frames])
-        source = SyntheticFeatureSource(scene.field())
-        res = align_sequence(scene.mesh, frames, rot1, trans1, camera=scene.camera,
-                             feature_source=source, basis=basis, sample_count=256, seed=1)
+        source = SyntheticFeatureSource(scene.camera, pca_basis([f.features for f in frames]),
+                                        scene.field())
+        res = align_sequence(scene.mesh, frames, rot1, trans1, feature_source=source,
+                             sample_count=256, seed=1)
         assert np.array_equal(res.rotation_path.states, [0, 0])
         assert np.array_equal(res.translation_path.states, [0, 0])
 
@@ -133,6 +134,16 @@ class TestPoseTrackJson:
         assert set(obj.keys()) == {"scale", "frames"}
         assert set(obj["frames"][0].keys()) == {"t", "rotation_wxyz", "translation_m"}
         assert obj["frames"][0]["t"] == 4
+
+    @pytest.mark.parametrize("scale, translation", [
+        ("NaN", "0.4"), ("Infinity", "0.4"), ("0.0", "0.4"), ("-1.0", "0.4"),
+        ("1.0", "NaN"), ("1.0", "-Infinity"),
+    ])
+    def test_non_finite_values_rejected(self, scale, translation):
+        text = ('{"scale": %s, "frames": [{"t": 0, "rotation_wxyz": [1, 0, 0, 0], '
+                '"translation_m": [0, 0, %s]}]}' % (scale, translation))
+        with pytest.raises(ParseError, match="invalid pose track JSON"):
+            track_from_json(text)
 
     def test_pose_includes_scale(self):
         track = PoseTrack(2.0, np.array([[1.0, 0, 0, 0]]), np.array([[0.0, 0, 1]]), np.array([0]))

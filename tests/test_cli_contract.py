@@ -98,6 +98,49 @@ def test_bad_config_value_rejected_at_load(scene, tmp_path, key, value):
     assert key in err
 
 
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("synthetic_feature_seed", "-5")])
+def test_negative_config_seed_rejected(scene, tmp_path, key, value):
+    set_config(scene, **{key: value})
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert key in err
+
+
+def test_negative_seed_override_rejected(scene, tmp_path):
+    out = tmp_path / "out"
+    code, err = run_quietly(["track", "--config", str(scene / "config.cfg"), "--seed", "-1",
+                             "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("cut", [4, 6, 11])
+def test_table_cut_in_its_header_rejected(scene, tmp_path, cut):
+    meshio.save_emission_table(np.zeros((2, 8)), scene / "rot.emit")
+    (scene / "rot.emit").write_bytes((scene / "rot.emit").read_bytes()[:cut])
+    meshio.save_emission_table(np.zeros((2, 9)), scene / "trans.emit")
+    set_config(scene, feature_source="table", dino_table_rot="rot.emit",
+               dino_table_trans="trans.emit")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "rot.emit: EMIT header cut short" in err
+
+
+@pytest.mark.parametrize("scale, z", [("NaN", "0.4"), ("Infinity", "0.4"), ("0.0", "0.4"),
+                                      ("1.0", "NaN"), ("1.0", "-Infinity")])
+def test_non_finite_track_rejected_by_eval(scene, tmp_path, scale, z):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    track_obj["scale"] = "@scale"
+    track_obj["frames"][1]["translation_m"][2] = "@z"
+    text = json.dumps(track_obj).replace('"@scale"', scale).replace('"@z"', z)
+    (scene / "bad_track.json").write_text(text)
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "invalid pose track JSON" in err
+
+
 @pytest.mark.parametrize("field, value", [("fx", "NaN"), ("cy", "NaN"), ("cx", "Infinity")])
 def test_bad_camera_rejected(scene, tmp_path, field, value):
     cam = json.loads((scene / "camera.json").read_text())
@@ -144,6 +187,7 @@ def test_model_ply_without_xyz_rejected(scene, tmp_path):
     ["synth", "--hand-points", "-1"],
     ["synth", "--noise-std", "-0.001"],
     ["synth", "--noise-std", "nan"],
+    ["synth", "--seed", "-1"],
     ["grid", "--level", "-1"],
 ])
 def test_bad_generator_argument_rejected(tmp_path, argv):
@@ -299,8 +343,14 @@ def _config_float(scene, draw):
     return False
 
 
+def _negative_seed(scene, draw):
+    key = draw(st.sampled_from(["seed", "synthetic_feature_seed"]))
+    set_config(scene, **{key: draw(st.integers(-2**63, -1))})
+    return False
+
+
 _CORRUPTIONS = (_truncate, _flip_dimension, _non_finite_value, _non_numeric_obj_token,
-                _delete, _config_float)
+                _delete, _config_float, _negative_seed)
 
 
 @settings(max_examples=30, deadline=None)

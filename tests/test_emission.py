@@ -251,15 +251,17 @@ class TestEmissionCost:
         f0 = render_feature_map(self.mesh, pose, self.camera, self.field)
         return FrameObservation(points=PointCloud(pose.apply(cloud.points)), features=f0)
 
+    def source(self, obs):
+        """The synthetic feature source, its basis fitted on the frame's input map."""
+        return SyntheticFeatureSource(self.camera, pca_basis([obs.features]), self.field)
+
     def test_ground_truth_state_is_argmin(self):
         gt_index = 17
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[gt_index], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.field)
-        basis = pca_basis([obs.features])
-        ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
-                               basis=basis, sample_count=512, seed=5)
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(obs),
+                               sample_count=512, seed=5)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
         cd, dino = ev.frame_terms("rotation", 0, obs, states)
         costs = ev.combine_terms(cd, dino)
@@ -275,6 +277,19 @@ class TestEmissionCost:
         cd, dino = ev.frame_terms("rotation", 0, obs, [state])
         assert dino is None
         assert cd[0] == ev.chamfer_term(x_res, [state])[0]
+
+    def test_zero_feature_weight_drops_a_given_source(self):
+        pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
+        obs = self.observation(pose)
+        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
+        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, feature_source=self.source(obs),
+                               sample_count=256, seed=13)
+        chamfer_only = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=13)
+        cd, dino = ev.frame_terms("rotation", 0, obs, states)
+        want, _ = chamfer_only.frame_terms("rotation", 0, obs, states)
+        assert dino is None
+        assert np.array_equal(cd, want)
+        assert np.array_equal(ev.combine_terms(cd, dino), chamfer_only.combine_terms(want, None))
 
     def test_cost_is_pure_function(self):
         mu = np.array([0.0, 0.0, 0.4])
@@ -292,13 +307,12 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[9], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.field)
-        basis = pca_basis([obs.features])
+        source = self.source(obs)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
         argmins = []
         for w in (1.0, 2.0):
-            ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
-                                   basis=basis, w_cd=w, w_dino=w, sample_count=512, seed=8)
+            ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, w_cd=w, w_dino=w,
+                                   sample_count=512, seed=8)
             cd, dino = ev.frame_terms("rotation", 0, obs, states)
             argmins.append(int(np.argmin(ev.combine_terms(cd, dino))))
         assert argmins[0] == argmins[1]
@@ -307,10 +321,8 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[0], mu, 1.0)
         obs = self.observation(gt_pose)
-        source = SyntheticFeatureSource(self.field)
-        basis = pca_basis([obs.features])
-        ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
-                               basis=basis, sample_count=256, seed=9)
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(obs),
+                               sample_count=256, seed=9)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions[:8]]
         # push one state far off-screen so its silhouette is empty
         states.append(SimilarityTransform(self.grid.quaternions[8], mu + np.array([10.0, 0, 0]), 1.0))
@@ -327,8 +339,7 @@ class TestEmissionCost:
         obs = self.observation(pose)
         table = np.linspace(0.0, 1.0, len(self.grid))[None, :]
         source = TableFeatureSource(table, None)
-        ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera, feature_source=source,
-                               basis=None, sample_count=256, seed=10)
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=10)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
         cd, dino = ev.frame_terms("rotation", 0, obs, states)
         assert np.allclose(dino, table[0])
@@ -348,10 +359,9 @@ class TestEmissionCost:
         # one cast per state gives the values of a render masked by a second cast
         gt_pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
         obs = self.observation(gt_pose)
-        basis = pca_basis([obs.features])
-        ev = EmissionEvaluator(self.mesh, 1.0, camera=self.camera,
-                               feature_source=SyntheticFeatureSource(self.field), basis=basis,
-                               sample_count=256, seed=12)
+        source = self.source(obs)
+        basis = source.basis
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=12)
         states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
         _, dino = ev.frame_terms("rotation", 0, obs, states)
         for j, state in enumerate(states):
@@ -368,7 +378,7 @@ class TestEmissionCost:
         pose = SimilarityTransform(self.grid.quaternions[4], np.array([0.0, 0.0, 0.4]), 1.0)
         rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
         everywhere = np.ones(rendered.mask.shape, dtype=bool)
-        source = DirectoryFeatureSource(tmp_path)
+        source = DirectoryFeatureSource(self.camera, pca_basis([rendered]), tmp_path)
         meshio.save_fmap(rendered.features, everywhere, source.path_for("rotation", 0, 3))
         hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
         loaded = source.candidate_features("rotation", 0, 3, pose, hit_map)

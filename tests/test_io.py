@@ -193,6 +193,14 @@ class TestEmit:
         with pytest.raises(ParseError):
             meshio.load_emission_table(path)
 
+    @pytest.mark.parametrize("cut", range(4, 12))
+    def test_header_cut_short(self, tmp_path, cut):
+        path = tmp_path / "e.emit"
+        meshio.save_emission_table(np.zeros((2, 3)), path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ParseError, match="EMIT header cut short"):
+            meshio.load_emission_table(path)
+
 
 class TestAtomicWrite:
     def test_failed_rename_keeps_old_file_and_leaves_no_temporary(self, tmp_path, monkeypatch):

@@ -253,6 +253,15 @@ class TestLockstepIcp:
         assert_same_icp(icp_with_scaling(src, tgt, max_iters=max_iters),
                         icp_per_start(src, tgt, max_iters=max_iters))
 
+    @pytest.mark.parametrize("max_iters", [1, 2, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rms_is_that_of_the_returned_transform(self, seed, max_iters):
+        src, tgt = icp_case(seed)
+        index = NearestNeighborIndex(tgt)
+        result = icp_with_scaling(src, index, max_iters=max_iters)
+        d, _ = index.query(result.transform.apply(src))
+        assert result.rms == float(np.sqrt(np.mean(d**2)))
+
     def test_equals_oracle_with_a_shared_index(self):
         src, tgt = icp_case(4)
         assert_same_icp(icp_with_scaling(src, NearestNeighborIndex(tgt), max_iters=100),

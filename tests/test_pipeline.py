@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigalign import meshio
+from rigalign import meshio, pipeline
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
+from rigalign.emission import TableFeatureSource
 from rigalign.errors import ConfigError, ParseError
 from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
@@ -93,7 +94,9 @@ class TestSyntheticScene:
         inputs = load_run_inputs(cfg)
         assert len(inputs.frames) == 4
         assert inputs.ground_truths is not None
-        assert inputs.camera is not None
+        # the synthetic source carries the scene's camera and a basis over its 8 channels
+        assert inputs.feature_source.camera == meshio.load_camera(scene_dir / "camera.json")
+        assert inputs.feature_source.basis.components.shape == (3, 8)
         # hand decoys must have been filtered out
         for frame in inputs.frames:
             assert frame.points.labels is None or (frame.points.labels == 2).all()
@@ -186,7 +189,8 @@ class TestRunTrack:
             table = meshio.load_emission_table(tmp_path / "align" / f"emissions_{name}.emit")
             assert table.shape == (1, states)
 
-    def test_table_source_reads_no_feature_maps_and_needs_no_camera(self, scene_dir, tmp_path):
+    def test_table_source_reads_no_feature_maps_and_needs_no_camera(self, scene_dir, tmp_path,
+                                                                    monkeypatch):
         rng = np.random.default_rng(5)
         root = table_scene(scene_dir, tmp_path / "tbl", rng.random((4, 40)), rng.random((4, 125)))
         cfg = load_config(root / "config.cfg")
@@ -195,8 +199,13 @@ class TestRunTrack:
         for p in root.glob("feat_*.fmap"):
             p.unlink()
         cfg.camera = ""
-        assert load_run_inputs(cfg).basis is None
+        fitted = []
+        real_pca_basis = pipeline.pca_basis
+        monkeypatch.setattr(pipeline, "pca_basis",
+                            lambda maps: fitted.append(maps) or real_pca_basis(maps))
+        assert isinstance(load_run_inputs(cfg).feature_source, TableFeatureSource)
         run_track(cfg, tmp_path / "without")
+        assert fitted == []  # no PCA basis is fitted
         for name in ("track.json", "emissions_rotation.emit", "emissions_translation.emit"):
             assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
 
