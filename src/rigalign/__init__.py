@@ -6,7 +6,6 @@ from .align import AlignResult, PoseTrack, align_sequence, track_from_json, trac
 from .emission import (
     EmissionEvaluator,
     FeatureMap,
-    FrameObservation,
     PCABasis,
     dino_similarity,
     estimate_scale,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import meshio
 from .emission import EmissionEvaluator, estimate_scale
 from .errors import InvalidInput, ParseError
 from .geometry import SimilarityTransform, TriangleMesh, quat_normalize, sample_mesh_surface
@@ -64,7 +65,7 @@ def track_to_json(track: PoseTrack) -> str:
             for k in range(len(track))
         ],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return meshio.json_text(obj)
 
 
 def track_from_json(text: str) -> PoseTrack:
@@ -94,8 +95,8 @@ class AlignResult:
 
 def _build_rows(evaluator, phase, frames, states_for_frame):
     rows = []
-    for t, obs in enumerate(frames):
-        cd, dino = evaluator.frame_terms(phase, t, obs, states_for_frame(t))
+    for t, points in enumerate(frames):
+        cd, dino = evaluator.frame_terms(phase, t, points, states_for_frame(t))
         rows.append(evaluator.combine_terms(cd, dino))
     return EmissionTable(np.stack(rows))
 
@@ -118,26 +119,30 @@ def align_sequence(
 ) -> AlignResult:
     """Scale estimate, rotation Viterbi, then translation Viterbi.
 
-    The global scale is the median of per-frame estimates; the model side of
-    that estimate uses a dense one-off surface sample so its sampling error
-    does not bias every frame the same way. Rotation states pin the
-    translation to each frame's cloud mean; the translation grid is
-    re-centered there per frame, and its transition costs use absolute world
-    positions. `feature_source` alone supplies the feature term.
+    `frames` holds each frame's object cloud, none empty. The global scale is
+    the median of per-frame estimates; the model side of that estimate uses
+    a dense one-off surface sample so its sampling error does not bias every
+    frame the same way. Rotation states pin the translation to each frame's
+    cloud mean; the translation grid is re-centered there per frame, and its
+    transition costs use absolute world positions. `feature_source` alone
+    supplies the feature term, for each frame by its position in `frames`.
     """
     frames = list(frames)
     if not frames:
         raise InvalidInput("need at least one frame")
+    for t, points in enumerate(frames):
+        if len(points) == 0:
+            raise InvalidInput(f"frame {t} needs a non-empty object cloud")
     if timestamps is None:
         timestamps = np.arange(len(frames))
     scale_sample = sample_mesh_surface(mesh, max(_SCALE_SAMPLE_COUNT, sample_count), seed).points
-    estimates = sorted(estimate_scale(f.points, scale_sample) for f in frames)
+    estimates = sorted(estimate_scale(f, scale_sample) for f in frames)
     scale = estimates[(len(estimates) - 1) // 2]
     evaluator = EmissionEvaluator(
         mesh, scale, w_cd=w_cd, w_dino=w_dino, feature_source=feature_source,
         sample_count=sample_count, seed=seed, penalty_factor=penalty_factor,
     )
-    mus = [f.mean for f in frames]
+    mus = [f.points.mean(axis=0) for f in frames]
     quats = rot_grid.quaternions
 
     def rotation_states(t):

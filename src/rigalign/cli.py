@@ -17,6 +17,7 @@ from pathlib import Path
 from . import meshio, pipeline
 from .config import load_config
 from .errors import ConfigError, InvalidInput, RigalignError
+from .seeding import check_seed
 from .synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
 EXIT_INVALID_INPUT = 2
@@ -60,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0; got {args.seed}")
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed", ConfigError)
     return cfg
 
 

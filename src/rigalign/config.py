@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInput
+from .meshio import read_input
+from .seeding import check_seed
 
 FEATURE_SOURCES = ("none", "synthetic", "table", "maps")
 
@@ -144,9 +146,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("weights must be >= 0")
     if cfg.penalty_factor < 0:
         raise ConfigError("penalty_factor must be >= 0")
-    for key in ("seed", "synthetic_feature_seed"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be >= 0; got {getattr(cfg, key)}")
+    check_seed(cfg.seed, "seed", ConfigError)
+    if cfg.synthetic_feature_seed < 0:  # unbounded above: a field seed, not a derive_seed part
+        raise ConfigError(f"synthetic_feature_seed must be >= 0; got {cfg.synthetic_feature_seed}")
     if cfg.synthetic_feature_channels < 3:
         raise ConfigError("synthetic_feature_channels must be >= 3")
 
@@ -168,8 +170,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
+    text = read_input(path, "config file", text=True, error=ConfigError)
     return parse_config(text, base_dir=str(path.parent))

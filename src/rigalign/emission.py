@@ -8,7 +8,7 @@ candidate pose states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,22 +60,6 @@ class PCABasis:
     def project(self, features: np.ndarray) -> np.ndarray:
         """(N, C) feature vectors -> (N, 3) principal coordinates."""
         return (np.asarray(features, dtype=float) - self.mean) @ self.components.T
-
-
-@dataclass(eq=False)
-class FrameObservation:
-    """Observed object points plus the input-image feature map for one frame."""
-
-    points: PointCloud
-    features: FeatureMap | None = None
-
-    def __post_init__(self):
-        if len(self.points) == 0:
-            raise InvalidInput("frame observation needs a non-empty object cloud")
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.points.points.mean(axis=0)
 
 
 def estimate_scale(x, y) -> float:
@@ -173,38 +157,44 @@ class TableFeatureSource:
     def __init__(self, rotation_table: np.ndarray, translation_table: np.ndarray):
         self._tables = {"rotation": rotation_table, "translation": translation_table}
 
-    def frame_errors(self, phase: str, frame_index: int, obs: FrameObservation,
-                     mesh: TriangleMesh, poses) -> np.ndarray:
+    def frame_errors(self, phase: str, frame_index: int, mesh: TriangleMesh, poses) -> np.ndarray:
         """A copy of the frame's row of the phase's table."""
-        return np.asarray(self._tables[phase][frame_index], dtype=float).copy()
+        table = self._tables[phase]
+        if not 0 <= frame_index < len(table):
+            raise InvalidInput(f"frame {frame_index} has no row in the {phase} feature table")
+        return np.asarray(table[frame_index], dtype=float).copy()
 
 
 @dataclass(eq=False)
 class CastFeatureSource:
     """Per-state feature maps, each built from a ray cast of the posed mesh
     under `camera` and masked to it, compared against the frame's input map
-    in the PCA `basis`."""
+    (`inputs` holds one per sequence position) in the PCA `basis` fitted on
+    all the input maps."""
 
     camera: Camera
-    basis: PCABasis
+    inputs: list
+    basis: PCABasis = field(init=False)
+
+    def __post_init__(self):
+        self.basis = pca_basis(self.inputs)
 
     def candidate_features(self, phase: str, frame_index: int, state_index: int,
                            pose: SimilarityTransform, hit_map: HandPointMap) -> FeatureMap:
         """Feature map of one posed state; its mask lies inside hit_map.hits."""
         raise NotImplementedError
 
-    def frame_errors(self, phase: str, frame_index: int, obs: FrameObservation,
-                     mesh: TriangleMesh, poses) -> np.ndarray:
+    def frame_errors(self, phase: str, frame_index: int, mesh: TriangleMesh, poses) -> np.ndarray:
         """Feature error of each model-to-camera pose; NaN where the cast
-        silhouette misses the observed mask."""
-        if obs.features is None:
-            raise InvalidInput("frame has no input feature map")
+        silhouette misses the input map's mask."""
+        if not 0 <= frame_index < len(self.inputs):
+            raise InvalidInput(f"frame {frame_index} has no input feature map")
         errors = np.empty(len(poses))
         for j, pose in enumerate(poses):
             hit_map = first_hit_map(apply_pose(mesh, pose), self.camera)
             fj = self.candidate_features(phase, frame_index, j, pose, hit_map)
             try:
-                errors[j] = dino_similarity(fj, obs.features, self.basis)
+                errors[j] = dino_similarity(fj, self.inputs[frame_index], self.basis)
             except EmptyOverlap:
                 errors[j] = np.nan
         return errors
@@ -246,10 +236,10 @@ class EmissionEvaluator:
     """Chamfer + feature cost of candidate poses for one model and sequence.
 
     The model surface is sampled once (seeded); candidate poses move that
-    sample. Chamfer runs against an equal-size resample of the observed
-    cloud, in cm^2, batched over all states of a frame. The feature term
-    comes from `feature_source` (a table or a cast source that carries its
-    camera and PCA basis); without one, or with `w_dino = 0`, there is none.
+    sample. Chamfer runs against an equal-size resample of the frame's
+    object cloud, in cm^2, batched over all states of a frame. The feature
+    term comes from `feature_source` (a table, or a cast source that holds
+    the input maps); without one, or with `w_dino = 0`, there is none.
     """
 
     def __init__(self, mesh: TriangleMesh, scale: float, *, w_cd: float = 1.0,
@@ -272,21 +262,20 @@ class EmissionEvaluator:
         """Model-to-camera transform: the rigid state with the model scale folded in."""
         return SimilarityTransform(state.rotation, state.translation, self.scale * state.scale)
 
-    def chamfer_term(self, x_resampled: np.ndarray, states) -> np.ndarray:
-        """Chamfer distance (cm^2) between the observed resample and the posed
-        model sample of every state, in state order.
+    def chamfer_term(self, x_resampled: np.ndarray, poses) -> np.ndarray:
+        """Chamfer distance (cm^2) between the observed resample and the model
+        sample under every model-to-camera pose, in pose order.
 
         Sample->observed distances query the forward-posed samples against
         one tree on the observed points. Observed->sample distances query the
         inverse-posed observed points against the model sample's tree: a
         similarity pose of scale s scales every distance by s, so those
-        distances are s times the model-frame ones. States go in blocks of
+        distances are s times the model-frame ones. Poses go in blocks of
         about _CHAMFER_BLOCK_POINTS query points.
         """
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
         obs_tree = cKDTree(x)
-        poses = [self.full_pose(state) for state in states]
         row = np.empty(len(poses))
         per_block = max(1, _CHAMFER_BLOCK_POINTS // max(n, m))
         for start in range(0, len(poses), per_block):
@@ -301,19 +290,20 @@ class EmissionEvaluator:
                 d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
         return row
 
-    def frame_terms(self, phase: str, frame_index: int, obs: FrameObservation,
+    def frame_terms(self, phase: str, frame_index: int, points: PointCloud,
                     states) -> tuple[np.ndarray, np.ndarray | None]:
-        """Raw chamfer and feature term arrays over all states of one frame.
+        """Raw chamfer and feature term arrays over all states of the frame
+        at sequence position `frame_index`, whose object cloud is `points`.
 
         The feature array uses NaN for empty-overlap states and is None when
         there is no feature source.
         """
-        x_res = resample_point_cloud(obs.points, self.sample_count, self.seed).points
-        cd = self.chamfer_term(x_res, states)
+        x_res = resample_point_cloud(points, self.sample_count, self.seed).points
+        poses = [self.full_pose(state) for state in states]
+        cd = self.chamfer_term(x_res, poses)
         if self.feature_source is None:
             return cd, None
-        poses = [self.full_pose(state) for state in states]
-        return cd, self.feature_source.frame_errors(phase, frame_index, obs, self.mesh, poses)
+        return cd, self.feature_source.frame_errors(phase, frame_index, self.mesh, poses)
 
     def combine_terms(self, cd: np.ndarray, dino: np.ndarray | None) -> np.ndarray:
         """Per-frame min-max normalization of each term, weighted sum, and

@@ -32,6 +32,24 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def read_input(path, what: str, *, text: bool = False, error=ParseError):
+    """The bytes of an input file, or its UTF-8 text with `text`. A file that
+    cannot be read, or is not UTF-8 text, raises `error` (an InvalidInput)."""
+    path = Path(path)
+    try:
+        blob = path.read_bytes()
+        return blob.decode("utf-8") if text else blob
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: invalid {what}: {e}") from e
+
+
+def json_text(obj) -> str:
+    """The layout of every JSON file written: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def frame_file(kind: str, t: int, ext: str) -> str:
     """Frame t's `kind` file name, `<kind>_NNNNNN.<ext>`: six-digit frame index."""
     return f"{kind}_{t:06d}.{ext}"
@@ -46,10 +64,7 @@ def load_obj(path) -> TriangleMesh:
     path = Path(path)
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read OBJ file {path}: {e}") from e
+    text = read_input(path, "OBJ file", text=True)
     for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
@@ -143,10 +158,7 @@ def _parse_ply_header(blob: bytes, path):
 def _read_ply(path):
     """Returns {element_name: dict of property arrays} for vertex/face elements."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read PLY file {path}: {e}") from e
+    blob = read_input(path, "PLY file")
     elements, body = _parse_ply_header(blob, path)
 
     def take(dtype, count, offset):
@@ -306,10 +318,7 @@ def save_fmap(features: np.ndarray, mask: np.ndarray, path) -> None:
 def load_fmap(path):
     """Returns (features (H, W, C) float32, mask (H, W) bool)."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read feature map {path}: {e}") from e
+    blob = read_input(path, "feature map")
     h, w, c = _fmap_dims(path, blob[:20], len(blob))
     feats = np.frombuffer(blob, "<f4", h * w * c, 20).reshape(h, w, c)
     mask = np.frombuffer(blob, "u1", h * w, 20 + h * w * c * 4).reshape(h, w) != 0
@@ -356,10 +365,7 @@ def save_emission_table(costs: np.ndarray, path) -> None:
 
 def load_emission_table(path) -> np.ndarray:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read emission table {path}: {e}") from e
+    blob = read_input(path, "emission table")
     if blob[:4] != EMIT_MAGIC:
         raise ParseError(f"{path}: bad EMIT magic")
     if len(blob) < 12:
@@ -382,10 +388,7 @@ def save_pgm_mask(mask: np.ndarray, path) -> None:
 
 def load_pgm_mask(path) -> np.ndarray:
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read mask {path}: {e}") from e
+    blob = read_input(path, "mask")
     if not blob.startswith(b"P5"):
         raise ParseError(f"{path}: only binary PGM (P5) masks are supported")
     # header tokens: P5, width, height, maxval; '#' comments allowed
@@ -428,12 +431,11 @@ def load_pgm_mask(path) -> np.ndarray:
 
 def load_camera(path) -> Camera:
     path = Path(path)
+    text = read_input(path, "camera file", text=True)
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(text)
         return Camera(fx=float(obj["fx"]), fy=float(obj["fy"]), cx=float(obj["cx"]),
                       cy=float(obj["cy"]), width=int(obj["width"]), height=int(obj["height"]))
-    except OSError as e:
-        raise ParseError(f"cannot read camera file {path}: {e}") from e
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: invalid camera file: {e}") from e
 
@@ -441,4 +443,4 @@ def load_camera(path) -> Camera:
 def save_camera(camera: Camera, path) -> None:
     obj = {"fx": camera.fx, "fy": camera.fy, "cx": camera.cx, "cy": camera.cy,
            "width": camera.width, "height": camera.height}
-    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))
+    write_atomic(path, json_text(obj).encode("ascii"))

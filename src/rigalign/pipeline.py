@@ -4,7 +4,6 @@ config and seeds."""
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -14,14 +13,7 @@ import numpy as np
 from . import meshio
 from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
-from .emission import (
-    DirectoryFeatureSource,
-    FeatureMap,
-    FrameObservation,
-    SyntheticFeatureSource,
-    TableFeatureSource,
-    pca_basis,
-)
+from .emission import DirectoryFeatureSource, FeatureMap, SyntheticFeatureSource, TableFeatureSource
 from .errors import ConfigError, ParseError
 from .evaluate import evaluate_track
 from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_points
@@ -45,7 +37,7 @@ class RunInputs:
     """Everything an alignment run needs, fully parsed up front."""
 
     mesh: TriangleMesh
-    frames: list
+    frames: list  # one object PointCloud per frame
     frame_indices: list
     feature_source: object | None
     ground_truths: list | None
@@ -87,9 +79,10 @@ def frame_files(cfg: RunConfig, kind: str, frames=None) -> dict[int, Path]:
 def load_run_inputs(cfg: RunConfig) -> RunInputs:
     """Parse and validate every referenced input before any compute starts.
 
-    The cloud files define the frame set. Input feature maps, masks and a PCA
-    basis are loaded only when candidate features are computed per state
-    (`synthetic` and `maps`); a `table` run reads its tables alone."""
+    The cloud files define the frame set. Input feature maps and masks are
+    loaded only when candidate features are computed per state (`synthetic`
+    and `maps`), and go to the feature source, which fits its PCA basis on
+    them; a `table` run reads its tables alone."""
     if not cfg.model_mesh:
         raise ConfigError("model_mesh is required")
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
@@ -111,29 +104,27 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     reads = {"feat": use_maps, "mask": use_maps and cfg.mask_dir, "gt": cfg.gt_dir}
     paths = {kind: frame_files(cfg, kind, indices) for kind, read in reads.items() if read}
 
-    frames: list[FrameObservation] = []
+    frames = []
+    inputs = []  # input feature maps, one per frame, for a cast source
     for t in indices:
         obj = meshio.load_ply_cloud(clouds[t]).filter_label(LABEL_OBJECT)
         if len(obj) == 0:
             raise ParseError(f"frame {t}: no object-labeled points in {clouds[t].name}")
-        features = None
+        frames.append(obj)
         if use_maps:
             feats, mask = meshio.load_fmap(paths["feat"][t])
             _check_image_size(paths["feat"][t], feats.shape[:2], camera)
             if "mask" in paths:
                 mask = meshio.load_pgm_mask(paths["mask"][t])
                 _check_image_size(paths["mask"][t], mask.shape, camera)
-            features = FeatureMap(feats, mask)
-        frames.append(FrameObservation(points=obj, features=features))
+            inputs.append(FeatureMap(feats, mask))
+    if use_maps and not any(f.mask.any() for f in inputs):
+        raise ParseError("no masked-in pixels across all input feature maps")
 
-    basis = feature_source = None
-    if use_maps:
-        if not any(f.features.mask.any() for f in frames):
-            raise ParseError("no masked-in pixels across all input feature maps")
-        basis = pca_basis([f.features for f in frames])
+    feature_source = None
     if source_name == "synthetic":
         field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
-        feature_source = SyntheticFeatureSource(camera, basis, field)
+        feature_source = SyntheticFeatureSource(camera, inputs, field)
     elif source_name == "table":
         if not cfg.dino_table_rot or not cfg.dino_table_trans:
             raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
@@ -145,8 +136,8 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     elif source_name == "maps":
         if not cfg.candidate_features_dir:
             raise ConfigError("maps feature source needs candidate_features_dir")
-        feature_source = DirectoryFeatureSource(camera, basis, cfg.resolve(cfg.candidate_features_dir))
-        _check_candidate_maps(feature_source, len(frames), len(rot_grid), len(trans_grid))
+        feature_source = DirectoryFeatureSource(camera, inputs, cfg.resolve(cfg.candidate_features_dir))
+        _check_candidate_maps(feature_source, len(rot_grid), len(trans_grid))
 
     ground_truths = [meshio.load_ply_geometry(paths["gt"][t]) for t in indices] if cfg.gt_dir else None
 
@@ -175,12 +166,12 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
         raise ConfigError(f"{name} holds infinite or negative feature errors (NaN marks no overlap)")
 
 
-def _check_candidate_maps(source: DirectoryFeatureSource, frames: int, s_rot: int,
-                          s_trans: int) -> None:
-    """Every candidate map exists, and its header gives the source camera's
-    image size and the channel count of the input feature maps (its basis)."""
+def _check_candidate_maps(source: DirectoryFeatureSource, s_rot: int, s_trans: int) -> None:
+    """Every candidate map of every frame of the source exists, and its header
+    gives the source camera's image size and the channel count of the input
+    feature maps (its basis)."""
     for phase, count in (("rotation", s_rot), ("translation", s_trans)):
-        for t in range(frames):
+        for t in range(len(source.inputs)):
             for j in range(count):
                 p = source.path_for(phase, t, j)
                 if not p.is_file():
@@ -201,7 +192,7 @@ def _evaluate(cfg: RunConfig, inputs: RunInputs, track) -> bytes:
     )
     obj = {"frames": [dict(r.to_dict(), t=int(t)) for r, t in zip(per_frame, inputs.frame_indices)],
            "median": median.to_dict()}
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return meshio.json_text(obj).encode()
 
 
 def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dict:
@@ -245,12 +236,12 @@ def run_eval(cfg: RunConfig, out_dir) -> dict:
     # evaluation reads no features: no feature map, mask or PCA basis is loaded
     inputs = load_run_inputs(replace(cfg, feature_source="none"))
     track_path = cfg.resolve(cfg.track)
-    try:
-        track = track_from_json(track_path.read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read track file {track_path}: {e}") from e
+    track = track_from_json(meshio.read_input(track_path, "track file", text=True))
     if len(track) != len(inputs.ground_truths):
         raise ConfigError("track length does not match ground-truth frame count")
+    for k, (t, want) in enumerate(zip(track.timestamps, inputs.frame_indices)):
+        if t != want:
+            raise ConfigError(f"{track_path}: entry {k} has t = {t}, not frame index {want}")
     metrics = _evaluate(cfg, inputs, track)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +284,7 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
         meshio.save_fmap(grid, hits, out / meshio.frame_file("prep", t, "fmap"))
         meshio.save_pgm_mask(hits, out / meshio.frame_file("prep_mask", t, "pgm"))
         meshio.write_atomic(out / meshio.frame_file("prep_params", t, "json"),
-                            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+                            meshio.json_text(payload).encode())
         written[t] = str(out / meshio.frame_file("prep", t, "fmap"))
     return written
 

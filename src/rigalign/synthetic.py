@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import meshio
 from .align import PoseTrack, track_to_json
+from .config import RunConfig, serialize_config
 from .emission import FeatureMap
 from .errors import InvalidInput
 from .geometry import (
@@ -30,7 +32,7 @@ from .geometry import (
     surface_centroid,
 )
 from .grids import RotationGrid, TranslationGrid, build_rotation_grid, build_translation_grid
-from .seeding import derive_seed
+from .seeding import SEED_LIMIT, derive_seed
 
 # seed stream tags
 _TRAJ, _CLOUD, _NOISE, _HAND, _FIELD, _SCALE = range(6)
@@ -125,8 +127,8 @@ class SceneSpec:
             raise InvalidInput("cloud_points must be >= 1")
         if self.hand_points < 0:
             raise InvalidInput("hand_points must be >= 0")
-        if self.seed < 0:
-            raise InvalidInput("seed must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise InvalidInput("seed must be >= 0" if self.seed < 0 else "seed must be < 2**32")
         if not 0 <= self.noise_std < math.inf:
             raise InvalidInput("noise_std must be finite and >= 0")
         if self.feature_channels < 3:
@@ -246,9 +248,6 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
 
 def write_scene(scene: SyntheticScene, out_dir) -> Path:
     """Write the scene as pipeline inputs plus a ready-to-run config file."""
-    from . import meshio
-    from .config import RunConfig, serialize_config
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meshio.save_obj(scene.mesh, out / "model.obj")

@@ -14,7 +14,6 @@ from rigalign.align import align_sequence
 from rigalign.cli import run as cli_run
 from rigalign.emission import (
     FeatureMap,
-    FrameObservation,
     SyntheticFeatureSource,
     dino_similarity,
     estimate_scale,
@@ -146,10 +145,8 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     # noisy variant with one adversarially corrupted frame
     spec = SceneSpec(frames=10, noise_std=0.005, rotation_level=2, seed=11)
     noisy = generate_synthetic_scene(spec)
-    frames = [FrameObservation(points=c.filter_label(LABEL_OBJECT), features=f)
-              for c, f in zip(noisy.clouds, noisy.feature_maps)]
-    source = SyntheticFeatureSource(noisy.camera, pca_basis([f.features for f in frames]),
-                                    noisy.field())
+    frames = [c.filter_label(LABEL_OBJECT) for c in noisy.clouds]
+    source = SyntheticFeatureSource(noisy.camera, noisy.feature_maps, noisy.field())
     result = align_sequence(noisy.mesh, frames, noisy.rot_grid, noisy.trans_grid,
                             feature_source=source, lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans, seed=11)
     angles = noisy.rot_grid.pairwise_angles()

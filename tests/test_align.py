@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_json
-from rigalign.emission import FrameObservation, SyntheticFeatureSource, pca_basis
-from rigalign.errors import ParseError
+from rigalign.emission import SyntheticFeatureSource
+from rigalign.errors import InvalidInput, ParseError
+from rigalign.geometry import PointCloud
 from rigalign.geometry import LABEL_OBJECT
 from rigalign.grids import build_rotation_grid, build_translation_grid
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
@@ -20,17 +21,13 @@ def small_scene(frames=4, noise=0.0, seed=3, level=1):
     )
 
 
-def observations(scene):
-    return [
-        FrameObservation(points=c.filter_label(LABEL_OBJECT), features=f)
-        for c, f in zip(scene.clouds, scene.feature_maps)
-    ]
+def object_clouds(scene):
+    return [c.filter_label(LABEL_OBJECT) for c in scene.clouds]
 
 
 def run_alignment(scene, frames=None, **kwargs):
-    frames = observations(scene) if frames is None else frames
-    source = SyntheticFeatureSource(scene.camera, pca_basis([f.features for f in frames]),
-                                    scene.field())
+    frames = object_clouds(scene) if frames is None else frames
+    source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
     defaults = dict(
         feature_source=source,
         lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans,
@@ -66,13 +63,19 @@ class TestAlignSequence:
         rot1 = build_rotation_grid(0)
         rot1.quaternions = rot1.quaternions[:1]
         trans1 = build_translation_grid(np.zeros(3), 0.0, (1, 1, 1))
-        frames = observations(scene)
-        source = SyntheticFeatureSource(scene.camera, pca_basis([f.features for f in frames]),
-                                        scene.field())
+        frames = object_clouds(scene)
+        source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
         res = align_sequence(scene.mesh, frames, rot1, trans1, feature_source=source,
                              sample_count=256, seed=1)
         assert np.array_equal(res.rotation_path.states, [0, 0])
         assert np.array_equal(res.translation_path.states, [0, 0])
+
+    def test_empty_frame_cloud_rejected(self):
+        scene = small_scene(frames=2, seed=7, level=0)
+        frames = object_clouds(scene)
+        frames[1] = PointCloud(np.zeros((0, 3)))
+        with pytest.raises(InvalidInput, match="frame 1 needs a non-empty object cloud"):
+            run_alignment(scene, frames)
 
     def test_scale_estimated_once_via_median(self):
         scene = small_scene(frames=5, seed=8)

@@ -114,6 +114,20 @@ def test_negative_seed_override_rejected(scene, tmp_path):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("argv_seed, config_seed, message", [
+    (None, str(2**32), "seed must be < 2**32; got 4294967296"),
+    (str(2**32), "0", "--seed must be < 2**32; got 4294967296"),
+    (str(2**40 + 3), "0", "--seed must be < 2**32"),
+])
+def test_seed_outside_32_bits_rejected(scene, tmp_path, argv_seed, config_seed, message):
+    set_config(scene, seed=config_seed)
+    out = tmp_path / "out"
+    argv = ["track", "--config", str(scene / "config.cfg"), "--out", str(out)]
+    code, err = run_quietly(argv + (["--seed", argv_seed] if argv_seed else []))
+    assert_rejected(code, err, out)
+    assert message in err
+
+
 @pytest.mark.parametrize("cut", [4, 6, 11])
 def test_table_cut_in_its_header_rejected(scene, tmp_path, cut):
     meshio.save_emission_table(np.zeros((2, 8)), scene / "rot.emit")
@@ -139,6 +153,33 @@ def test_non_finite_track_rejected_by_eval(scene, tmp_path, scale, z):
     code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
     assert_rejected(code, err, out)
     assert "invalid pose track JSON" in err
+
+
+@pytest.mark.parametrize("ts, first", [((7, 3), "entry 0 has t = 7"),
+                                       ((0, 3), "entry 1 has t = 3"),
+                                       ((1, 0), "entry 0 has t = 1")])
+def test_track_with_other_frame_indices_rejected_by_eval(scene, tmp_path, ts, first):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    for frame, t in zip(track_obj["frames"], ts):
+        frame["t"] = t
+    (scene / "bad_track.json").write_text(json.dumps(track_obj))
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"bad_track.json: {first}" in err
+
+
+@pytest.mark.parametrize("name", ["model.obj", "config.cfg", "gt_track.json", "camera.json"])
+def test_non_utf8_text_file_rejected(scene, tmp_path, name):
+    set_config(scene, track="gt_track.json")
+    path = scene / name
+    data = path.read_bytes()
+    path.write_bytes(data[:20] + b"\xff" + data[20:])
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"{name}: invalid " in err and "can't decode byte 0xff in position 20" in err
 
 
 @pytest.mark.parametrize("field, value", [("fx", "NaN"), ("cy", "NaN"), ("cx", "Infinity")])
@@ -189,6 +230,7 @@ def test_model_ply_without_xyz_rejected(scene, tmp_path):
     ["synth", "--noise-std", "nan"],
     ["synth", "--seed", "-1"],
     ["grid", "--level", "-1"],
+    ["synth", "--seed", str(2**32)],
 ])
 def test_bad_generator_argument_rejected(tmp_path, argv):
     out = tmp_path / "out"

@@ -6,7 +6,6 @@ import pytest
 from rigalign.emission import (
     EmissionEvaluator,
     FeatureMap,
-    FrameObservation,
     SyntheticFeatureSource,
     TableFeatureSource,
     dino_similarity,
@@ -239,6 +238,10 @@ class TestDinoSimilarity:
             dino_similarity(fa, fb, self.basis)
 
 
+def centroid(cloud: PointCloud) -> np.ndarray:
+    return cloud.points.mean(axis=0)
+
+
 class TestEmissionCost:
     def setup_method(self):
         self.mesh = irregular_tetrahedron()
@@ -247,46 +250,47 @@ class TestEmissionCost:
         self.grid = build_rotation_grid(1)
 
     def observation(self, pose):
+        """The object cloud and the input feature map of a frame seen at `pose`."""
         cloud = sample_mesh_surface(self.mesh, 600, seed=33)
         f0 = render_feature_map(self.mesh, pose, self.camera, self.field)
-        return FrameObservation(points=PointCloud(pose.apply(cloud.points)), features=f0)
+        return PointCloud(pose.apply(cloud.points)), f0
 
-    def source(self, obs):
-        """The synthetic feature source, its basis fitted on the frame's input map."""
-        return SyntheticFeatureSource(self.camera, pca_basis([obs.features]), self.field)
+    def source(self, f0):
+        """The synthetic feature source whose one input map is the frame's."""
+        return SyntheticFeatureSource(self.camera, [f0], self.field)
 
     def test_ground_truth_state_is_argmin(self):
         gt_index = 17
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[gt_index], mu, 1.0)
-        obs = self.observation(gt_pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(obs),
+        points, f0 = self.observation(gt_pose)
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(f0),
                                sample_count=512, seed=5)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
-        cd, dino = ev.frame_terms("rotation", 0, obs, states)
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
+        cd, dino = ev.frame_terms("rotation", 0, points, states)
         costs = ev.combine_terms(cd, dino)
         assert int(np.argmin(costs)) == gt_index
 
     def test_zero_feature_weight_equals_chamfer_term(self):
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[3], mu, 1.0)
-        obs = self.observation(pose)
+        points, f0 = self.observation(pose)
         ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=6)
-        state = SimilarityTransform(self.grid.quaternions[5], obs.mean, 1.0)
-        x_res = resample_point_cloud(obs.points, 256, 6).points
-        cd, dino = ev.frame_terms("rotation", 0, obs, [state])
+        state = SimilarityTransform(self.grid.quaternions[5], centroid(points), 1.0)
+        x_res = resample_point_cloud(points, 256, 6).points
+        cd, dino = ev.frame_terms("rotation", 0, points, [state])
         assert dino is None
-        assert cd[0] == ev.chamfer_term(x_res, [state])[0]
+        assert cd[0] == ev.chamfer_term(x_res, [ev.full_pose(state)])[0]
 
     def test_zero_feature_weight_drops_a_given_source(self):
         pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
-        obs = self.observation(pose)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
-        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, feature_source=self.source(obs),
+        points, f0 = self.observation(pose)
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
+        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, feature_source=self.source(f0),
                                sample_count=256, seed=13)
         chamfer_only = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=13)
-        cd, dino = ev.frame_terms("rotation", 0, obs, states)
-        want, _ = chamfer_only.frame_terms("rotation", 0, obs, states)
+        cd, dino = ev.frame_terms("rotation", 0, points, states)
+        want, _ = chamfer_only.frame_terms("rotation", 0, points, states)
         assert dino is None
         assert np.array_equal(cd, want)
         assert np.array_equal(ev.combine_terms(cd, dino), chamfer_only.combine_terms(want, None))
@@ -294,39 +298,39 @@ class TestEmissionCost:
     def test_cost_is_pure_function(self):
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[2], mu, 1.0)
-        obs = self.observation(pose)
+        points, f0 = self.observation(pose)
         ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=7)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions[:6]]
-        forward, _ = ev.frame_terms("rotation", 0, obs, states)
-        backward, _ = ev.frame_terms("rotation", 0, obs, states[::-1])
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions[:6]]
+        forward, _ = ev.frame_terms("rotation", 0, points, states)
+        backward, _ = ev.frame_terms("rotation", 0, points, states[::-1])
         assert list(forward) == list(backward[::-1])
         # each state scored on its own gives the same value as in the row
-        assert [ev.frame_terms("rotation", 0, obs, [s])[0][0] for s in states] == list(forward)
+        assert [ev.frame_terms("rotation", 0, points, [s])[0][0] for s in states] == list(forward)
 
     def test_doubled_weights_keep_argmin(self):
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[9], mu, 1.0)
-        obs = self.observation(gt_pose)
-        source = self.source(obs)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
+        points, f0 = self.observation(gt_pose)
+        source = self.source(f0)
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
         argmins = []
         for w in (1.0, 2.0):
             ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, w_cd=w, w_dino=w,
                                    sample_count=512, seed=8)
-            cd, dino = ev.frame_terms("rotation", 0, obs, states)
+            cd, dino = ev.frame_terms("rotation", 0, points, states)
             argmins.append(int(np.argmin(ev.combine_terms(cd, dino))))
         assert argmins[0] == argmins[1]
 
     def test_empty_overlap_gets_penalty_not_win(self):
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[0], mu, 1.0)
-        obs = self.observation(gt_pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(obs),
+        points, f0 = self.observation(gt_pose)
+        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(f0),
                                sample_count=256, seed=9)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions[:8]]
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions[:8]]
         # push one state far off-screen so its silhouette is empty
         states.append(SimilarityTransform(self.grid.quaternions[8], mu + np.array([10.0, 0, 0]), 1.0))
-        cd, dino = ev.frame_terms("rotation", 0, obs, states)
+        cd, dino = ev.frame_terms("rotation", 0, points, states)
         assert math.isnan(dino[-1])
         costs = ev.combine_terms(cd, dino)
         assert np.isfinite(costs).all()
@@ -336,40 +340,40 @@ class TestEmissionCost:
     def test_precomputed_table_source(self):
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[1], mu, 1.0)
-        obs = self.observation(pose)
+        points, f0 = self.observation(pose)
         table = np.linspace(0.0, 1.0, len(self.grid))[None, :]
         source = TableFeatureSource(table, None)
         ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=10)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
-        cd, dino = ev.frame_terms("rotation", 0, obs, states)
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
+        cd, dino = ev.frame_terms("rotation", 0, points, states)
         assert np.allclose(dino, table[0])
 
     def test_fresh_evaluators_agree(self):
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[4], mu, 1.0)
-        obs = self.observation(pose)
-        state = SimilarityTransform(self.grid.quaternions[6], obs.mean, 1.0)
+        points, f0 = self.observation(pose)
+        state = SimilarityTransform(self.grid.quaternions[6], centroid(points), 1.0)
         first = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
         second = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
-        got, _ = first.frame_terms("rotation", 0, obs, [state])
-        want, _ = second.frame_terms("rotation", 0, obs, [state])
+        got, _ = first.frame_terms("rotation", 0, points, [state])
+        want, _ = second.frame_terms("rotation", 0, points, [state])
         assert got[0] == want[0]
 
     def test_feature_term_matches_render_masked_by_silhouette(self):
         # one cast per state gives the values of a render masked by a second cast
         gt_pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
-        obs = self.observation(gt_pose)
-        source = self.source(obs)
+        points, f0 = self.observation(gt_pose)
+        source = self.source(f0)
         basis = source.basis
         ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=12)
-        states = [SimilarityTransform(q, obs.mean, 1.0) for q in self.grid.quaternions]
-        _, dino = ev.frame_terms("rotation", 0, obs, states)
+        states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
+        _, dino = ev.frame_terms("rotation", 0, points, states)
         for j, state in enumerate(states):
             pose = ev.full_pose(state)
             rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
             masked = FeatureMap(rendered.features,
                                 rendered.mask & rasterize_silhouette(self.mesh, pose, self.camera))
-            assert dino[j] == dino_similarity(masked, obs.features, basis)
+            assert dino[j] == dino_similarity(masked, f0, basis)
 
     def test_directory_source_masks_to_the_cast(self, tmp_path):
         from rigalign import meshio
@@ -378,12 +382,42 @@ class TestEmissionCost:
         pose = SimilarityTransform(self.grid.quaternions[4], np.array([0.0, 0.0, 0.4]), 1.0)
         rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
         everywhere = np.ones(rendered.mask.shape, dtype=bool)
-        source = DirectoryFeatureSource(self.camera, pca_basis([rendered]), tmp_path)
+        source = DirectoryFeatureSource(self.camera, [rendered], tmp_path)
         meshio.save_fmap(rendered.features, everywhere, source.path_for("rotation", 0, 3))
         hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
         loaded = source.candidate_features("rotation", 0, 3, pose, hit_map)
         assert np.array_equal(loaded.mask, hit_map.hits)
         assert np.array_equal(loaded.mask, rendered.mask)
+
+
+class TestFeatureSourceFrames:
+    """Both kinds of source answer for a frame by its sequence position, from
+    data they hold: table rows, or input maps with the basis fitted on them."""
+
+    def setup_method(self):
+        self.mesh = irregular_tetrahedron()
+        self.camera = Camera(fx=150.0, fy=150.0, cx=32.0, cy=32.0, width=64, height=64)
+        self.field = FeatureField.from_seed(21, channels=8)
+        self.poses = [SimilarityTransform(q, np.array([0.0, 0.0, 0.4]), 1.0)
+                      for q in build_rotation_grid(0).quaternions]
+        self.inputs = [render_feature_map(self.mesh, pose, self.camera, self.field)
+                       for pose in self.poses[:2]]
+
+    def test_cast_source_fits_its_basis_on_its_inputs(self):
+        source = SyntheticFeatureSource(self.camera, self.inputs, self.field)
+        want = pca_basis(self.inputs)
+        assert source.basis.mean.tobytes() == want.mean.tobytes()
+        assert source.basis.components.tobytes() == want.components.tobytes()
+
+    @pytest.mark.parametrize("frame_index", [2, 5, -1])
+    def test_frame_out_of_range_rejected(self, frame_index):
+        cast = SyntheticFeatureSource(self.camera, self.inputs, self.field)
+        table = TableFeatureSource(np.zeros((2, len(self.poses))), np.zeros((2, 1)))
+        with pytest.raises(InvalidInput, match=f"frame {frame_index} has no input feature map"):
+            cast.frame_errors("rotation", frame_index, self.mesh, self.poses)
+        with pytest.raises(InvalidInput,
+                           match=f"frame {frame_index} has no row in the translation feature table"):
+            table.frame_errors("translation", frame_index, self.mesh, self.poses[:1])
 
 
 class TestBatchedChamfer:
@@ -394,7 +428,7 @@ class TestBatchedChamfer:
         self.grid = build_rotation_grid(1)
 
     def check_row(self, ev, obs, states):
-        x_res = resample_point_cloud(obs.points, ev.sample_count, ev.seed).points
+        x_res = resample_point_cloud(obs, ev.sample_count, ev.seed).points
         row, dino = ev.frame_terms("rotation", 0, obs, states)
         assert dino is None
         oracle = np.array([chamfer_distance(x_res, ev.full_pose(s).apply(ev.sample))
@@ -403,16 +437,16 @@ class TestBatchedChamfer:
         np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0.0)
         assert np.array_equal(np.argsort(row, kind="stable"), np.argsort(oracle, kind="stable"))
 
-    def observation(self, points: int, seed: int = 40) -> FrameObservation:
+    def observation(self, points: int, seed: int = 40) -> PointCloud:
         cloud = sample_mesh_surface(self.mesh, points, seed=seed).points
         pose = SimilarityTransform(self.grid.quaternions[7], np.array([0.01, -0.02, 0.4]), 1.3)
-        return FrameObservation(points=PointCloud(pose.apply(cloud)))
+        return PointCloud(pose.apply(cloud))
 
     def states(self, obs, count, scale=1.0):
         quats = random_unit_quaternions(count, seed=count)
         rng = np.random.default_rng(count)
         offsets = rng.normal(scale=0.01, size=(count, 3))
-        return [SimilarityTransform(q, obs.mean + o, scale) for q, o in zip(quats, offsets)]
+        return [SimilarityTransform(q, centroid(obs) + o, scale) for q, o in zip(quats, offsets)]
 
     def test_state_count_not_a_multiple_of_the_block(self):
         from rigalign.emission import _CHAMFER_BLOCK_POINTS

@@ -3,8 +3,10 @@ import pytest
 
 from rigalign import meshio
 from rigalign.config import RunConfig, load_config, parse_config, serialize_config
-from rigalign.errors import ConfigError, ParseError
+from rigalign.errors import ConfigError, InvalidInput, ParseError
 from rigalign.geometry import Camera, PointCloud, TriangleMesh
+from rigalign.seeding import derive_seed
+from rigalign.synthetic import SceneSpec
 
 
 @pytest.fixture
@@ -273,6 +275,27 @@ class TestCameraJson:
             meshio.load_camera(path)
 
 
+class TestSeeds:
+    def test_parts_below_32_bits_derive_as_before(self):
+        for parts in [(0,), (11, 0), (5, 102, 3), (2**32 - 1, 7)]:
+            want = int(np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
+                       .generate_state(1, np.uint64)[0])
+            assert derive_seed(*parts) == want
+
+    @pytest.mark.parametrize("parts", [(2**32,), (0, 2**32 + 1), (-1,), (3, -2**40)])
+    def test_part_outside_32_bits_rejected(self, parts):
+        # SeedSequence([2**32]) equals SeedSequence([0, 1]): wide parts would alias
+        with pytest.raises(InvalidInput, match="seed part"):
+            derive_seed(*parts)
+
+    def test_scene_seed_bound(self):
+        assert SceneSpec(seed=2**32 - 1).seed == 2**32 - 1
+        with pytest.raises(InvalidInput, match=r"seed must be < 2\*\*32"):
+            SceneSpec(seed=2**32)
+        with pytest.raises(InvalidInput, match="seed must be >= 0"):
+            SceneSpec(seed=-1)
+
+
 class TestRunConfig:
     def test_parse_serialize_round_trip(self):
         text = (
@@ -306,6 +329,13 @@ class TestRunConfig:
             parse_config("rotation_level = -1\n")
         with pytest.raises(ConfigError, match="penalty_factor must be >= 0"):
             parse_config("penalty_factor = -1\n")
+
+    def test_seed_bound(self):
+        assert parse_config(f"seed = {2**32 - 1}\n").seed == 2**32 - 1
+        with pytest.raises(ConfigError, match=r"seed must be < 2\*\*32; got 4294967296"):
+            parse_config(f"seed = {2**32}\n")
+        # a feature-field seed is no derive_seed part: synth writes 64-bit values there
+        assert parse_config(f"synthetic_feature_seed = {2**64 - 1}\n").synthetic_feature_seed == 2**64 - 1
 
     def test_relative_path_resolution(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

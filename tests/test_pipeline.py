@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rigalign import meshio, pipeline
+from rigalign import emission, meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
 from rigalign.emission import TableFeatureSource
@@ -94,12 +94,14 @@ class TestSyntheticScene:
         inputs = load_run_inputs(cfg)
         assert len(inputs.frames) == 4
         assert inputs.ground_truths is not None
-        # the synthetic source carries the scene's camera and a basis over its 8 channels
+        # the synthetic source carries the scene's camera, its 4 input maps
+        # and a basis over their 8 channels
         assert inputs.feature_source.camera == meshio.load_camera(scene_dir / "camera.json")
+        assert len(inputs.feature_source.inputs) == 4
         assert inputs.feature_source.basis.components.shape == (3, 8)
         # hand decoys must have been filtered out
         for frame in inputs.frames:
-            assert frame.points.labels is None or (frame.points.labels == 2).all()
+            assert frame.labels is None or (frame.labels == 2).all()
 
 
 class TestRunTrack:
@@ -200,8 +202,8 @@ class TestRunTrack:
             p.unlink()
         cfg.camera = ""
         fitted = []
-        real_pca_basis = pipeline.pca_basis
-        monkeypatch.setattr(pipeline, "pca_basis",
+        real_pca_basis = emission.pca_basis
+        monkeypatch.setattr(emission, "pca_basis",
                             lambda maps: fitted.append(maps) or real_pca_basis(maps))
         assert isinstance(load_run_inputs(cfg).feature_source, TableFeatureSource)
         run_track(cfg, tmp_path / "without")
