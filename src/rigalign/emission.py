@@ -22,6 +22,7 @@ from .geometry import (
     SimilarityTransform,
     TriangleMesh,
     apply_pose,
+    cast_hit_maps,
     first_hit_map,
     resample_point_cloud,
     sample_mesh_surface,
@@ -170,7 +171,8 @@ class CastFeatureSource:
     """Per-state feature maps, each built from a ray cast of the posed mesh
     under `camera` and masked to it, compared against the frame's input map
     (`inputs` holds one per sequence position) in the PCA `basis` fitted on
-    all the input maps."""
+    all the input maps. One cast_hit_maps pass per frame yields every
+    state's hit map in turn."""
 
     camera: Camera
     inputs: list
@@ -190,8 +192,9 @@ class CastFeatureSource:
         if not 0 <= frame_index < len(self.inputs):
             raise InvalidInput(f"frame {frame_index} has no input feature map")
         errors = np.empty(len(poses))
-        for j, pose in enumerate(poses):
-            hit_map = first_hit_map(apply_pose(mesh, pose), self.camera)
+        hit_maps = cast_hit_maps((pose.apply(mesh.vertices) for pose in poses), mesh.faces,
+                                 self.camera)
+        for j, (pose, hit_map) in enumerate(zip(poses, hit_maps)):
             fj = self.candidate_features(phase, frame_index, j, pose, hit_map)
             try:
                 errors[j] = dino_similarity(fj, self.inputs[frame_index], self.basis)

@@ -29,3 +29,17 @@ def random_blob_mesh(rng: np.random.Generator, n_faces: int, center=(0.0, 0.0, 1
 def const(tr):
     """Transition provider that returns the same (S, S) matrix at every step."""
     return lambda t: tr
+
+
+def subdivided(mesh: TriangleMesh, times: int) -> TriangleMesh:
+    """`mesh` with every triangle split into four at its edge midpoints,
+    `times` times over, as a triangle soup (4^times as many faces, each with
+    its own three vertices)."""
+    tris = mesh.triangles()
+    for _ in range(times):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+        tris = np.stack([np.stack(t, axis=1) for t in
+                         ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))], axis=1)
+        tris = tris.reshape(-1, 3, 3)
+    return TriangleMesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))

@@ -6,8 +6,15 @@ import math
 
 import numpy as np
 
-from rigalign.errors import DegenerateGeometry, RigalignError
-from rigalign.geometry import SimilarityTransform, matrix_to_quat, quat_to_matrix
+from rigalign.emission import dino_similarity
+from rigalign.errors import DegenerateGeometry, EmptyMesh, EmptyOverlap, RigalignError
+from rigalign.geometry import (
+    HandPointMap,
+    SimilarityTransform,
+    apply_pose,
+    matrix_to_quat,
+    quat_to_matrix,
+)
 from rigalign.metrics import IcpResult, NearestNeighborIndex, _initial_candidates, fit_similarity
 from rigalign.viterbi import StatePath
 
@@ -93,6 +100,103 @@ def solve_silhouette(mesh, pose, camera) -> np.ndarray:
         covered = (bary >= 0.0).all(axis=0).reshape(i1 - i0 + 1, j1 - j0 + 1)
         mask[i0 : i1 + 1, j0 : j1 + 1] |= covered
     return mask
+
+
+def visible_window(tris: np.ndarray, camera) -> tuple[int, int, int, int]:
+    """Pixel rows [i0, i1) and columns [j0, j1) whose center rays can hit the triangles.
+
+    With every vertex in front of the camera, a hit pixel center lies inside
+    the projected vertex bounding box; one pixel of padding absorbs rounding
+    in the projection. A vertex at or behind the camera plane makes the
+    projection unbounded, so the window is the whole image.
+    """
+    h, w = camera.height, camera.width
+    p = tris.reshape(-1, 3)
+    z = p[:, 2]
+    if (z <= 0.0).any():
+        return 0, h, 0, w
+    with np.errstate(over="ignore"):
+        u = camera.fx * p[:, 0] / z + camera.cx
+        v = camera.fy * p[:, 1] / z + camera.cy
+    # center j + 0.5 lies in [u.min(), u.max()] for j in
+    # [ceil(u.min() - 0.5), floor(u.max() - 0.5)]; widen that by one each side
+    j0 = int(np.clip(np.ceil(u.min() - 0.5) - 1, 0, w))
+    j1 = int(np.clip(np.floor(u.max() - 0.5) + 2, 0, w))
+    i0 = int(np.clip(np.ceil(v.min() - 0.5) - 1, 0, h))
+    i1 = int(np.clip(np.floor(v.max() - 0.5) + 2, 0, h))
+    return i0, i1, j0, j1
+
+
+def window_first_hit_map(mesh, camera, chunk: int = 128) -> HandPointMap:
+    """The first-hit map cast over the whole mesh's projected window, every
+    pixel there against every face, chunked over faces; ties in t go to the
+    lowest face index. Same arithmetic as the package's face-binned caster,
+    so the two agree bitwise."""
+    if len(mesh.faces) == 0:
+        raise EmptyMesh("mesh has no faces")
+    h, w = camera.height, camera.width
+    hits = np.zeros((h, w), dtype=bool)
+    points = np.zeros((h, w, 3))
+    tris = mesh.triangles()
+    i0, i1, j0, j1 = visible_window(tris, camera)
+    if i0 >= i1 or j0 >= j1:
+        return HandPointMap(points, hits)
+    dirs = camera.pixel_rays[i0:i1, j0:j1].reshape(-1, 3)
+    npix = dirs.shape[0]
+    best_t = np.full(npix, np.inf)
+    best_point = np.zeros((npix, 3))
+    dx, dy, dz = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
+    for start in range(0, len(tris), chunk):
+        v0 = tris[start : start + chunk, 0]
+        e1 = tris[start : start + chunk, 1] - v0
+        e2 = tris[start : start + chunk, 2] - v0
+        # Moller-Trumbore broadcast over (npix, F)
+        px = dy * e2[:, 2] - dz * e2[:, 1]
+        py = dz * e2[:, 0] - dx * e2[:, 2]
+        pz = dx * e2[:, 1] - dy * e2[:, 0]
+        det = e1[:, 0] * px + e1[:, 1] * py + e1[:, 2] * pz
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / det
+            tv = -v0
+            u = (tv[:, 0] * px + tv[:, 1] * py + tv[:, 2] * pz) * inv
+            qx = tv[:, 1] * e1[:, 2] - tv[:, 2] * e1[:, 1]
+            qy = tv[:, 2] * e1[:, 0] - tv[:, 0] * e1[:, 2]
+            qz = tv[:, 0] * e1[:, 1] - tv[:, 1] * e1[:, 0]
+            v = (dx * qx + dy * qy + dz * qz) * inv
+            t = (e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz) * inv
+            ok = (det != 0.0) & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 0.0)
+        t = np.where(ok, t, np.inf)
+        col = np.argmin(t, axis=1)
+        rows = np.arange(npix)
+        tmin = t[rows, col]
+        better = tmin < best_t
+        if not better.any():
+            continue
+        uw = u[rows, col][better]
+        vw = v[rows, col][better]
+        tri = tris[start + col[better]]
+        a1 = 1.0 - uw - vw
+        best_point[better] = (
+            a1[:, None] * tri[:, 0] + uw[:, None] * tri[:, 1] + vw[:, None] * tri[:, 2]
+        )
+        best_t[better] = tmin[better]
+    hits[i0:i1, j0:j1] = np.isfinite(best_t).reshape(i1 - i0, j1 - j0)
+    points[i0:i1, j0:j1] = best_point.reshape(i1 - i0, j1 - j0, 3)
+    return HandPointMap(points, hits)
+
+
+def per_state_feature_errors(source, phase: str, frame_index: int, mesh, poses) -> np.ndarray:
+    """A cast feature source's row as one window cast and one comparison per
+    state, NaN where the overlap is empty."""
+    errors = np.empty(len(poses))
+    for j, pose in enumerate(poses):
+        hit_map = window_first_hit_map(apply_pose(mesh, pose), source.camera)
+        fj = source.candidate_features(phase, frame_index, j, pose, hit_map)
+        try:
+            errors[j] = dino_similarity(fj, source.inputs[frame_index], source.basis)
+        except EmptyOverlap:
+            errors[j] = np.nan
+    return errors
 
 
 def _step_stack(transition, num_frames: int) -> list:

@@ -182,7 +182,8 @@ def test_non_utf8_text_file_rejected(scene, tmp_path, name):
     assert f"{name}: invalid " in err and "can't decode byte 0xff in position 20" in err
 
 
-@pytest.mark.parametrize("field, value", [("fx", "NaN"), ("cy", "NaN"), ("cx", "Infinity")])
+@pytest.mark.parametrize("field, value", [("fx", "NaN"), ("cy", "NaN"), ("cx", "Infinity"),
+                                          ("width", "200000")])
 def test_bad_camera_rejected(scene, tmp_path, field, value):
     cam = json.loads((scene / "camera.json").read_text())
     cam[field] = "@"
@@ -252,6 +253,19 @@ def test_prep_writes_nothing_when_a_later_frame_fails(tmp_path):
     assert_rejected(code, err, out)
     assert "frame 1" in err
     assert not list(tmp_path.rglob("prep_*"))
+
+
+def test_prep_camera_too_large_to_hold_rejected(tmp_path):
+    (tmp_path / "camera.json").write_text(json.dumps(
+        {"fx": 4e5, "fy": 4e5, "cx": 1e5, "cy": 1e5, "width": 200000, "height": 200000}))
+    quad = TriangleMesh(np.array([[-0.2, -0.2, 1.0], [0.2, -0.2, 1.0], [0.2, 0.2, 1.0],
+                                  [-0.2, 0.2, 1.0]]), np.array([[0, 1, 2], [0, 2, 3]]))
+    meshio.save_obj(quad, tmp_path / "hand_000000.obj")
+    (tmp_path / "run.cfg").write_text("hand_dir = .\ncamera = camera.json\n")
+    out = tmp_path / "prep"
+    code, err = run_quietly(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "camera.json: invalid camera file: image of 200000 x 200000 pixels" in err
 
 
 def test_two_hand_files_for_one_frame_rejected(tmp_path):

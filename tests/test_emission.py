@@ -28,8 +28,8 @@ from rigalign.metrics import chamfer_distance
 from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import FeatureField, irregular_tetrahedron, render_feature_map
 
-from conftest import random_blob_mesh
-from oracles import random_unit_quaternions, solve_silhouette
+from conftest import random_blob_mesh, subdivided
+from oracles import per_state_feature_errors, random_unit_quaternions, solve_silhouette
 
 
 class TestEstimateScale:
@@ -418,6 +418,48 @@ class TestFeatureSourceFrames:
         with pytest.raises(InvalidInput,
                            match=f"frame {frame_index} has no row in the translation feature table"):
             table.frame_errors("translation", frame_index, self.mesh, self.poses[:1])
+
+
+class TestFrameErrorsOneCast:
+    """frame_errors casts all of a frame's states in one pass; its row equals,
+    bitwise and NaN for NaN, one window cast and comparison per state."""
+
+    def setup_method(self):
+        self.mesh = subdivided(irregular_tetrahedron(), 2)
+        self.camera = Camera(fx=150.0, fy=150.0, cx=32.0, cy=32.0, width=64, height=64)
+        self.field = FeatureField.from_seed(23, channels=8)
+        grid = build_rotation_grid(1)
+        mu = np.array([0.0, 0.0, 0.4])
+        self.inputs = [render_feature_map(self.mesh, SimilarityTransform(q, mu, 1.0), self.camera,
+                                          self.field) for q in grid.quaternions[[3, 17]]]
+        # 40 states; every fifth one is pushed off the image, so its overlap is empty
+        self.poses = [SimilarityTransform(q, mu + [0.5 * (j % 5 == 4), 0.0002 * j, 0.0], 1.1)
+                      for j, q in enumerate(grid.quaternions)]
+        assert len(self.poses) == 40
+
+    def check(self, source):
+        for t in range(2):
+            got = source.frame_errors("rotation", t, self.mesh, self.poses)
+            want = per_state_feature_errors(source, "rotation", t, self.mesh, self.poses)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.isnan(got), np.arange(40) % 5 == 4)
+
+    def test_synthetic_source(self):
+        self.check(SyntheticFeatureSource(self.camera, self.inputs, self.field))
+
+    def test_directory_source(self, tmp_path):
+        from rigalign import meshio
+        from rigalign.emission import DirectoryFeatureSource
+
+        source = DirectoryFeatureSource(self.camera, self.inputs, tmp_path)
+        other = FeatureField.from_seed(24, channels=8)
+        everywhere = np.ones((64, 64), dtype=bool)
+        for t in range(2):
+            for j, pose in enumerate(self.poses):
+                rendered = render_feature_map(self.mesh, pose, self.camera, other)
+                meshio.save_fmap(rendered.features, everywhere,
+                                 source.path_for("rotation", t, j))
+        self.check(source)
 
 
 class TestBatchedChamfer:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigalign.errors import DegenerateCloud, DegenerateGeometry, EmptyCloud, EmptyMesh
+from rigalign.errors import DegenerateCloud, DegenerateGeometry, EmptyCloud, EmptyMesh, InvalidInput
 from rigalign.geometry import (
+    MAX_PIXELS,
     Camera,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
     apply_pose,
+    cast_hit_maps,
     first_hit_map,
     matrix_to_quat,
     normalize_points,
@@ -20,13 +22,14 @@ from rigalign.geometry import (
     sample_mesh_surface,
 )
 
-from conftest import random_blob_mesh
+from conftest import random_blob_mesh, subdivided
 from oracles import (
     compose,
     hit_points,
     points_to_mesh_distance,
     random_unit_quaternions,
     ray_triangle_intersect,
+    window_first_hit_map,
 )
 
 
@@ -130,6 +133,17 @@ class TestPixelRays:
             rays[:1].reshape(-1, 3)[0] = 0.0  # a view of the cache
         assert rays[0, 0, 2] > 0.0
 
+    @pytest.mark.parametrize("width, height", [(3841, 2160), (2160, 3841), (200_000, 200_000)])
+    def test_image_over_the_pixel_limit_rejected(self, width, height):
+        with pytest.raises(InvalidInput, match="pixel limit"):
+            Camera(fx=500.0, fy=500.0, cx=width / 2, cy=height / 2, width=width, height=height)
+
+    @pytest.mark.parametrize("width, height", [(1920, 1080), (3840, 2160), (1, MAX_PIXELS)])
+    def test_image_at_or_under_the_limit_built_without_its_rays(self, width, height):
+        cam = Camera(fx=500.0, fy=500.0, cx=width / 2, cy=height / 2, width=width, height=height)
+        assert width * height <= MAX_PIXELS
+        assert "pixel_rays" not in vars(cam)  # built on first use only
+
 
 class TestHandSampling:
     def test_full_cover_triangle(self, camera64):
@@ -160,7 +174,7 @@ class TestHandSampling:
         rng = np.random.default_rng(21)
         for _ in range(3):
             mesh = random_blob_mesh(rng, n_faces=int(rng.integers(20, 201)))
-            fast = first_hit_map(mesh, camera, chunk=37)
+            fast = first_hit_map(mesh, camera, pair_budget=37)
             points, hits = brute_force_pixel_cast(mesh, camera)
             assert np.array_equal(fast.hits, hits)
             assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
@@ -171,8 +185,8 @@ class TestHandSampling:
         assert d.max() < 1e-6
 
 
-def assert_matches_bruteforce(mesh, camera, chunk=128):
-    fast = first_hit_map(mesh, camera, chunk=chunk)
+def assert_matches_bruteforce(mesh, camera, pair_budget=4096):
+    fast = first_hit_map(mesh, camera, pair_budget=pair_budget)
     points, hits = brute_force_pixel_cast(mesh, camera)
     assert np.array_equal(fast.hits, hits)
     assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
@@ -191,8 +205,8 @@ def triangle_at(u, v, camera, z=1.0, half=0.1):
 
 
 class TestProjectedWindow:
-    """first_hit_map casts rays only inside the projected window; these cases
-    check it against the unwindowed per-pixel cast."""
+    """first_hit_map casts each face's rays only inside that face's projected
+    box; these cases check it against the unboxed per-pixel cast."""
 
     camera = Camera(fx=30.0, fy=30.0, cx=8.0, cy=8.0, width=16, height=16)
 
@@ -232,11 +246,11 @@ class TestProjectedWindow:
         hits = assert_matches_bruteforce(mesh, self.camera)
         assert hits.sum() == 1 and hits[8, 8]
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_chunk_smaller_than_face_count(self, chunk):
+    @pytest.mark.parametrize("pair_budget", [1, 3, 7])
+    def test_chunk_smaller_than_face_count(self, pair_budget):
         rng = np.random.default_rng(31)
         mesh = random_blob_mesh(rng, n_faces=12, center=(0.25, -0.1, 1.0), spread=0.15)
-        hits = assert_matches_bruteforce(mesh, self.camera, chunk=chunk)
+        hits = assert_matches_bruteforce(mesh, self.camera, pair_budget=pair_budget)
         assert hits.any() and not hits.all()
 
     @settings(max_examples=30, deadline=None)
@@ -250,7 +264,171 @@ class TestProjectedWindow:
         mesh = random_blob_mesh(rng, n_faces=int(rng.integers(1, 25)))
         q = random_unit_quaternions(1, seed=seed)[0]
         pose = SimilarityTransform(q, np.array(translation), scale)
-        assert_matches_bruteforce(apply_pose(mesh, pose), self.camera, chunk=int(rng.integers(1, 30)))
+        assert_matches_bruteforce(apply_pose(mesh, pose), self.camera,
+                                  pair_budget=int(rng.integers(1, 30)))
+
+
+def assert_matches_window_cast(vertex_sets, faces, camera, pair_budget=4096):
+    """cast_hit_maps over a pose stack gives, bitwise, each pose's window cast."""
+    maps = list(cast_hit_maps(iter(vertex_sets), faces, camera, pair_budget))
+    assert len(maps) == len(vertex_sets)
+    for verts, got in zip(vertex_sets, maps):
+        want = window_first_hit_map(TriangleMesh(verts, faces), camera)
+        assert np.array_equal(got.hits, want.hits)
+        assert np.array_equal(got.points, want.points)
+    return maps
+
+
+def pose_stack(mesh, count, seed, shift=0.2):
+    """`count` random similarity poses of the mesh's vertices about their mean."""
+    rng = np.random.default_rng(seed)
+    center = mesh.vertices.mean(axis=0)
+    return [SimilarityTransform(q, rng.normal(scale=shift, size=3), rng.uniform(0.6, 1.6)).apply(
+        mesh.vertices - center) + center for q in random_unit_quaternions(count, seed)]
+
+
+class TestFaceBinnedCast:
+    """cast_hit_maps against the window cast of each pose (tests/oracles.py),
+    which runs the same arithmetic over every face in the mesh's window."""
+
+    camera = Camera(fx=30.0, fy=33.0, cx=8.3, cy=7.6, width=16, height=15)
+
+    @pytest.mark.parametrize("pair_budget", [1, 3, 7, 10**9])
+    def test_random_pose_stacks(self, pair_budget):
+        rng = np.random.default_rng(pair_budget)
+        for n_faces, poses in [(1, 3), (6, 2), (17, 4)]:
+            mesh = random_blob_mesh(rng, n_faces, spread=0.2)
+            stack = [mesh.vertices] + pose_stack(mesh, poses, seed=n_faces)
+            maps = assert_matches_window_cast(stack, mesh.faces, self.camera, pair_budget)
+            assert any(m.hits.any() for m in maps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5),
+           st.sampled_from([5, 64, 4096]))
+    def test_random_meshes_and_pose_stacks(self, seed, poses, pair_budget):
+        rng = np.random.default_rng(seed)
+        mesh = random_blob_mesh(rng, n_faces=int(rng.integers(1, 40)))
+        assert_matches_window_cast(pose_stack(mesh, poses, seed, shift=0.6), mesh.faces,
+                                   self.camera, pair_budget)
+
+    @pytest.mark.parametrize("pair_budget", [3, 4096])
+    def test_faces_behind_and_across_the_camera_plane(self, pair_budget):
+        verts = np.array([
+            [-0.2, -0.2, 1.0], [0.25, -0.15, 1.1], [0.0, 0.3, 0.9],  # in front
+            [-0.3, -0.3, -1.0], [0.3, -0.3, -1.0], [0.0, 0.3, -1.0],  # wholly behind
+            [0.0137, 0.0071, -0.5123], [0.3071, 0.0193, 2.0171],  # across the plane
+            [-0.2889, 0.1037, 1.9893],
+            [0.1, 0.1, 0.0], [0.2, 0.1, 1.0], [0.1, 0.2, 1.0],  # a vertex on the plane
+        ])
+        faces = np.arange(12).reshape(4, 3)
+        mesh = TriangleMesh(verts, faces)
+        tilt = SimilarityTransform(random_unit_quaternions(1, seed=3)[0] * [8, 1, 1, 1],
+                                   np.zeros(3))
+        maps = assert_matches_window_cast([verts, tilt.apply(verts)], faces, self.camera,
+                                          pair_budget)
+        assert maps[0].hits.any()
+
+    def test_duplicate_faces_tie_in_t(self):
+        rng = np.random.default_rng(5)
+        mesh = random_blob_mesh(rng, n_faces=6, spread=0.15)
+        # each face again, the same and with its corners rotated, and one
+        # copy on vertices of its own
+        faces = np.concatenate([mesh.faces, mesh.faces, np.roll(mesh.faces, 1, axis=1)])
+        verts = np.concatenate([mesh.vertices, mesh.vertices[mesh.faces[2]]])
+        faces = np.concatenate([faces, len(mesh.vertices) + np.array([[0, 1, 2]])])
+        dup = TriangleMesh(verts, faces)
+        for pair_budget in (2, 4096):
+            assert_matches_window_cast([dup.vertices] + pose_stack(dup, 3, seed=5), dup.faces,
+                                       self.camera, pair_budget)
+
+    def test_rays_through_shared_edges_and_vertices(self):
+        # a grid whose vertices sit on pixel-center rays: every ray through a
+        # vertex or along a diagonal meets several faces at one t
+        cam = self.camera
+        jj, ii = np.meshgrid(np.arange(3, 12, 2), np.arange(2, 11, 2))
+        x = (jj + 0.5 - cam.cx) / cam.fx
+        y = (ii + 0.5 - cam.cy) / cam.fy
+        verts = np.stack([x, y, np.ones_like(x)], axis=-1).reshape(-1, 3)
+        n = jj.shape[1]
+        faces = []
+        for r in range(jj.shape[0] - 1):
+            for c in range(n - 1):
+                a, b, d, e = r * n + c, r * n + c + 1, (r + 1) * n + c, (r + 1) * n + c + 1
+                faces += [[a, b, e], [a, e, d]]
+        faces = np.array(faces)
+        stack = [verts * depth for depth in (1.0, 0.7, 2.5)]
+        for pair_budget in (7, 4096):
+            maps = assert_matches_window_cast(stack, faces, cam, pair_budget)
+            # every ray through an inner edge or vertex hits
+            assert maps[0].hits[3:10, 4:11].all()
+
+    def test_edges_along_pixel_center_rays(self):
+        # a vertex or edge on the box's outermost pixel-center ray projects to
+        # that center give or take rounding, which the box padding absorbs
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            cam = Camera(fx=rng.uniform(10, 60), fy=rng.uniform(10, 60), cx=rng.uniform(5, 11),
+                         cy=rng.uniform(5, 11), width=16, height=16)
+            z = rng.uniform(0.3, 3.0)
+            a, b = sorted(rng.integers(1, 15, 2))
+            c, reach = int(rng.integers(1, 15)), rng.choice([-1, 1]) * rng.uniform(1, 4)
+            # an edge along column c (or row c), the third corner `reach` pixels off it
+            uv = np.array([[c, a], [c, b + 1], [c + reach, (a + b + 1) / 2]]) + 0.5
+            if rng.random() < 0.5:
+                uv = uv[:, ::-1]
+            verts = np.stack([(uv[:, 0] - cam.cx) / cam.fx * z, (uv[:, 1] - cam.cy) / cam.fy * z,
+                              np.full(3, z)], axis=1)
+            assert_matches_window_cast([verts], np.array([[0, 1, 2]]), cam)
+
+    def test_off_image_and_sub_pixel_triangles(self):
+        parts = [triangle_at(40.0, 8.0, self.camera, half=0.02),
+                 triangle_at(-0.9, -0.9, self.camera, half=0.02),
+                 triangle_at(8.25, 8.25, self.camera, half=0.004),
+                 triangle_at(5.5, 3.5, self.camera, half=0.006),
+                 triangle_at(16.0, 7.7, self.camera)]
+        verts = np.concatenate([m.vertices for m in parts])
+        faces = np.arange(len(verts)).reshape(-1, 3)
+        shifts = [np.zeros(3), np.array([0.01, 0.0, 0.0]), np.array([0.0, -0.004, 0.3])]
+        maps = assert_matches_window_cast([verts + s for s in shifts], faces, self.camera, 3)
+        assert maps[0].hits[3, 5]
+
+    def test_no_poses(self, unit_quad_mesh):
+        assert list(cast_hit_maps([], unit_quad_mesh.faces, self.camera)) == []
+
+    def test_one_pose(self, camera64, unit_quad_mesh):
+        (got,) = assert_matches_window_cast([unit_quad_mesh.vertices], unit_quad_mesh.faces,
+                                            camera64)
+        assert got.hits.any()
+
+    def test_peak_memory_does_not_grow_with_pose_count(self):
+        import tracemalloc
+
+        from rigalign.synthetic import irregular_tetrahedron
+
+        mesh = subdivided(irregular_tetrahedron(), 5)
+        assert len(mesh.faces) == 4096
+        camera = Camera(fx=600.0, fy=600.0, cx=128.0, cy=128.0, width=256, height=256)
+        camera.pixel_rays  # cached on the camera, outside the cast's own memory
+        quats = random_unit_quaternions(64, seed=9)
+
+        def peak(count):
+            poses = [SimilarityTransform(q, np.array([0.0, 0.0, 0.3])) for q in quats[:count]]
+            tracemalloc.start()
+            try:
+                covered = 0
+                for hit_map in cast_hit_maps((p.apply(mesh.vertices) for p in poses), mesh.faces,
+                                             camera):
+                    covered += int(hit_map.hits.sum())
+                assert covered > 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(8), peak(64)
+        assert many <= few + 256 * 1024
+        # 6.7 MiB when written: two 256 px maps alive at once (1.6 MiB each),
+        # the per-pixel winners (2 MiB), one face block and one step's pairs
+        assert many < 8 * 2**20
 
 
 class TestNormalizePoints:
