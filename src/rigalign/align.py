@@ -15,8 +15,8 @@ import numpy as np
 
 from . import meshio
 from .emission import EmissionEvaluator, estimate_scale
-from .errors import InvalidInput, ParseError
-from .geometry import SimilarityTransform, TriangleMesh, quat_normalize, sample_mesh_surface
+from .errors import DegenerateCloud, InvalidInput, ParseError
+from .geometry import SimilarityTransform, quat_normalize, sample_mesh_surface
 from .grids import RotationGrid, TranslationGrid
 from .viterbi import EmissionTable, StatePath, viterbi_decode
 
@@ -44,9 +44,6 @@ class PoseTrack:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def rigid(self, k: int) -> SimilarityTransform:
-        return SimilarityTransform(self.rotations[k], self.translations[k], 1.0)
 
     def pose(self, k: int) -> SimilarityTransform:
         """Full model-to-camera transform for frame k, scale included."""
@@ -93,39 +90,33 @@ class AlignResult:
     translation_table: EmissionTable
 
 
-def _build_rows(evaluator, phase, frames, states_for_frame):
+def _build_rows(evaluator, phase, frames, poses_for_frame):
     rows = []
     for t, points in enumerate(frames):
-        cd, dino = evaluator.frame_terms(phase, t, points, states_for_frame(t))
+        cd, dino = evaluator.frame_terms(phase, t, points, poses_for_frame(t))
         rows.append(evaluator.combine_terms(cd, dino))
     return EmissionTable(np.stack(rows))
 
 
 def align_sequence(
-    mesh: TriangleMesh,
+    evaluator: EmissionEvaluator,
     frames,
     rot_grid: RotationGrid,
     trans_grid: TranslationGrid,
     *,
-    w_cd: float = 1.0,
-    w_dino: float = 1.0,
-    feature_source=None,
     lam_rot: float = 1.0,
     lam_trans: float = 1.0,
-    sample_count: int = 1024,
-    seed: int = 0,
-    penalty_factor: float = 10.0,
     timestamps=None,
 ) -> AlignResult:
     """Scale estimate, rotation Viterbi, then translation Viterbi.
 
-    `frames` holds each frame's object cloud, none empty. The global scale is
-    the median of per-frame estimates; the model side of that estimate uses
-    a dense one-off surface sample so its sampling error does not bias every
-    frame the same way. Rotation states pin the translation to each frame's
-    cloud mean; the translation grid is re-centered there per frame, and its
-    transition costs use absolute world positions. `feature_source` alone
-    supplies the feature term, for each frame by its position in `frames`.
+    `frames` holds each frame's object cloud, none empty. `evaluator` scores
+    model-to-camera poses, each with the global scale: the median of
+    per-frame estimates, whose model side is a dense one-off sample of the
+    evaluator's mesh, so that its sampling error does not bias every frame
+    alike. Rotation poses pin the translation to each frame's cloud mean;
+    the translation grid is re-centered there per frame, and its transition
+    costs use absolute world positions. A median scale of 0 is rejected.
     """
     frames = list(frames)
     if not frames:
@@ -135,39 +126,45 @@ def align_sequence(
             raise InvalidInput(f"frame {t} needs a non-empty object cloud")
     if timestamps is None:
         timestamps = np.arange(len(frames))
-    scale_sample = sample_mesh_surface(mesh, max(_SCALE_SAMPLE_COUNT, sample_count), seed).points
-    estimates = sorted(estimate_scale(f, scale_sample) for f in frames)
-    scale = estimates[(len(estimates) - 1) // 2]
-    evaluator = EmissionEvaluator(
-        mesh, scale, w_cd=w_cd, w_dino=w_dino, feature_source=feature_source,
-        sample_count=sample_count, seed=seed, penalty_factor=penalty_factor,
-    )
+    scale_sample = sample_mesh_surface(
+        evaluator.mesh, max(_SCALE_SAMPLE_COUNT, evaluator.sample_count), evaluator.seed).points
+    estimates = [estimate_scale(f, scale_sample) for f in frames]
+    scale = sorted(estimates)[(len(estimates) - 1) // 2]
+    if scale == 0.0:
+        flat_frames = ", ".join(str(timestamps[t]) for t, e in enumerate(estimates) if e == 0.0)
+        raise DegenerateCloud(f"the median scale estimate is 0: the object clouds of frames "
+                              f"{flat_frames} have zero extent")
     mus = [f.points.mean(axis=0) for f in frames]
     quats = rot_grid.quaternions
+    # Normalizing once more up front keeps every pose's rotation matrix
+    # bitwise equal to that of a rigid state rescaled afterwards: unit
+    # quaternion normalization is not idempotent in the last bit (8 of 272
+    # level-2 grid rotations change on a second pass).
+    unit_quats = np.array([quat_normalize(q) for q in quats])
 
-    def rotation_states(t):
-        return [SimilarityTransform(q, mus[t], 1.0) for q in quats]
+    def rotation_poses(t):
+        return [SimilarityTransform(q, mus[t], scale) for q in unit_quats]
 
-    rot_table = _build_rows(evaluator, "rotation", frames, rotation_states)
+    rot_table = _build_rows(evaluator, "rotation", frames, rotation_poses)
     angles = rot_grid.pairwise_angles()
     rot_path = viterbi_decode(rot_table, lambda t: angles, lam_rot)
-    decoded_quats = quats[rot_path.states]
 
     positions = np.stack([mu + trans_grid.offsets for mu in mus])  # (T, S, 3)
 
-    def translation_states(t):
-        return [SimilarityTransform(decoded_quats[t], p, 1.0) for p in positions[t]]
+    def translation_poses(t):
+        q = unit_quats[rot_path.states[t]]
+        return [SimilarityTransform(q, p, scale) for p in positions[t]]
 
     def translation_costs(t):
         # (S, S) distances from every position at frame t-1 to every one at t
         return np.sqrt(((positions[t][None] - positions[t - 1][:, None]) ** 2).sum(axis=-1))
 
-    trans_table = _build_rows(evaluator, "translation", frames, translation_states)
+    trans_table = _build_rows(evaluator, "translation", frames, translation_poses)
     trans_path = viterbi_decode(trans_table, translation_costs, lam_trans)
 
     track = PoseTrack(
         scale=scale,
-        rotations=decoded_quats,
+        rotations=quats[rot_path.states],
         translations=positions[np.arange(len(frames)), trans_path.states],
         timestamps=timestamps,
     )

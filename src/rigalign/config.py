@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, InvalidInput
+from .geometry import MAX_SAMPLE_POINTS
+from .grids import MAX_ROTATION_LEVEL, MAX_TRANSLATION_STATES
 from .meshio import read_input
 from .seeding import check_seed
 
@@ -63,21 +65,6 @@ class RunConfig:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-_PATH_KEYS = (
-    "model_mesh", "cloud_dir", "camera", "features_dir", "mask_dir",
-    "candidate_features_dir", "dino_table_rot", "dino_table_trans",
-    "hand_dir", "gt_dir", "track",
-)
-_INT_KEYS = (
-    "synthetic_feature_seed", "synthetic_feature_channels", "rotation_level",
-    "emission_samples", "eval_samples", "icp_max_iters", "seed",
-)
-_FLOAT_KEYS = (
-    "w_cd", "w_dino", "lambda_rot", "lambda_trans", "norm_scale",
-    "penalty_factor", "icp_tol",
-)
-
-
 def _parse_triple(value: str, cast):
     parts = [p.strip() for p in value.split(",")]
     if len(parts) == 1:
@@ -87,9 +74,18 @@ def _parse_triple(value: str, cast):
     return tuple(cast(p) for p in parts)
 
 
+def _parser(default):
+    """A key's value parser, from the type of its default: str, int, float,
+    or a triple of the tuple's element type."""
+    if isinstance(default, tuple):
+        cast = type(default[0])
+        return lambda value: _parse_triple(value, cast)
+    return type(default)
+
+
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     cfg = RunConfig(base_dir=str(base_dir))
-    known = {f.name for f in fields(RunConfig)} - {"base_dir"}
+    defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "base_dir"}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,25 +95,13 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"line {ln}: unknown key '{key}'")
         try:
-            if key in _PATH_KEYS:
-                setattr(cfg, key, value)
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key == "translation_half_extent":
-                cfg.translation_half_extent = _parse_triple(value, float)
-            elif key == "translation_counts":
-                cfg.translation_counts = _parse_triple(value, int)
-            elif key == "feature_source":
-                if value not in FEATURE_SOURCES:
-                    raise InvalidInput(f"must be one of {FEATURE_SOURCES}")
-                cfg.feature_source = value
-            else:  # pragma: no cover - keys above are exhaustive
-                raise ConfigError(f"line {ln}: unhandled key '{key}'")
+            parsed = _parser(defaults[key])(value)
+            if key == "feature_source" and parsed not in FEATURE_SOURCES:
+                raise InvalidInput(f"must be one of {FEATURE_SOURCES}")
+            setattr(cfg, key, parsed)
         except ValueError as e:
             raise ConfigError(f"line {ln}: bad value for '{key}': {e}") from e
     _validate(cfg)
@@ -125,19 +109,28 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    for key in _FLOAT_KEYS + ("translation_half_extent",):
-        value = getattr(cfg, key)
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
         values = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{key} must be finite; got {value!r}")
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ConfigError(f"{f.name} must be finite; got {value!r}")
     if cfg.rotation_level < 0:
         raise ConfigError("rotation_level must be >= 0")
+    if cfg.rotation_level > MAX_ROTATION_LEVEL:
+        raise ConfigError(f"rotation_level must be <= {MAX_ROTATION_LEVEL}; "
+                          f"got {cfg.rotation_level}")
     if any(c < 1 for c in cfg.translation_counts):
         raise ConfigError("translation_counts must be >= 1 per axis")
+    if math.prod(cfg.translation_counts) > MAX_TRANSLATION_STATES:
+        raise ConfigError(f"translation_counts must give at most {MAX_TRANSLATION_STATES} "
+                          f"states; got {math.prod(cfg.translation_counts)}")
     if any(h < 0 for h in cfg.translation_half_extent):
         raise ConfigError("translation_half_extent must be >= 0")
     if cfg.emission_samples < 1 or cfg.eval_samples < 1:
         raise ConfigError("sample counts must be >= 1")
+    for key in ("emission_samples", "eval_samples"):
+        if getattr(cfg, key) > MAX_SAMPLE_POINTS:
+            raise ConfigError(f"{key} must be <= {MAX_SAMPLE_POINTS}; got {getattr(cfg, key)}")
     if cfg.norm_scale <= 0:
         raise ConfigError("norm_scale must be positive")
     if cfg.icp_max_iters < 1 or cfg.icp_tol <= 0:

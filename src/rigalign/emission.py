@@ -76,6 +76,8 @@ def estimate_scale(x, y) -> float:
         p = p.reshape(-1, 3)
         if len(p) < 2:
             raise DegenerateCloud("scale estimation needs at least 2 points")
+        if (p == p[0]).all():  # exactly 0, where the rounded mean would leave ~1e-34
+            return 0.0
         c = p - p.mean(axis=0)
         return float(np.linalg.eigvalsh((c.T @ c) / len(p))[-1])
 
@@ -236,22 +238,20 @@ class SyntheticFeatureSource(CastFeatureSource):
 
 
 class EmissionEvaluator:
-    """Chamfer + feature cost of candidate poses for one model and sequence.
+    """Chamfer + feature cost of candidate model-to-camera poses (the model
+    scale included) for one model and sequence.
 
     The model surface is sampled once (seeded); candidate poses move that
     sample. Chamfer runs against an equal-size resample of the frame's
-    object cloud, in cm^2, batched over all states of a frame. The feature
+    object cloud, in cm^2, batched over all poses of a frame. The feature
     term comes from `feature_source` (a table, or a cast source that holds
     the input maps); without one, or with `w_dino = 0`, there is none.
     """
 
-    def __init__(self, mesh: TriangleMesh, scale: float, *, w_cd: float = 1.0,
-                 w_dino: float = 1.0, feature_source=None,
-                 sample_count: int = 1024, seed: int = 0, penalty_factor: float = 10.0):
-        if scale <= 0:
-            raise InvalidInput("scale must be positive")
+    def __init__(self, mesh: TriangleMesh, *, w_cd: float = 1.0, w_dino: float = 1.0,
+                 feature_source=None, sample_count: int = 1024, seed: int = 0,
+                 penalty_factor: float = 10.0):
         self.mesh = mesh
-        self.scale = float(scale)
         self.w_cd = float(w_cd)
         self.w_dino = float(w_dino)
         self.feature_source = feature_source if self.w_dino != 0.0 else None
@@ -260,10 +260,6 @@ class EmissionEvaluator:
         self.penalty_factor = float(penalty_factor)
         self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
         self._sample_tree = cKDTree(self.sample)
-
-    def full_pose(self, state: SimilarityTransform) -> SimilarityTransform:
-        """Model-to-camera transform: the rigid state with the model scale folded in."""
-        return SimilarityTransform(state.rotation, state.translation, self.scale * state.scale)
 
     def chamfer_term(self, x_resampled: np.ndarray, poses) -> np.ndarray:
         """Chamfer distance (cm^2) between the observed resample and the model
@@ -294,15 +290,15 @@ class EmissionEvaluator:
         return row
 
     def frame_terms(self, phase: str, frame_index: int, points: PointCloud,
-                    states) -> tuple[np.ndarray, np.ndarray | None]:
-        """Raw chamfer and feature term arrays over all states of the frame
-        at sequence position `frame_index`, whose object cloud is `points`.
+                    poses) -> tuple[np.ndarray, np.ndarray | None]:
+        """Raw chamfer and feature term arrays over the model-to-camera
+        `poses` of the frame at sequence position `frame_index`, whose
+        object cloud is `points`.
 
-        The feature array uses NaN for empty-overlap states and is None when
+        The feature array uses NaN for empty-overlap poses and is None when
         there is no feature source.
         """
         x_res = resample_point_cloud(points, self.sample_count, self.seed).points
-        poses = [self.full_pose(state) for state in states]
         cd = self.chamfer_term(x_res, poses)
         if self.feature_source is None:
             return cd, None

@@ -27,6 +27,13 @@ LABEL_OBJECT = 2
 # built, before any of that is allocated.
 MAX_PIXELS = 3840 * 2160
 
+# Most points a surface sample or a cloud resample may have: 10 million.
+# One (N, 3) float64 array of them takes 240 MB, and Chamfer scoring and
+# ICP each hold a few such arrays and a k-d tree over one. Larger counts
+# (emission_samples, eval_samples, a synthetic scene's points) are
+# rejected when they are read, before anything is allocated.
+MAX_SAMPLE_POINTS = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # Quaternions, stored (w, x, y, z) with unit norm.
@@ -226,13 +233,15 @@ class SimilarityTransform:
         self.scale = float(self.scale)
         if self.scale <= 0:
             raise InvalidInput("scale must be positive")
+        self._matrix = quat_to_matrix(self.rotation)
+        self._matrix.flags.writeable = False
 
     @staticmethod
     def identity() -> "SimilarityTransform":
         return SimilarityTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), 1.0)
 
     def matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.rotation)
+        return self._matrix
 
     def apply(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=float)

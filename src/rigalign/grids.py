@@ -13,6 +13,18 @@ from .errors import InvalidInput
 # floating-point noise or by sign.
 _DEDUP_QUANTUM = 1e-9
 
+# Finest rotation grid level. Level L's lattice has (2^L + 1)^4 points and
+# its build holds a few float64 arrays of that length. Level 5 (131,200
+# rotations) peaked at 123 MB under tracemalloc; scaled by the lattice
+# size, level 6 (about 1M rotations) needs about 1.9 GB and level 7 about
+# 28 GB. Finer levels are rejected before anything is allocated.
+MAX_ROTATION_LEVEL = 6
+
+# Most translation states a configured grid may have: 2^20, about the size
+# of the level-6 rotation grid. Its build holds about six float64 arrays of
+# that length, 50 MB; larger grids are rejected when the config is read.
+MAX_TRANSLATION_STATES = 2**20
+
 
 @dataclass(eq=False)
 class RotationGrid:
@@ -70,6 +82,8 @@ def build_rotation_grid(level: int) -> RotationGrid:
     """
     if level < 0:
         raise InvalidInput("level must be >= 0")
+    if level > MAX_ROTATION_LEVEL:
+        raise InvalidInput(f"level must be <= {MAX_ROTATION_LEVEL}; got {level}")
     ticks = np.linspace(-1.0, 1.0, 2**level + 1)
     gw, gx, gy, gz = np.meshgrid(ticks, ticks, ticks, ticks, indexing="ij")
     pts = np.stack([gw.ravel(), gx.ravel(), gy.ravel(), gz.ravel()], axis=1)

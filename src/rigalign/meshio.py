@@ -316,11 +316,18 @@ def save_fmap(features: np.ndarray, mask: np.ndarray, path) -> None:
 
 
 def load_fmap(path):
-    """Returns (features (H, W, C) float32, mask (H, W) bool)."""
+    """Returns (features (H, W, C) float32, mask (H, W) bool). Every feature
+    value must be finite, masked in or not: a mask file may override the
+    map's own mask."""
     path = Path(path)
     blob = read_input(path, "feature map")
     h, w, c = _fmap_dims(path, blob[:20], len(blob))
     feats = np.frombuffer(blob, "<f4", h * w * c, 20).reshape(h, w, c)
+    bad = np.argwhere(~np.isfinite(feats))
+    if len(bad):
+        i, j, k = bad[0]
+        raise ParseError(f"{path}: feature value at row {i}, column {j}, channel {k} "
+                         f"is not finite")
     mask = np.frombuffer(blob, "u1", h * w, 20 + h * w * c * 4).reshape(h, w) != 0
     return feats.copy(), mask
 

@@ -13,7 +13,8 @@ import numpy as np
 from . import meshio
 from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
-from .emission import DirectoryFeatureSource, FeatureMap, SyntheticFeatureSource, TableFeatureSource
+from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureMap,
+                       SyntheticFeatureSource, TableFeatureSource)
 from .errors import ConfigError, ParseError
 from .evaluate import evaluate_track
 from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_points
@@ -204,11 +205,13 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
         inputs.frame_indices = inputs.frame_indices[:1]
         if inputs.ground_truths is not None:
             inputs.ground_truths = inputs.ground_truths[:1]
-    result = align_sequence(
-        inputs.mesh, inputs.frames, inputs.rot_grid, inputs.trans_grid,
-        w_cd=cfg.w_cd, w_dino=cfg.w_dino, feature_source=inputs.feature_source,
-        lam_rot=cfg.lambda_rot, lam_trans=cfg.lambda_trans,
+    evaluator = EmissionEvaluator(
+        inputs.mesh, w_cd=cfg.w_cd, w_dino=cfg.w_dino, feature_source=inputs.feature_source,
         sample_count=cfg.emission_samples, seed=cfg.seed, penalty_factor=cfg.penalty_factor,
+    )
+    result = align_sequence(
+        evaluator, inputs.frames, inputs.rot_grid, inputs.trans_grid,
+        lam_rot=cfg.lambda_rot, lam_trans=cfg.lambda_trans,
         timestamps=np.array(inputs.frame_indices, dtype=np.int64),
     )
     metrics = None

@@ -21,6 +21,7 @@ from .config import RunConfig, serialize_config
 from .emission import FeatureMap
 from .errors import InvalidInput
 from .geometry import (
+    MAX_SAMPLE_POINTS,
     Camera,
     HandPointMap,
     PointCloud,
@@ -127,6 +128,9 @@ class SceneSpec:
             raise InvalidInput("cloud_points must be >= 1")
         if self.hand_points < 0:
             raise InvalidInput("hand_points must be >= 0")
+        for name in ("cloud_points", "hand_points"):
+            if getattr(self, name) > MAX_SAMPLE_POINTS:
+                raise InvalidInput(f"{name} must be <= {MAX_SAMPLE_POINTS}")
         if not 0 <= self.seed < SEED_LIMIT:
             raise InvalidInput("seed must be >= 0" if self.seed < 0 else "seed must be < 2**32")
         if not 0 <= self.noise_std < math.inf:

@@ -42,6 +42,16 @@ def compose(a: SimilarityTransform, b: SimilarityTransform) -> SimilarityTransfo
     )
 
 
+def two_step_poses(quats, positions, scale: float) -> list:
+    """Model-to-camera poses built in two steps: a rigid state per (rotation,
+    position) pair, then a second transform that folds in the model scale."""
+    poses = []
+    for q, p in zip(quats, positions):
+        state = SimilarityTransform(q, p, 1.0)
+        poses.append(SimilarityTransform(state.rotation, state.translation, scale * state.scale))
+    return poses
+
+
 def hit_points(hit_map) -> np.ndarray:
     """(K, 3) intersection points of the pixels a HandPointMap marks as hits."""
     return hit_map.points[hit_map.hits]

@@ -13,6 +13,7 @@ import pytest
 from rigalign.align import align_sequence
 from rigalign.cli import run as cli_run
 from rigalign.emission import (
+    EmissionEvaluator,
     FeatureMap,
     SyntheticFeatureSource,
     dino_similarity,
@@ -147,8 +148,9 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     noisy = generate_synthetic_scene(spec)
     frames = [c.filter_label(LABEL_OBJECT) for c in noisy.clouds]
     source = SyntheticFeatureSource(noisy.camera, noisy.feature_maps, noisy.field())
-    result = align_sequence(noisy.mesh, frames, noisy.rot_grid, noisy.trans_grid,
-                            feature_source=source, lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans, seed=11)
+    evaluator = EmissionEvaluator(noisy.mesh, feature_source=source, seed=11)
+    result = align_sequence(evaluator, frames, noisy.rot_grid, noisy.trans_grid,
+                            lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans)
     angles = noisy.rot_grid.pairwise_angles()
     table = result.rotation_table.costs.copy()
     k = 4

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_json
-from rigalign.emission import SyntheticFeatureSource
+from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource
 from rigalign.errors import InvalidInput, ParseError
-from rigalign.geometry import PointCloud
-from rigalign.geometry import LABEL_OBJECT
+from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
 from rigalign.grids import build_rotation_grid, build_translation_grid
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const
-from oracles import covering_radius, path_cost
+from oracles import covering_radius, path_cost, two_step_poses
 
 
 def small_scene(frames=4, noise=0.0, seed=3, level=1):
@@ -28,13 +27,11 @@ def object_clouds(scene):
 def run_alignment(scene, frames=None, **kwargs):
     frames = object_clouds(scene) if frames is None else frames
     source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
-    defaults = dict(
-        feature_source=source,
-        lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans,
-        sample_count=512, seed=scene.spec.seed,
-    )
+    evaluator = EmissionEvaluator(scene.mesh, feature_source=source, sample_count=512,
+                                  seed=scene.spec.seed)
+    defaults = dict(lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans)
     defaults.update(kwargs)
-    return align_sequence(scene.mesh, frames, scene.rot_grid, scene.trans_grid, **defaults)
+    return align_sequence(evaluator, frames, scene.rot_grid, scene.trans_grid, **defaults)
 
 
 class TestAlignSequence:
@@ -65,8 +62,8 @@ class TestAlignSequence:
         trans1 = build_translation_grid(np.zeros(3), 0.0, (1, 1, 1))
         frames = object_clouds(scene)
         source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
-        res = align_sequence(scene.mesh, frames, rot1, trans1, feature_source=source,
-                             sample_count=256, seed=1)
+        evaluator = EmissionEvaluator(scene.mesh, feature_source=source, sample_count=256, seed=1)
+        res = align_sequence(evaluator, frames, rot1, trans1)
         assert np.array_equal(res.rotation_path.states, [0, 0])
         assert np.array_equal(res.translation_path.states, [0, 0])
 
@@ -112,6 +109,51 @@ class TestAlignSequence:
         assert angles[decoded.states[k], gt_state] <= radius
 
 
+class TestScoredPoses:
+    """align_sequence scores each grid pose with the scale folded in from the
+    start; poses and rows equal, bitwise, those of rigid states rescaled
+    afterwards."""
+
+    def test_poses_and_rows_match_two_step_construction(self):
+        scene = small_scene(frames=2, seed=12, level=2)
+        frames = object_clouds(scene)
+        source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
+        evaluator = EmissionEvaluator(scene.mesh, feature_source=source, sample_count=256, seed=4)
+        score = evaluator.frame_terms
+        calls = []
+
+        def recording(phase, t, points, poses):
+            terms = score(phase, t, points, poses)
+            calls.append((phase, t, points, poses, terms))
+            return terms
+
+        evaluator.frame_terms = recording
+        res = align_sequence(evaluator, frames, scene.rot_grid, scene.trans_grid)
+        scale = res.track.scale
+        assert scale != 1.0
+        assert [c[:2] for c in calls] == [("rotation", 0), ("rotation", 1),
+                                          ("translation", 0), ("translation", 1)]
+        quats = scene.rot_grid.quaternions
+        offsets = scene.trans_grid.offsets
+        assert len(quats) == 272
+        for phase, t, points, poses, (cd, dino) in calls:
+            mu = frames[t].points.mean(axis=0)
+            if phase == "rotation":
+                want = two_step_poses(quats, [mu] * len(quats), scale)
+            else:
+                q = quats[res.rotation_path.states[t]]
+                want = two_step_poses([q] * len(offsets), mu + offsets, scale)
+            assert len(poses) == len(want)
+            for got, old in zip(poses, want):
+                assert got.matrix().tobytes() == quat_to_matrix(old.rotation).tobytes()
+                assert got.rotation.tobytes() == old.rotation.tobytes()
+                assert got.translation.tobytes() == old.translation.tobytes()
+                assert got.scale == old.scale
+            want_cd, want_dino = score(phase, t, points, want)
+            assert cd.tobytes() == want_cd.tobytes()
+            assert dino.tobytes() == want_dino.tobytes()
+
+
 class TestPoseTrackJson:
     def test_round_trip(self):
         track = PoseTrack(
@@ -152,5 +194,3 @@ class TestPoseTrackJson:
         track = PoseTrack(2.0, np.array([[1.0, 0, 0, 0]]), np.array([[0.0, 0, 1]]), np.array([0]))
         moved = track.pose(0).apply(np.array([[1.0, 0, 0]]))
         assert np.allclose(moved, [[2.0, 0, 1.0]])
-        rigid = track.rigid(0).apply(np.array([[1.0, 0, 0]]))
-        assert np.allclose(rigid, [[1.0, 0, 1.0]])

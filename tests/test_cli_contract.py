@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rigalign import meshio
 from rigalign.cli import run as cli_run
 from rigalign.errors import ConfigError, InvalidInput, ParseError, RigalignError
-from rigalign.geometry import Camera, TriangleMesh
+from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -90,12 +90,58 @@ def test_tiny_scene_runs(scene, tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("w_cd", "nan"), ("w_dino", "inf"), ("lambda_rot", "inf"), ("lambda_trans", "nan"),
     ("penalty_factor", "nan"), ("penalty_factor", "-1"), ("translation_half_extent", "nan"),
+    # sizes whose arrays could not be allocated
+    ("rotation_level", "9"), ("translation_counts", "100001,100001,100001"),
+    ("emission_samples", "100000000000"), ("eval_samples", "100000000000"),
 ])
 def test_bad_config_value_rejected_at_load(scene, tmp_path, key, value):
     set_config(scene, **{key: value})
     code, err = track(scene, tmp_path / "out")
     assert_rejected(code, err, tmp_path / "out")
     assert key in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_feature_value_rejected(scene, tmp_path, value):
+    path = scene / "feat_000001.fmap"
+    feats, mask = meshio.load_fmap(path)
+    i, j = np.argwhere(mask)[0]
+    feats[i, j, 2] = value
+    meshio.save_fmap(feats, mask, path)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"feat_000001.fmap: feature value at row {i}, column {j}, channel 2 is not finite" in err
+
+
+def test_non_finite_candidate_feature_value_rejected(scene, tmp_path):
+    set_config(scene, feature_source="maps", candidate_features_dir="cand")
+    (scene / "cand").mkdir()
+    rng = np.random.default_rng(0)
+    everywhere = np.ones((64, 64), dtype=bool)
+    for t in range(2):
+        for phase, count in (("rotation", 8), ("translation", 9)):
+            for j in range(count):
+                feats = rng.random((64, 64, 8))
+                if (t, phase, j) == (1, "rotation", 5):
+                    feats[32, 30, 0] = math.nan
+                meshio.save_fmap(feats, everywhere,
+                                 scene / "cand" / f"feat_{phase}_{t:06d}_{j:06d}.fmap")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "feat_rotation_000001_000005.fmap: feature value at row 32, column 30" in err
+
+
+def test_zero_extent_clouds_rejected(scene, tmp_path):
+    for t in range(2):
+        path = scene / f"cloud_{t:06d}.ply"
+        cloud = meshio.load_ply_cloud(path)
+        points = cloud.points.copy()
+        on_object = cloud.labels == LABEL_OBJECT
+        points[on_object] = points[on_object][0]
+        meshio.save_ply_cloud(PointCloud(points, cloud.colors, cloud.labels), path)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out", codes=(3,))
+    assert "the object clouds of frames 0, 1 have zero extent" in err
 
 
 @pytest.mark.parametrize("key, value", [("seed", "-1"), ("synthetic_feature_seed", "-5")])
@@ -232,6 +278,9 @@ def test_model_ply_without_xyz_rejected(scene, tmp_path):
     ["synth", "--seed", "-1"],
     ["grid", "--level", "-1"],
     ["synth", "--seed", str(2**32)],
+    ["synth", "--cloud-points", "100000000000"],
+    ["synth", "--level", "9"],
+    ["grid", "--level", "9"],
 ])
 def test_bad_generator_argument_rejected(tmp_path, argv):
     out = tmp_path / "out"

@@ -57,6 +57,13 @@ class TestEstimateScale:
             assert estimate_scale(k * x, x) == pytest.approx(k, rel=1e-9)
             assert estimate_scale(k * x, y) == pytest.approx(k * base, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_coincident_cloud_estimates_exactly_zero(self, n):
+        y = np.random.default_rng(3).normal(size=(50, 3))
+        assert estimate_scale(np.tile([[0.1, 0.2, 0.3]], (n, 1)), y) == 0.0
+        with pytest.raises(DegenerateCloud, match="model cloud has zero extent"):
+            estimate_scale(y, np.tile([[0.1, 0.2, 0.3]], (n, 1)))
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 3))
@@ -264,7 +271,7 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[gt_index], mu, 1.0)
         points, f0 = self.observation(gt_pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(f0),
+        ev = EmissionEvaluator(self.mesh, feature_source=self.source(f0),
                                sample_count=512, seed=5)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
         cd, dino = ev.frame_terms("rotation", 0, points, states)
@@ -275,20 +282,20 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[3], mu, 1.0)
         points, f0 = self.observation(pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=6)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=6)
         state = SimilarityTransform(self.grid.quaternions[5], centroid(points), 1.0)
         x_res = resample_point_cloud(points, 256, 6).points
         cd, dino = ev.frame_terms("rotation", 0, points, [state])
         assert dino is None
-        assert cd[0] == ev.chamfer_term(x_res, [ev.full_pose(state)])[0]
+        assert cd[0] == ev.chamfer_term(x_res, [state])[0]
 
     def test_zero_feature_weight_drops_a_given_source(self):
         pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
         points, f0 = self.observation(pose)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
-        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, feature_source=self.source(f0),
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, feature_source=self.source(f0),
                                sample_count=256, seed=13)
-        chamfer_only = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=13)
+        chamfer_only = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=13)
         cd, dino = ev.frame_terms("rotation", 0, points, states)
         want, _ = chamfer_only.frame_terms("rotation", 0, points, states)
         assert dino is None
@@ -299,7 +306,7 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         pose = SimilarityTransform(self.grid.quaternions[2], mu, 1.0)
         points, f0 = self.observation(pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=7)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=7)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions[:6]]
         forward, _ = ev.frame_terms("rotation", 0, points, states)
         backward, _ = ev.frame_terms("rotation", 0, points, states[::-1])
@@ -315,7 +322,7 @@ class TestEmissionCost:
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
         argmins = []
         for w in (1.0, 2.0):
-            ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, w_cd=w, w_dino=w,
+            ev = EmissionEvaluator(self.mesh, feature_source=source, w_cd=w, w_dino=w,
                                    sample_count=512, seed=8)
             cd, dino = ev.frame_terms("rotation", 0, points, states)
             argmins.append(int(np.argmin(ev.combine_terms(cd, dino))))
@@ -325,7 +332,7 @@ class TestEmissionCost:
         mu = np.array([0.0, 0.0, 0.4])
         gt_pose = SimilarityTransform(self.grid.quaternions[0], mu, 1.0)
         points, f0 = self.observation(gt_pose)
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=self.source(f0),
+        ev = EmissionEvaluator(self.mesh, feature_source=self.source(f0),
                                sample_count=256, seed=9)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions[:8]]
         # push one state far off-screen so its silhouette is empty
@@ -343,7 +350,7 @@ class TestEmissionCost:
         points, f0 = self.observation(pose)
         table = np.linspace(0.0, 1.0, len(self.grid))[None, :]
         source = TableFeatureSource(table, None)
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=10)
+        ev = EmissionEvaluator(self.mesh, feature_source=source, sample_count=256, seed=10)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
         cd, dino = ev.frame_terms("rotation", 0, points, states)
         assert np.allclose(dino, table[0])
@@ -353,8 +360,8 @@ class TestEmissionCost:
         pose = SimilarityTransform(self.grid.quaternions[4], mu, 1.0)
         points, f0 = self.observation(pose)
         state = SimilarityTransform(self.grid.quaternions[6], centroid(points), 1.0)
-        first = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
-        second = EmissionEvaluator(self.mesh, 1.0, w_dino=0.0, sample_count=256, seed=11)
+        first = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=11)
+        second = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=11)
         got, _ = first.frame_terms("rotation", 0, points, [state])
         want, _ = second.frame_terms("rotation", 0, points, [state])
         assert got[0] == want[0]
@@ -365,11 +372,10 @@ class TestEmissionCost:
         points, f0 = self.observation(gt_pose)
         source = self.source(f0)
         basis = source.basis
-        ev = EmissionEvaluator(self.mesh, 1.0, feature_source=source, sample_count=256, seed=12)
+        ev = EmissionEvaluator(self.mesh, feature_source=source, sample_count=256, seed=12)
         states = [SimilarityTransform(q, centroid(points), 1.0) for q in self.grid.quaternions]
         _, dino = ev.frame_terms("rotation", 0, points, states)
-        for j, state in enumerate(states):
-            pose = ev.full_pose(state)
+        for j, pose in enumerate(states):
             rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
             masked = FeatureMap(rendered.features,
                                 rendered.mask & rasterize_silhouette(self.mesh, pose, self.camera))
@@ -473,8 +479,7 @@ class TestBatchedChamfer:
         x_res = resample_point_cloud(obs, ev.sample_count, ev.seed).points
         row, dino = ev.frame_terms("rotation", 0, obs, states)
         assert dino is None
-        oracle = np.array([chamfer_distance(x_res, ev.full_pose(s).apply(ev.sample))
-                           for s in states])
+        oracle = np.array([chamfer_distance(x_res, s.apply(ev.sample)) for s in states])
         assert row.shape == (len(states),)
         np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0.0)
         assert np.array_equal(np.argsort(row, kind="stable"), np.argsort(oracle, kind="stable"))
@@ -493,24 +498,24 @@ class TestBatchedChamfer:
     def test_state_count_not_a_multiple_of_the_block(self):
         from rigalign.emission import _CHAMFER_BLOCK_POINTS
 
-        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=512, seed=3)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=512, seed=3)
         per_block = _CHAMFER_BLOCK_POINTS // 512
         obs = self.observation(700)
-        self.check_row(ev, obs, self.states(obs, 2 * per_block + 5))
+        self.check_row(ev, obs, self.states(obs, 2 * per_block + 5, scale=1.3))
 
     def test_single_state(self):
-        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=512, seed=4)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=512, seed=4)
         obs = self.observation(700)
-        self.check_row(ev, obs, self.states(obs, 1))
+        self.check_row(ev, obs, self.states(obs, 1, scale=1.3))
 
     @pytest.mark.parametrize("model_scale, state_scale", [(0.7, 1.0), (1.3, 1.6), (2.5, 0.4)])
     def test_scale_not_one(self, model_scale, state_scale):
-        ev = EmissionEvaluator(self.mesh, model_scale, w_dino=0.0, sample_count=256, seed=5)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=5)
         obs = self.observation(700)
-        self.check_row(ev, obs, self.states(obs, 9, scale=state_scale))
+        self.check_row(ev, obs, self.states(obs, 9, scale=model_scale * state_scale))
 
     @pytest.mark.parametrize("points", [100, 256, 3000])
     def test_observed_cloud_smaller_or_larger_than_sample(self, points):
-        ev = EmissionEvaluator(self.mesh, 1.3, w_dino=0.0, sample_count=256, seed=6)
+        ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=6)
         obs = self.observation(points)
-        self.check_row(ev, obs, self.states(obs, 12))
+        self.check_row(ev, obs, self.states(obs, 12, scale=1.3))

@@ -590,6 +590,15 @@ class TestApplyPose:
             back = apply_pose(apply_pose(pc, pose), pose.inverse())
             assert np.allclose(back.points, pc.points, atol=1e-9)
 
+    def test_matrix_built_once_read_only_and_bitwise(self):
+        for k, q in enumerate(random_unit_quaternions(20, seed=80)):
+            pose = SimilarityTransform(q * (k + 0.5), np.zeros(3), 1.5)
+            R = pose.matrix()
+            assert pose.matrix() is R
+            assert R.tobytes() == quat_to_matrix(pose.rotation).tobytes()
+            with pytest.raises(ValueError):
+                R[0, 0] = 0.0
+
     def test_compose_is_associative(self):
         rng = np.random.default_rng(7)
         qs = random_unit_quaternions(3, seed=70)
