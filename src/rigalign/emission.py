@@ -1,8 +1,9 @@
 """Per-state observation costs.
 
 Scale estimation from second moments, silhouette rasterization, PCA feature
-similarity, and the combined chamfer + feature emission cost evaluated over
-candidate pose states.
+similarity, the synthetic feature field, the feature sources, and the
+combined chamfer + feature emission cost evaluated over candidate pose
+states.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateCloud, EmptyOverlap, InvalidInput
+from .errors import DegenerateCloud, InvalidInput
 from .geometry import (
     Camera,
     HandPointMap,
@@ -33,6 +34,9 @@ from . import meshio
 # Query points per batched Chamfer block: bounds the posed-point buffers at
 # a few MB whatever the number of states scored.
 _CHAMFER_BLOCK_POINTS = 16384
+
+# Floor on dino_similarity's norm product: a map at the basis mean projects to 0.
+_SIMILARITY_EPS = 1e-8
 
 
 @dataclass(eq=False)
@@ -129,25 +133,64 @@ def pca_basis(maps) -> PCABasis:
     return PCABasis(mean=mean, components=comps)
 
 
-def dino_similarity(f_j: FeatureMap, f_0: FeatureMap, basis: PCABasis, eps: float = 1e-8) -> float:
-    """Feature disagreement in [0, 1]: 0 identical, 1 anti-aligned.
+def dino_similarity(f_j: FeatureMap, f_0: FeatureMap, basis: PCABasis) -> float:
+    """Feature disagreement in [0, 1]: 0 identical, 1 anti-aligned; NaN when
+    the two masks do not intersect.
 
     Projects both maps onto the basis over the intersection of their masks,
     then maps cosine similarity c to 1 - (c + 1) / 2.
     """
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
     if f_j.features.shape[:2] != f_0.features.shape[:2]:
         raise InvalidInput("feature maps must share spatial dimensions")
     domain = f_j.mask & f_0.mask
     if not domain.any():
-        raise EmptyOverlap("masked pixel domains do not intersect")
+        return math.nan
     a = basis.project(f_j.features[domain]).ravel()
     b = basis.project(f_0.features[domain]).ravel()
-    denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), eps)
+    denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), _SIMILARITY_EPS)
     cos = float(a @ b) / denom
     cos = max(-1.0, min(1.0, cos))
     return 1.0 - 0.5 * (cos + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The synthetic feature field: a known stand-in for extracted image features.
+
+
+@dataclass(frozen=True)
+class FeatureField:
+    """Deterministic smooth field R^3 -> R^C: sin(W x + b)."""
+
+    weights: np.ndarray  # (3, C)
+    phases: np.ndarray  # (C,)
+
+    @staticmethod
+    def from_seed(seed: int, channels: int = 8) -> "FeatureField":
+        rng = np.random.default_rng(seed)
+        # ~120 rad/m phase gradient gives O(1) feature variation across a
+        # few-centimeter object
+        return FeatureField(
+            weights=rng.normal(scale=120.0, size=(3, channels)),
+            phases=rng.uniform(0.0, 2.0 * math.pi, size=channels),
+        )
+
+    @property
+    def channels(self) -> int:
+        return self.weights.shape[1]
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return np.sin(np.asarray(points, dtype=float) @ self.weights + self.phases)
+
+
+def field_features(hit_map: HandPointMap, pose: SimilarityTransform,
+                   field: FeatureField) -> FeatureMap:
+    """The field at the model-frame points of a ray cast of the posed mesh,
+    masked to its hits."""
+    features = np.zeros(hit_map.hits.shape + (field.channels,))
+    if hit_map.hits.any():
+        model_points = pose.inverse().apply(hit_map.points[hit_map.hits])
+        features[hit_map.hits] = field(model_points)
+    return FeatureMap(features, hit_map.hits)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +217,8 @@ class CastFeatureSource:
     under `camera` and masked to it, compared against the frame's input map
     (`inputs` holds one per sequence position) in the PCA `basis` fitted on
     all the input maps. One cast_hit_maps pass per frame yields every
-    state's hit map in turn."""
+    state's hit map in turn. A state whose map does not overlap the input
+    map's mask gets dino_similarity's NaN, as a table row marks it."""
 
     camera: Camera
     inputs: list
@@ -198,10 +242,7 @@ class CastFeatureSource:
                                  self.camera)
         for j, (pose, hit_map) in enumerate(zip(poses, hit_maps)):
             fj = self.candidate_features(phase, frame_index, j, pose, hit_map)
-            try:
-                errors[j] = dino_similarity(fj, self.inputs[frame_index], self.basis)
-            except EmptyOverlap:
-                errors[j] = np.nan
+            errors[j] = dino_similarity(fj, self.inputs[frame_index], self.basis)
         return errors
 
 
@@ -225,11 +266,9 @@ class SyntheticFeatureSource(CastFeatureSource):
     """Evaluates a known pose-dependent feature field at the state's ray hits;
     used for end-to-end checks."""
 
-    field: object  # synthetic.FeatureField
+    field: FeatureField
 
     def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
-        from .synthetic import field_features
-
         return field_features(hit_map, pose, self.field)
 
 

@@ -32,7 +32,3 @@ class DegenerateCloud(RigalignError):
 
 class DegenerateGeometry(RigalignError):
     """Geometry is degenerate: zero surface area or a rank-deficient fit."""
-
-
-class EmptyOverlap(RigalignError):
-    """Masked pixel domains of two feature maps do not intersect."""

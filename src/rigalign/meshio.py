@@ -321,7 +321,16 @@ def load_fmap(path):
     map's own mask."""
     path = Path(path)
     blob = read_input(path, "feature map")
-    h, w, c = _fmap_dims(path, blob[:20], len(blob))
+    if blob[:4] != FMAP_MAGIC:
+        raise ParseError(f"{path}: bad FMAP magic")
+    if len(blob) < 20:
+        raise ParseError(f"{path}: truncated FMAP header")
+    version, h, w, c = struct.unpack("<IIII", blob[4:20])
+    if version != 1:
+        raise ParseError(f"{path}: unsupported FMAP version {version}")
+    need = 20 + h * w * c * 4 + h * w
+    if len(blob) != need:
+        raise ParseError(f"{path}: FMAP payload size mismatch ({len(blob)} != {need})")
     feats = np.frombuffer(blob, "<f4", h * w * c, 20).reshape(h, w, c)
     bad = np.argwhere(~np.isfinite(feats))
     if len(bad):
@@ -330,33 +339,6 @@ def load_fmap(path):
                          f"is not finite")
     mask = np.frombuffer(blob, "u1", h * w, 20 + h * w * c * 4).reshape(h, w) != 0
     return feats.copy(), mask
-
-
-def read_fmap_header(path) -> tuple[int, int, int]:
-    """(H, W, C) from a feature map's 20-byte header, checked against the
-    file size without reading the payload."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(20)
-        size = path.stat().st_size
-    except OSError as e:
-        raise ParseError(f"cannot read feature map {path}: {e}") from e
-    return _fmap_dims(path, head, size)
-
-
-def _fmap_dims(path: Path, head: bytes, size: int) -> tuple[int, int, int]:
-    if head[:4] != FMAP_MAGIC:
-        raise ParseError(f"{path}: bad FMAP magic")
-    if len(head) < 20:
-        raise ParseError(f"{path}: truncated FMAP header")
-    version, h, w, c = struct.unpack("<IIII", head[4:20])
-    if version != 1:
-        raise ParseError(f"{path}: unsupported FMAP version {version}")
-    need = 20 + h * w * c * 4 + h * w
-    if size != need:
-        raise ParseError(f"{path}: FMAP payload size mismatch ({size} != {need})")
-    return h, w, c
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ import numpy as np
 from . import meshio
 from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
-from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureMap,
+from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureField, FeatureMap,
                        SyntheticFeatureSource, TableFeatureSource)
 from .errors import ConfigError, ParseError
 from .evaluate import evaluate_track
 from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_points
 from .grids import build_rotation_grid, build_translation_grid
-from .synthetic import FeatureField
 
 
 # Per-frame input kinds, each file named meshio.frame_file(kind, t, ext):
@@ -82,8 +81,9 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
 
     The cloud files define the frame set. Input feature maps and masks are
     loaded only when candidate features are computed per state (`synthetic`
-    and `maps`), and go to the feature source, which fits its PCA basis on
-    them; a `table` run reads its tables alone."""
+    and `maps`), must share the first map's channel count, and go to the
+    feature source, which fits its PCA basis on them; a `table` run reads
+    its tables alone."""
     if not cfg.model_mesh:
         raise ConfigError("model_mesh is required")
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
@@ -115,6 +115,10 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         if use_maps:
             feats, mask = meshio.load_fmap(paths["feat"][t])
             _check_image_size(paths["feat"][t], feats.shape[:2], camera)
+            if inputs and feats.shape[2] != inputs[0].features.shape[2]:
+                raise ParseError(f"{paths['feat'][t]}: {feats.shape[2]} feature channels, "
+                                 f"{paths['feat'][indices[0]]} has "
+                                 f"{inputs[0].features.shape[2]}")
             if "mask" in paths:
                 mask = meshio.load_pgm_mask(paths["mask"][t])
                 _check_image_size(paths["mask"][t], mask.shape, camera)
@@ -124,6 +128,10 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
 
     feature_source = None
     if source_name == "synthetic":
+        channels = inputs[0].features.shape[2]
+        if cfg.synthetic_feature_channels != channels:
+            raise ConfigError(f"synthetic_feature_channels is {cfg.synthetic_feature_channels}, "
+                              f"the input feature maps have {channels}")
         field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
         feature_source = SyntheticFeatureSource(camera, inputs, field)
     elif source_name == "table":
@@ -168,16 +176,17 @@ def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None
 
 
 def _check_candidate_maps(source: DirectoryFeatureSource, s_rot: int, s_trans: int) -> None:
-    """Every candidate map of every frame of the source exists, and its header
-    gives the source camera's image size and the channel count of the input
-    feature maps (its basis)."""
+    """Every candidate map of every frame of the source exists and loads (so
+    every value is finite), with the source camera's image size and the
+    channel count of the input feature maps (its basis). The maps are read
+    again when their frame is scored."""
     for phase, count in (("rotation", s_rot), ("translation", s_trans)):
         for t in range(len(source.inputs)):
             for j in range(count):
                 p = source.path_for(phase, t, j)
                 if not p.is_file():
                     raise ParseError(f"missing candidate feature map {p}")
-                h, w, c = meshio.read_fmap_header(p)
+                h, w, c = meshio.load_fmap(p)[0].shape
                 _check_image_size(p, (h, w), source.camera)
                 if c != len(source.basis.mean):
                     raise ConfigError(f"{p}: {c} feature channels, the input feature maps "

@@ -1,9 +1,10 @@
 """Synthetic scenes with known ground truth for end-to-end verification.
 
-A deterministic feature field stands in for externally extracted image
-features: feature vectors are a fixed smooth function of model-frame surface
-position, so rendered candidate features match the input-image features
-exactly when the candidate pose equals the generating pose.
+A deterministic feature field (`emission.FeatureField`) stands in for
+externally extracted image features: feature vectors are a fixed smooth
+function of model-frame surface position, so rendered candidate features
+match the input-image features exactly when the candidate pose equals the
+generating pose.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 from . import meshio
 from .align import PoseTrack, track_to_json
 from .config import RunConfig, serialize_config
-from .emission import FeatureMap
+from .emission import FeatureField, FeatureMap, field_features
 from .errors import InvalidInput
 from .geometry import (
     MAX_SAMPLE_POINTS,
     Camera,
-    HandPointMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
@@ -38,47 +38,19 @@ from .seeding import SEED_LIMIT, derive_seed
 # seed stream tags
 _TRAJ, _CLOUD, _NOISE, _HAND, _FIELD, _SCALE = range(6)
 
-
-@dataclass(frozen=True)
-class FeatureField:
-    """Deterministic smooth field R^3 -> R^C: sin(W x + b)."""
-
-    weights: np.ndarray  # (3, C)
-    phases: np.ndarray  # (C,)
-
-    @staticmethod
-    def from_seed(seed: int, channels: int = 8) -> "FeatureField":
-        rng = np.random.default_rng(seed)
-        # ~120 rad/m phase gradient gives O(1) feature variation across a
-        # few-centimeter object
-        return FeatureField(
-            weights=rng.normal(scale=120.0, size=(3, channels)),
-            phases=rng.uniform(0.0, 2.0 * math.pi, size=channels),
-        )
-
-    @property
-    def channels(self) -> int:
-        return self.weights.shape[1]
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.sin(np.asarray(points, dtype=float) @ self.weights + self.phases)
+# Most frames and feature channels a scene may have. A scene holds every
+# frame's 64 x 64 x C float64 feature map beside its clouds: under
+# tracemalloc a frame took 0.31 MB at 8 channels and 2.1 MB at 64, so 1,000
+# frames take about 0.3 GB at 8 channels and 2.1 GB at 64. Larger values are
+# rejected when the spec is built, before anything is allocated.
+MAX_SCENE_FRAMES = 1000
+MAX_FEATURE_CHANNELS = 64
 
 
 def render_feature_map(mesh: TriangleMesh, pose: SimilarityTransform, camera: Camera,
                        field: FeatureField) -> FeatureMap:
     """Ray-cast the posed mesh and evaluate the field at the model-frame hit points."""
     return field_features(first_hit_map(apply_pose(mesh, pose), camera), pose, field)
-
-
-def field_features(hit_map: HandPointMap, pose: SimilarityTransform,
-                   field: FeatureField) -> FeatureMap:
-    """The field at the model-frame points of a ray cast of the posed mesh,
-    masked to its hits."""
-    features = np.zeros(hit_map.hits.shape + (field.channels,))
-    if hit_map.hits.any():
-        model_points = pose.inverse().apply(hit_map.points[hit_map.hits])
-        features[hit_map.hits] = field(model_points)
-    return FeatureMap(features, hit_map.hits)
 
 
 def default_camera() -> Camera:
@@ -122,8 +94,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise InvalidInput("need at least one frame")
+        if not 1 <= self.frames <= MAX_SCENE_FRAMES:
+            raise InvalidInput(f"frames must be in [1, {MAX_SCENE_FRAMES}]; got {self.frames}")
         if self.cloud_points < 1:
             raise InvalidInput("cloud_points must be >= 1")
         if self.hand_points < 0:
@@ -135,8 +107,9 @@ class SceneSpec:
             raise InvalidInput("seed must be >= 0" if self.seed < 0 else "seed must be < 2**32")
         if not 0 <= self.noise_std < math.inf:
             raise InvalidInput("noise_std must be finite and >= 0")
-        if self.feature_channels < 3:
-            raise InvalidInput("feature_channels must be >= 3")
+        if not 3 <= self.feature_channels <= MAX_FEATURE_CHANNELS:
+            raise InvalidInput(f"feature_channels must be in [3, {MAX_FEATURE_CHANNELS}]; "
+                               f"got {self.feature_channels}")
         if any(c % 2 == 0 for c in self.translation_counts):
             raise InvalidInput("translation counts must be odd so the center is a grid point")
 

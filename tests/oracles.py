@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from rigalign.emission import dino_similarity
-from rigalign.errors import DegenerateGeometry, EmptyMesh, EmptyOverlap, RigalignError
+from rigalign.errors import DegenerateGeometry, EmptyMesh, RigalignError
 from rigalign.geometry import (
     HandPointMap,
     SimilarityTransform,
@@ -202,10 +202,7 @@ def per_state_feature_errors(source, phase: str, frame_index: int, mesh, poses) 
     for j, pose in enumerate(poses):
         hit_map = window_first_hit_map(apply_pose(mesh, pose), source.camera)
         fj = source.candidate_features(phase, frame_index, j, pose, hit_map)
-        try:
-            errors[j] = dino_similarity(fj, source.inputs[frame_index], source.basis)
-        except EmptyOverlap:
-            errors[j] = np.nan
+        errors[j] = dino_similarity(fj, source.inputs[frame_index], source.basis)
     return errors
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigalign import meshio
+from rigalign import emission, meshio
 from rigalign.cli import run as cli_run
 from rigalign.errors import ConfigError, InvalidInput, ParseError, RigalignError
 from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
@@ -113,7 +113,11 @@ def test_non_finite_feature_value_rejected(scene, tmp_path, value):
     assert f"feat_000001.fmap: feature value at row {i}, column {j}, channel 2 is not finite" in err
 
 
-def test_non_finite_candidate_feature_value_rejected(scene, tmp_path):
+def test_non_finite_candidate_feature_value_rejected(scene, tmp_path, monkeypatch):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a frame was scored before every candidate map was checked")
+
+    monkeypatch.setattr(emission.EmissionEvaluator, "frame_terms", no_scoring)
     set_config(scene, feature_source="maps", candidate_features_dir="cand")
     (scene / "cand").mkdir()
     rng = np.random.default_rng(0)
@@ -129,6 +133,23 @@ def test_non_finite_candidate_feature_value_rejected(scene, tmp_path):
     code, err = track(scene, tmp_path / "out")
     assert_rejected(code, err, tmp_path / "out")
     assert "feat_rotation_000001_000005.fmap: feature value at row 32, column 30" in err
+
+
+def test_input_maps_with_other_channel_counts_rejected(scene, tmp_path):
+    path = scene / "feat_000001.fmap"
+    feats, mask = meshio.load_fmap(path)
+    meshio.save_fmap(feats[..., :5], mask, path)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "feat_000001.fmap: 5 feature channels" in err and "feat_000000.fmap has 8" in err
+
+
+@pytest.mark.parametrize("channels", ["5", "1000000000"])
+def test_synthetic_channels_other_than_the_input_maps_rejected(scene, tmp_path, channels):
+    set_config(scene, synthetic_feature_channels=channels)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"synthetic_feature_channels is {channels}, the input feature maps have 8" in err
 
 
 def test_zero_extent_clouds_rejected(scene, tmp_path):
@@ -281,6 +302,8 @@ def test_model_ply_without_xyz_rejected(scene, tmp_path):
     ["synth", "--cloud-points", "100000000000"],
     ["synth", "--level", "9"],
     ["grid", "--level", "9"],
+    ["synth", "--frames", "1000000000000"],
+    ["synth", "--channels", "1000000000"],
 ])
 def test_bad_generator_argument_rejected(tmp_path, argv):
     out = tmp_path / "out"
@@ -443,6 +466,18 @@ def _delete(scene, draw):
     return False
 
 
+def _channel_mismatch(scene, draw):
+    if draw(st.booleans()):
+        path = scene / f"feat_{draw(st.integers(0, 1)):06d}.fmap"
+        feats, mask = meshio.load_fmap(path)
+        channels = draw(st.integers(1, 16).filter(lambda c: c != feats.shape[2]))
+        meshio.save_fmap(np.resize(feats, feats.shape[:2] + (channels,)), mask, path)
+    else:
+        channels = draw(st.integers(-5, 10**12).filter(lambda c: c != 8))
+        set_config(scene, synthetic_feature_channels=channels)
+    return False
+
+
 def _config_float(scene, draw):
     set_config(scene, **{draw(st.sampled_from(_CONFIG_FLOATS)): repr(draw(_NON_FINITE))})
     return False
@@ -455,7 +490,7 @@ def _negative_seed(scene, draw):
 
 
 _CORRUPTIONS = (_truncate, _flip_dimension, _non_finite_value, _non_numeric_obj_token,
-                _delete, _config_float, _negative_seed)
+                _delete, _config_float, _negative_seed, _channel_mismatch)
 
 
 @settings(max_examples=30, deadline=None)

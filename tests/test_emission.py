@@ -5,6 +5,7 @@ import pytest
 
 from rigalign.emission import (
     EmissionEvaluator,
+    FeatureField,
     FeatureMap,
     SyntheticFeatureSource,
     TableFeatureSource,
@@ -13,7 +14,7 @@ from rigalign.emission import (
     pca_basis,
     rasterize_silhouette,
 )
-from rigalign.errors import DegenerateCloud, EmptyOverlap, InvalidInput
+from rigalign.errors import DegenerateCloud, InvalidInput
 from rigalign.geometry import (
     Camera,
     PointCloud,
@@ -26,7 +27,7 @@ from rigalign.geometry import (
 )
 from rigalign.metrics import chamfer_distance
 from rigalign.grids import build_rotation_grid
-from rigalign.synthetic import FeatureField, irregular_tetrahedron, render_feature_map
+from rigalign.synthetic import irregular_tetrahedron, render_feature_map
 
 from conftest import random_blob_mesh, subdivided
 from oracles import per_state_feature_errors, random_unit_quaternions, solve_silhouette
@@ -236,13 +237,12 @@ class TestDinoSimilarity:
             e = dino_similarity(fa, fb, self.basis)
             assert 0.0 <= e <= 1.0
 
-    def test_empty_overlap_raises(self):
+    def test_empty_overlap_is_nan(self):
         mask_a = np.zeros((16, 16), dtype=bool)
         mask_a[:8] = True
         fa = map_from(self.f0.features, mask_a)
         fb = map_from(self.f0.features, ~mask_a)
-        with pytest.raises(EmptyOverlap):
-            dino_similarity(fa, fb, self.basis)
+        assert math.isnan(dino_similarity(fa, fb, self.basis))
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:

@@ -157,12 +157,13 @@ class TestFmap:
         with pytest.raises(ParseError):
             meshio.load_fmap(path)
 
-    def test_header_gives_dims_and_rejects_what_load_rejects(self, tmp_path):
+    def test_load_gives_dims_and_rejects_bad_files(self, tmp_path):
         import struct
 
         path = tmp_path / "f.fmap"
         meshio.save_fmap(np.zeros((5, 7, 3), dtype=np.float32), np.ones((5, 7), bool), path)
-        assert meshio.read_fmap_header(path) == (5, 7, 3)
+        feats, mask = meshio.load_fmap(path)
+        assert feats.shape == (5, 7, 3) and mask.shape == (5, 7)
         bad = {
             "magic": b"NOPE" + bytes(16),
             "header": b"FMAP" + bytes(8),
@@ -173,11 +174,9 @@ class TestFmap:
             path = tmp_path / f"{name}.fmap"
             path.write_bytes(blob)
             with pytest.raises(ParseError):
-                meshio.read_fmap_header(path)
-            with pytest.raises(ParseError):
                 meshio.load_fmap(path)
         with pytest.raises(ParseError):
-            meshio.read_fmap_header(tmp_path / "absent.fmap")
+            meshio.load_fmap(tmp_path / "absent.fmap")
 
 
 class TestEmit:
