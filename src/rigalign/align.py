@@ -146,7 +146,9 @@ def align_sequence(
         return [SimilarityTransform(q, mus[t], scale) for q in unit_quats]
 
     rot_table = _build_rows(evaluator, "rotation", frames, rotation_poses)
-    angles = rot_grid.pairwise_angles()
+    # viterbi_decode asks for transition(t) only for t >= 1, so one frame
+    # needs no (S, S) angle matrix (2.16 GB at level 4, 138 GB at level 5).
+    angles = rot_grid.pairwise_angles() if len(frames) > 1 else None
     rot_path = viterbi_decode(rot_table, lambda t: angles, lam_rot)
 
     positions = np.stack([mu + trans_grid.offsets for mu in mus])  # (T, S, 3)

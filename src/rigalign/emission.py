@@ -4,6 +4,10 @@ Scale estimation from second moments, silhouette rasterization, PCA feature
 similarity, the synthetic feature field, the feature sources, and the
 combined chamfer + feature emission cost evaluated over candidate pose
 states.
+
+Importing this module loads no scipy: only EmissionEvaluator builds k-d
+trees, and it imports scipy.spatial and rigalign.metrics where it uses them,
+so a process that builds scenes but scores nothing skips that import.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateCloud, InvalidInput
 from .geometry import (
@@ -28,7 +31,6 @@ from .geometry import (
     resample_point_cloud,
     sample_mesh_surface,
 )
-from .metrics import chamfer_from_distances
 from . import meshio
 
 # Query points per batched Chamfer block: bounds the posed-point buffers at
@@ -285,6 +287,9 @@ class EmissionEvaluator:
     object cloud, in cm^2, batched over all poses of a frame. The feature
     term comes from `feature_source` (a table, or a cast source that holds
     the input maps); without one, or with `w_dino = 0`, there is none.
+
+    The first evaluator built in a process pays the scipy.spatial import
+    (about 0.37 s), unless rigalign.metrics is already loaded.
     """
 
     def __init__(self, mesh: TriangleMesh, *, w_cd: float = 1.0, w_dino: float = 1.0,
@@ -298,6 +303,9 @@ class EmissionEvaluator:
         self.seed = int(seed)
         self.penalty_factor = float(penalty_factor)
         self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
+        # Deferred: scipy.spatial takes about 0.37 s to import (-X importtime,
+        # numpy loaded), which a process that scores no pose need not pay.
+        from scipy.spatial import cKDTree
         self._sample_tree = cKDTree(self.sample)
 
     def chamfer_term(self, x_resampled: np.ndarray, poses) -> np.ndarray:
@@ -311,6 +319,9 @@ class EmissionEvaluator:
         distances are s times the model-frame ones. Poses go in blocks of
         about _CHAMFER_BLOCK_POINTS query points.
         """
+        from scipy.spatial import cKDTree  # deferred as in __init__; loaded by then
+        from .metrics import chamfer_from_distances
+
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
         obs_tree = cKDTree(x)

@@ -5,7 +5,7 @@ from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_
 from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource
 from rigalign.errors import InvalidInput, ParseError
 from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
-from rigalign.grids import build_rotation_grid, build_translation_grid
+from rigalign.grids import RotationGrid, build_rotation_grid, build_translation_grid
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
@@ -54,6 +54,16 @@ class TestAlignSequence:
         # (tolerance covers the pose's unit-norm renormalization only)
         gt_quat = scene.rot_grid.quaternions[scene.rotation_states[0]]
         assert np.allclose(pose.rotation, gt_quat, atol=1e-12)
+
+    def test_single_frame_builds_no_rotation_transition(self, monkeypatch):
+        # one frame has no step t >= 1, so viterbi_decode never asks for the
+        # (S, S) angle matrix; building it anyway costs 2.16 GB at level 4
+        def refuse(self):
+            raise AssertionError("pairwise_angles built for a single frame")
+
+        monkeypatch.setattr(RotationGrid, "pairwise_angles", refuse)
+        res = run_alignment(small_scene(frames=1, seed=6))
+        assert res.rotation_path.states[0] == res.rotation_table.costs[0].argmin()
 
     def test_grids_of_size_one(self):
         scene = small_scene(frames=2, seed=7, level=0)
