@@ -2,8 +2,9 @@
 
 Rotation states are evaluated with the model translated to the observed
 cloud's mean; decoded rotations are then held fixed while a per-frame voxel
-grid of translation offsets is decoded. Transition costs are geodesic
-rotation angles and absolute-position Euclidean distances respectively.
+grid of translation offsets is decoded. Both phases score a frame through
+`score_frame`. Transition costs are geodesic rotation angles and
+absolute-position Euclidean distances respectively.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ def track_from_json(text: str) -> PoseTrack:
             scale=float(obj["scale"]),
             rotations=np.array([f["rotation_wxyz"] for f in frames], dtype=float),
             translations=np.array([f["translation_m"] for f in frames], dtype=float),
-            timestamps=np.array([f["t"] for f in frames], dtype=np.int64),
+            timestamps=np.array([meshio.json_int(f["t"], f"entry {k}: t")
+                                 for k, f in enumerate(frames)], dtype=np.int64),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
         raise ParseError(f"invalid pose track JSON: {e}") from e
 
 
@@ -90,12 +92,17 @@ class AlignResult:
     translation_table: EmissionTable
 
 
-def _build_rows(evaluator, phase, frames, poses_for_frame):
-    rows = []
-    for t, points in enumerate(frames):
-        cd, dino = evaluator.frame_terms(phase, t, points, poses_for_frame(t))
-        rows.append(evaluator.combine_terms(cd, dino))
-    return EmissionTable(np.stack(rows))
+def score_frame(evaluator: EmissionEvaluator, phase: str, t: int, points, quats, positions,
+                scale: float) -> np.ndarray:
+    """Cost row of frame `t` over the poses quats x positions, quaternion-major:
+    every unit quaternion at every position, each pose at `scale`."""
+    poses = [SimilarityTransform(q, p, scale) for q in quats for p in positions]
+    return evaluator.combine_terms(*evaluator.frame_terms(phase, t, points, poses))
+
+
+def translation_costs(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """(S, S) distances from every position of `prev` to every one of `cur`."""
+    return np.sqrt(((cur[None] - prev[:, None]) ** 2).sum(axis=-1))
 
 
 def align_sequence(
@@ -134,7 +141,7 @@ def align_sequence(
         flat_frames = ", ".join(str(timestamps[t]) for t, e in enumerate(estimates) if e == 0.0)
         raise DegenerateCloud(f"the median scale estimate is 0: the object clouds of frames "
                               f"{flat_frames} have zero extent")
-    mus = [f.points.mean(axis=0) for f in frames]
+    mus = np.stack([f.points.mean(axis=0) for f in frames])  # (T, 3)
     quats = rot_grid.quaternions
     # Normalizing once more up front keeps every pose's rotation matrix
     # bitwise equal to that of a rigid state rescaled afterwards: unit
@@ -142,27 +149,21 @@ def align_sequence(
     # level-2 grid rotations change on a second pass).
     unit_quats = np.array([quat_normalize(q) for q in quats])
 
-    def rotation_poses(t):
-        return [SimilarityTransform(q, mus[t], scale) for q in unit_quats]
-
-    rot_table = _build_rows(evaluator, "rotation", frames, rotation_poses)
+    rot_table = EmissionTable(np.stack([
+        score_frame(evaluator, "rotation", t, points, unit_quats, mus[t][None], scale)
+        for t, points in enumerate(frames)]))
     # viterbi_decode asks for transition(t) only for t >= 1, so one frame
     # needs no (S, S) angle matrix (2.16 GB at level 4, 138 GB at level 5).
     angles = rot_grid.pairwise_angles() if len(frames) > 1 else None
     rot_path = viterbi_decode(rot_table, lambda t: angles, lam_rot)
 
-    positions = np.stack([mu + trans_grid.offsets for mu in mus])  # (T, S, 3)
-
-    def translation_poses(t):
-        q = unit_quats[rot_path.states[t]]
-        return [SimilarityTransform(q, p, scale) for p in positions[t]]
-
-    def translation_costs(t):
-        # (S, S) distances from every position at frame t-1 to every one at t
-        return np.sqrt(((positions[t][None] - positions[t - 1][:, None]) ** 2).sum(axis=-1))
-
-    trans_table = _build_rows(evaluator, "translation", frames, translation_poses)
-    trans_path = viterbi_decode(trans_table, translation_costs, lam_trans)
+    positions = mus[:, None] + trans_grid.offsets  # (T, S, 3)
+    trans_table = EmissionTable(np.stack([
+        score_frame(evaluator, "translation", t, points, unit_quats[rot_path.states[t]][None],
+                    positions[t], scale)
+        for t, points in enumerate(frames)]))
+    trans_path = viterbi_decode(
+        trans_table, lambda t: translation_costs(positions[t - 1], positions[t]), lam_trans)
 
     track = PoseTrack(
         scale=scale,

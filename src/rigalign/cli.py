@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="run config file (key = value lines)")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="run config file (key = value lines)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
 

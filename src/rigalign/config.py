@@ -36,7 +36,6 @@ class RunConfig:
     # feature evidence
     feature_source: str = "none"
     synthetic_feature_seed: int = 0
-    synthetic_feature_channels: int = 8
     # grids
     rotation_level: int = 2
     translation_half_extent: tuple = (0.05, 0.05, 0.05)
@@ -142,8 +141,6 @@ def _validate(cfg: RunConfig) -> None:
     check_seed(cfg.seed, "seed", ConfigError)
     if cfg.synthetic_feature_seed < 0:  # unbounded above: a field seed, not a derive_seed part
         raise ConfigError(f"synthetic_feature_seed must be >= 0; got {cfg.synthetic_feature_seed}")
-    if cfg.synthetic_feature_channels < 3:
-        raise ConfigError("synthetic_feature_channels must be >= 3")
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -3,7 +3,7 @@ used for sequence-decoding transitions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ MAX_TRANSLATION_STATES = 2**20
 class RotationGrid:
     """Deterministic discretization of SO(3) as canonicalized unit quaternions."""
 
-    level: int
     quaternions: np.ndarray  # (S, 4), unit norm, first nonzero component positive
 
     def __len__(self) -> int:
@@ -51,23 +50,7 @@ class RotationGrid:
 class TranslationGrid:
     """Uniform lattice of offsets, symmetric about its center."""
 
-    center: np.ndarray
-    half_extent: np.ndarray
-    counts: tuple[int, int, int]
-    offsets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
-        self.half_extent = np.asarray(self.half_extent, dtype=float).reshape(3)
-        if any(c < 1 for c in self.counts):
-            raise InvalidInput("counts must be >= 1 per axis")
-        if (self.half_extent < 0).any():
-            raise InvalidInput("half_extent must be >= 0")
-        axes = []
-        for c, h, n in zip(self.center, self.half_extent, self.counts):
-            axes.append(np.array([c]) if n == 1 else np.linspace(c - h, c + h, n))
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        self.offsets = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    offsets: np.ndarray  # (S, 3)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -101,7 +84,7 @@ def build_rotation_grid(level: int) -> RotationGrid:
     quats = quats[order]
     keep = np.ones(len(quats), dtype=bool)
     keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return RotationGrid(level=level, quaternions=quats[keep])
+    return RotationGrid(quats[keep])
 
 
 def build_translation_grid(center, half_extent, counts) -> TranslationGrid:
@@ -115,4 +98,11 @@ def build_translation_grid(center, half_extent, counts) -> TranslationGrid:
     h = np.atleast_1d(np.asarray(half_extent, dtype=float))
     if h.size == 1:
         h = h.repeat(3)
-    return TranslationGrid(center=center, half_extent=h, counts=tuple(int(x) for x in c))
+    if (c < 1).any():
+        raise InvalidInput("counts must be >= 1 per axis")
+    if (h < 0).any():
+        raise InvalidInput("half_extent must be >= 0")
+    axes = [np.array([m]) if n == 1 else np.linspace(m - e, m + e, n)
+            for m, e, n in zip(np.asarray(center, dtype=float).reshape(3), h.reshape(3), c)]
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+    return TranslationGrid(np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1))

@@ -1,5 +1,5 @@
 """File formats: OBJ and binary PLY geometry, FMAP feature maps, EMIT cost
-tables, PGM masks, camera and pose-track JSON.
+tables, PGM masks and camera JSON (pose-track JSON lives in `align`).
 
 All distances on disk are meters. PLY files are binary little-endian.
 """
@@ -48,6 +48,14 @@ def read_input(path, what: str, *, text: bool = False, error=ParseError):
 def json_text(obj) -> str:
     """The layout of every JSON file written: indent 2, sorted keys, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def json_int(value, what: str) -> int:
+    """`value` when it is a JSON integer; a float, a bool or a string raises
+    ValueError naming `what`, where int() would truncate or convert it."""
+    if type(value) is not int:
+        raise ValueError(f"{what} is {json.dumps(value)}, not an integer")
+    return value
 
 
 def frame_file(kind: str, t: int, ext: str) -> str:
@@ -424,7 +432,8 @@ def load_camera(path) -> Camera:
     try:
         obj = json.loads(text)
         return Camera(fx=float(obj["fx"]), fy=float(obj["fy"]), cx=float(obj["cx"]),
-                      cy=float(obj["cy"]), width=int(obj["width"]), height=int(obj["height"]))
+                      cy=float(obj["cy"]), width=json_int(obj["width"], "width"),
+                      height=json_int(obj["height"], "height"))
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: invalid camera file: {e}") from e
 

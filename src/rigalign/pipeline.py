@@ -81,9 +81,9 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
 
     The cloud files define the frame set. Input feature maps and masks are
     loaded only when candidate features are computed per state (`synthetic`
-    and `maps`), must share the first map's channel count, and go to the
-    feature source, which fits its PCA basis on them; a `table` run reads
-    its tables alone."""
+    and `maps`), must share the first map's channel count, which the
+    synthetic field takes too, and go to the feature source, which fits its
+    PCA basis on them; a `table` run reads its tables alone."""
     if not cfg.model_mesh:
         raise ConfigError("model_mesh is required")
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
@@ -128,11 +128,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
 
     feature_source = None
     if source_name == "synthetic":
-        channels = inputs[0].features.shape[2]
-        if cfg.synthetic_feature_channels != channels:
-            raise ConfigError(f"synthetic_feature_channels is {cfg.synthetic_feature_channels}, "
-                              f"the input feature maps have {channels}")
-        field = FeatureField.from_seed(cfg.synthetic_feature_seed, cfg.synthetic_feature_channels)
+        field = FeatureField.from_seed(cfg.synthetic_feature_seed, inputs[0].features.shape[2])
         feature_source = SyntheticFeatureSource(camera, inputs, field)
     elif source_name == "table":
         if not cfg.dino_table_rot or not cfg.dino_table_trans:

@@ -46,6 +46,16 @@ _TRAJ, _CLOUD, _NOISE, _HAND, _FIELD, _SCALE = range(6)
 MAX_SCENE_FRAMES = 1000
 MAX_FEATURE_CHANNELS = 64
 
+# Half extent (m) of the translation grid written into the generated config.
+TRANSLATION_HALF_EXTENT = 0.05
+
+# Transition weights written into the generated config. Grid-resolution
+# rotation hops cost ~0.6 rad, which at lambda = 1 can outweigh the
+# normalized emission gap and make the generating sequence lose the
+# argmin; 0.2 keeps clean emissions decisive while still smoothing.
+LAMBDA_ROT = 0.2
+LAMBDA_TRANS = 0.2
+
 
 def render_feature_map(mesh: TriangleMesh, pose: SimilarityTransform, camera: Camera,
                        field: FeatureField) -> FeatureMap:
@@ -80,17 +90,10 @@ class SceneSpec:
     frames: int = 10
     noise_std: float = 0.0  # meters, isotropic Gaussian on object points
     rotation_level: int = 2
-    translation_half_extent: float = 0.05
     translation_counts: tuple[int, int, int] = (5, 5, 5)
     cloud_points: int = 1024
     hand_points: int = 200  # decoy points labeled as hand
     feature_channels: int = 8
-    # Transition weight written into the generated config. Grid-resolution
-    # rotation hops cost ~0.6 rad, which at lambda = 1 can outweigh the
-    # normalized emission gap and make the generating sequence lose the
-    # argmin; 0.2 keeps clean emissions decisive while still smoothing.
-    lambda_rot: float = 0.2
-    lambda_trans: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -157,7 +160,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     camera = default_camera()
     rot_grid = build_rotation_grid(spec.rotation_level)
     trans_grid = build_translation_grid(
-        np.zeros(3), spec.translation_half_extent, spec.translation_counts
+        np.zeros(3), TRANSLATION_HALF_EXTENT, spec.translation_counts
     )
     center_state = int(np.argmin(np.linalg.norm(trans_grid.offsets, axis=1)))
 
@@ -253,14 +256,13 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
         gt_dir=".",
         feature_source="synthetic",
         rotation_level=scene.spec.rotation_level,
-        translation_half_extent=(scene.spec.translation_half_extent,) * 3,
+        translation_half_extent=(TRANSLATION_HALF_EXTENT,) * 3,
         translation_counts=scene.spec.translation_counts,
-        lambda_rot=scene.spec.lambda_rot,
-        lambda_trans=scene.spec.lambda_trans,
+        lambda_rot=LAMBDA_ROT,
+        lambda_trans=LAMBDA_TRANS,
         emission_samples=scene.spec.cloud_points,
         seed=scene.spec.seed,
         synthetic_feature_seed=scene.field_seed,
-        synthetic_feature_channels=scene.spec.feature_channels,
     )
     meshio.write_atomic(out / "config.cfg", serialize_config(cfg).encode())
     return out / "config.cfg"

@@ -29,7 +29,7 @@ from rigalign.geometry import (
 )
 from rigalign.grids import build_rotation_grid
 from rigalign.metrics import chamfer_distance, f_score, icp_with_scaling
-from rigalign.synthetic import SceneSpec, generate_synthetic_scene
+from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const, random_blob_mesh
@@ -150,7 +150,7 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     source = SyntheticFeatureSource(noisy.camera, noisy.feature_maps, noisy.field())
     evaluator = EmissionEvaluator(noisy.mesh, feature_source=source, seed=11)
     result = align_sequence(evaluator, frames, noisy.rot_grid, noisy.trans_grid,
-                            lam_rot=spec.lambda_rot, lam_trans=spec.lambda_trans)
+                            lam_rot=LAMBDA_ROT, lam_trans=LAMBDA_TRANS)
     angles = noisy.rot_grid.pairwise_angles()
     table = result.rotation_table.costs.copy()
     k = 4

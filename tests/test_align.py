@@ -1,12 +1,14 @@
+import pickle
+
 import numpy as np
 import pytest
 
-from rigalign.align import PoseTrack, align_sequence, track_from_json, track_to_json
-from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource
+from rigalign.align import PoseTrack, align_sequence, score_frame, track_from_json, track_to_json
+from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource, TableFeatureSource
 from rigalign.errors import InvalidInput, ParseError
 from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
 from rigalign.grids import RotationGrid, build_rotation_grid, build_translation_grid
-from rigalign.synthetic import SceneSpec, generate_synthetic_scene
+from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const
@@ -29,7 +31,7 @@ def run_alignment(scene, frames=None, **kwargs):
     source = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
     evaluator = EmissionEvaluator(scene.mesh, feature_source=source, sample_count=512,
                                   seed=scene.spec.seed)
-    defaults = dict(lam_rot=scene.spec.lambda_rot, lam_trans=scene.spec.lambda_trans)
+    defaults = dict(lam_rot=LAMBDA_ROT, lam_trans=LAMBDA_TRANS)
     defaults.update(kwargs)
     return align_sequence(evaluator, frames, scene.rot_grid, scene.trans_grid, **defaults)
 
@@ -162,6 +164,52 @@ class TestScoredPoses:
             want_cd, want_dino = score(phase, t, points, want)
             assert cd.tobytes() == want_cd.tobytes()
             assert dino.tobytes() == want_dino.tobytes()
+
+
+class TestScoreFrame:
+    def test_poses_are_quaternion_major(self):
+        class Recorder:
+            def frame_terms(self, phase, t, points, poses):
+                self.poses = poses
+                return np.arange(len(poses), dtype=float), None
+
+            def combine_terms(self, cd, dino):
+                return cd
+
+        quats = build_rotation_grid(0).quaternions[:2]
+        positions = np.arange(9.0).reshape(3, 3)
+        recorder = Recorder()
+        row = score_frame(recorder, "rotation", 0, None, quats, positions, 1.5)
+        assert np.array_equal(row, np.arange(6.0))
+        for k, pose in enumerate(recorder.poses):
+            assert np.array_equal(pose.rotation, quats[k // 3])
+            assert np.array_equal(pose.translation, positions[k % 3])
+            assert pose.scale == 1.5
+
+    @pytest.mark.parametrize("source", ["synthetic", "table"])
+    def test_scorer_and_its_arguments_pickle(self, source):
+        # a process pool over frames sends exactly these to its workers
+        scene = small_scene(frames=2, seed=12)
+        frames = object_clouds(scene)
+        quats = scene.rot_grid.quaternions
+        offsets = scene.trans_grid.offsets
+        if source == "synthetic":
+            features = SyntheticFeatureSource(scene.camera, scene.feature_maps, scene.field())
+        else:
+            rng = np.random.default_rng(0)
+            features = TableFeatureSource(rng.random((2, len(quats))),
+                                          rng.random((2, len(offsets))))
+        evaluator = EmissionEvaluator(scene.mesh, feature_source=features, sample_count=256,
+                                      seed=4)
+        assert pickle.loads(pickle.dumps(score_frame)) is score_frame
+        mu = frames[1].points.mean(axis=0)
+        for phase, phase_quats, positions in (("rotation", quats, mu[None]),
+                                              ("translation", quats[3:4], mu + offsets)):
+            args = (evaluator, frames[1], phase_quats, positions, 1.05)
+            want = score_frame(evaluator, phase, 1, *args[1:])
+            copy = pickle.loads(pickle.dumps(args))
+            assert copy[0] is not evaluator
+            assert score_frame(copy[0], phase, 1, *copy[1:]).tobytes() == want.tobytes()
 
 
 class TestPoseTrackJson:

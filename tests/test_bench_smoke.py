@@ -33,6 +33,14 @@ def test_traced_track_dense_call(tmp_path):
     assert (out / "track.json").is_file()
     assert result["missing"] == []
     assert result["calls"]["emission.chamfer"] > 0
+    # 2 frames: each phase scores and combines every frame once, then decodes
+    # once; a refactor that scored outside frame_terms would read 0 here
+    calls = {name: result["calls"].get(name, 0) for name in (
+        "emission.rotation_terms", "emission.translation_terms", "emission.combine",
+        "viterbi.rotation", "viterbi.translation", "align.sequence", "grids.pairwise_angles")}
+    assert calls == {"emission.rotation_terms": 2, "emission.translation_terms": 2,
+                     "emission.combine": 4, "viterbi.rotation": 1, "viterbi.translation": 1,
+                     "align.sequence": 1, "grids.pairwise_angles": 1}
 
 
 def test_traced_eval_icp_call(tmp_path):

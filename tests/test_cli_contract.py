@@ -144,12 +144,14 @@ def test_input_maps_with_other_channel_counts_rejected(scene, tmp_path):
     assert "feat_000001.fmap: 5 feature channels" in err and "feat_000000.fmap has 8" in err
 
 
-@pytest.mark.parametrize("channels", ["5", "1000000000"])
-def test_synthetic_channels_other_than_the_input_maps_rejected(scene, tmp_path, channels):
-    set_config(scene, synthetic_feature_channels=channels)
+def test_synthetic_field_takes_the_input_maps_channel_count(scene, tmp_path):
+    for t in range(2):
+        path = scene / f"feat_{t:06d}.fmap"
+        feats, mask = meshio.load_fmap(path)
+        meshio.save_fmap(feats[..., :5], mask, path)
     code, err = track(scene, tmp_path / "out")
-    assert_rejected(code, err, tmp_path / "out")
-    assert f"synthetic_feature_channels is {channels}, the input feature maps have 8" in err
+    assert code == 0, err
+    assert (tmp_path / "out" / "track.json").is_file()
 
 
 def test_zero_extent_clouds_rejected(scene, tmp_path):
@@ -237,6 +239,36 @@ def test_track_with_other_frame_indices_rejected_by_eval(scene, tmp_path, ts, fi
     assert f"bad_track.json: {first}" in err
 
 
+_HUGE = "1" * 401  # a JSON integer no float or int64 holds
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("scale", _HUGE, "int too large to convert to float"),
+    ("rotation_wxyz", _HUGE, "int too large to convert to float"),
+    ("translation_m", _HUGE, "int too large to convert to float"),
+    ("t", str(2**63), "too large"),
+    ("t", "1.5", "entry 1: t is 1.5, not an integer"),
+    ("t", "true", "entry 1: t is true, not an integer"),
+    ("t", '"1"', 'entry 1: t is "1", not an integer'),
+], ids=["huge-scale", "huge-rotation", "huge-translation", "t-2**63", "t-float", "t-bool",
+        "t-string"])
+def test_track_value_too_large_or_not_an_integer_rejected_by_eval(scene, tmp_path, field,
+                                                                 value, message):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    if field == "scale":
+        track_obj["scale"] = "@"
+    elif field == "t":
+        track_obj["frames"][1]["t"] = "@"
+    else:
+        track_obj["frames"][1][field][0] = "@"
+    (scene / "bad_track.json").write_text(json.dumps(track_obj).replace('"@"', value))
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert "invalid pose track JSON" in err and message in err
+
+
 @pytest.mark.parametrize("name", ["model.obj", "config.cfg", "gt_track.json", "camera.json"])
 def test_non_utf8_text_file_rejected(scene, tmp_path, name):
     set_config(scene, track="gt_track.json")
@@ -258,6 +290,19 @@ def test_bad_camera_rejected(scene, tmp_path, field, value):
     code, err = track(scene, tmp_path / "out")
     assert_rejected(code, err, tmp_path / "out")
     assert "camera.json" in err
+
+
+@pytest.mark.parametrize("field, value", [("width", "64.5"), ("width", "true"),
+                                          ("height", "64.0"), ("height", '"64"')])
+def test_camera_size_that_is_no_json_integer_rejected(scene, tmp_path, field, value):
+    cam = json.loads((scene / "camera.json").read_text())
+    cam[field] = "@"
+    (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
+    set_config(scene, track="gt_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"camera.json: invalid camera file: {field} is {value}, not an integer" in err
 
 
 @pytest.mark.parametrize("prefix, token", [("v", "abc"), ("f", "x1")])
@@ -467,14 +512,10 @@ def _delete(scene, draw):
 
 
 def _channel_mismatch(scene, draw):
-    if draw(st.booleans()):
-        path = scene / f"feat_{draw(st.integers(0, 1)):06d}.fmap"
-        feats, mask = meshio.load_fmap(path)
-        channels = draw(st.integers(1, 16).filter(lambda c: c != feats.shape[2]))
-        meshio.save_fmap(np.resize(feats, feats.shape[:2] + (channels,)), mask, path)
-    else:
-        channels = draw(st.integers(-5, 10**12).filter(lambda c: c != 8))
-        set_config(scene, synthetic_feature_channels=channels)
+    path = scene / f"feat_{draw(st.integers(0, 1)):06d}.fmap"
+    feats, mask = meshio.load_fmap(path)
+    channels = draw(st.integers(1, 16).filter(lambda c: c != feats.shape[2]))
+    meshio.save_fmap(np.resize(feats, feats.shape[:2] + (channels,)), mask, path)
     return False
 
 

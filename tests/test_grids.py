@@ -89,7 +89,8 @@ class TestTranslationGrid:
 
     def test_scalar_broadcast(self):
         g = build_translation_grid(np.zeros(3), 0.05, 5)
-        assert g.counts == (5, 5, 5)
+        assert [len(np.unique(g.offsets[:, axis])) for axis in range(3)] == [5, 5, 5]
+        assert np.allclose(g.offsets.max(axis=0), 0.05)
         assert len(g) == 125
 
 
