@@ -144,6 +144,17 @@ def test_input_maps_with_other_channel_counts_rejected(scene, tmp_path):
     assert "feat_000001.fmap: 5 feature channels" in err and "feat_000000.fmap has 8" in err
 
 
+@pytest.mark.parametrize("channels", ["5", "1000000000"])
+def test_synthetic_channels_other_than_the_input_maps_rejected(scene, tmp_path, channels):
+    # The channel count is no setting: the field takes the input maps' count,
+    # and a config that still names one fails as an unknown key.
+    with (scene / "config.cfg").open("a") as f:
+        f.write(f"synthetic_feature_channels = {channels}\n")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "unknown key 'synthetic_feature_channels'" in err
+
+
 def test_synthetic_field_takes_the_input_maps_channel_count(scene, tmp_path):
     for t in range(2):
         path = scene / f"feat_{t:06d}.fmap"
