@@ -66,14 +66,21 @@ def track_to_json(track: PoseTrack) -> str:
     return meshio.json_text(obj)
 
 
+def _json_vectors(frames, key: str) -> np.ndarray:
+    """Every frame's `key` list as one float array; each component must be a
+    JSON number."""
+    return np.array([[meshio.json_float(v, f"entry {k}: {key}[{i}]")
+                      for i, v in enumerate(f[key])] for k, f in enumerate(frames)], dtype=float)
+
+
 def track_from_json(text: str) -> PoseTrack:
     try:
         obj = json.loads(text)
         frames = obj["frames"]
         return PoseTrack(
-            scale=float(obj["scale"]),
-            rotations=np.array([f["rotation_wxyz"] for f in frames], dtype=float),
-            translations=np.array([f["translation_m"] for f in frames], dtype=float),
+            scale=meshio.json_float(obj["scale"], "scale"),
+            rotations=_json_vectors(frames, "rotation_wxyz"),
+            translations=_json_vectors(frames, "translation_m"),
             timestamps=np.array([meshio.json_int(f["t"], f"entry {k}: t")
                                  for k, f in enumerate(frames)], dtype=np.int64),
         )

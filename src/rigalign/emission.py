@@ -317,10 +317,11 @@ class EmissionEvaluator:
         inverse-posed observed points against the model sample's tree: a
         similarity pose of scale s scales every distance by s, so those
         distances are s times the model-frame ones. Poses go in blocks of
-        about _CHAMFER_BLOCK_POINTS query points.
+        about _CHAMFER_BLOCK_POINTS query points; each block's two queries
+        share one `nearest` call, so they share the query pool.
         """
         from scipy.spatial import cKDTree  # deferred as in __init__; loaded by then
-        from .metrics import chamfer_from_distances
+        from .metrics import chamfer_from_distances, nearest
 
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
@@ -332,8 +333,7 @@ class EmissionEvaluator:
             forward = np.concatenate([pose.apply(self.sample) for pose in block])
             inverse = np.concatenate([((x - pose.translation) @ pose.matrix()) / pose.scale
                                       for pose in block])
-            d_ba, _ = obs_tree.query(forward, k=1, workers=-1)
-            d_ab, _ = self._sample_tree.query(inverse, k=1, workers=-1)
+            (d_ba, _), (d_ab, _) = nearest([(obs_tree, forward), (self._sample_tree, inverse)])
             scales = np.array([pose.scale for pose in block])[:, None]
             row[start:start + len(block)] = chamfer_from_distances(
                 d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))

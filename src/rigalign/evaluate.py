@@ -27,13 +27,14 @@ def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
     """Score one frame; the prediction is ICP-aligned (with scale) to the
     ground truth first, the ground truth is never transformed.
 
-    ICP and the metrics share one k-d tree on the ground truth; with one more
-    on the aligned prediction, the two directed distance arrays are computed
-    once and every metric is reduced from them."""
+    ICP and the metrics share one k-d tree on the ground truth: ICP's last
+    query already gives the aligned prediction's distances to it. With one
+    more tree on the aligned prediction, the two directed distance arrays are
+    computed once and every metric is reduced from them."""
     gt_index = NearestNeighborIndex(gt_points)
     icp = icp_with_scaling(pred_points, gt_index, max_iters=icp_max_iters, tol=icp_tol)
     aligned = icp.transform.apply(pred_points)
-    d_pred, _ = gt_index.query(aligned)
+    d_pred = icp.distances
     d_gt, _ = NearestNeighborIndex(aligned).query(gt_points)
     cd = chamfer_from_distances(d_pred, d_gt)
     p5, r5, f5 = f_score_from_distances(d_pred, d_gt, 0.005)

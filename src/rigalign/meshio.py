@@ -58,6 +58,15 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_float(value, what: str) -> float:
+    """`value` as a float when it is a JSON number; a bool or a string raises
+    ValueError naming `what`, where float() would convert it. An integer too
+    large for a float raises OverflowError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} is {json.dumps(value)}, not a number")
+    return float(value)
+
+
 def frame_file(kind: str, t: int, ext: str) -> str:
     """Frame t's `kind` file name, `<kind>_NNNNNN.<ext>`: six-digit frame index."""
     return f"{kind}_{t:06d}.{ext}"
@@ -431,8 +440,8 @@ def load_camera(path) -> Camera:
     text = read_input(path, "camera file", text=True)
     try:
         obj = json.loads(text)
-        return Camera(fx=float(obj["fx"]), fy=float(obj["fy"]), cx=float(obj["cx"]),
-                      cy=float(obj["cy"]), width=json_int(obj["width"], "width"),
+        return Camera(**{key: json_float(obj[key], key) for key in ("fx", "fy", "cx", "cy")},
+                      width=json_int(obj["width"], "width"),
                       height=json_int(obj["height"], "height"))
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
         raise ParseError(f"{path}: invalid camera file: {e}") from e

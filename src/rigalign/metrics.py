@@ -4,6 +4,9 @@ distance threshold, exact nearest-neighbor queries, and ICP with scaling."""
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +26,66 @@ M2_TO_CM2 = 1e4
 # keep scipy's default: with 64 there, `track-cloud-l3` ran slower.
 LEAFSIZE = 64
 
+# Query points per chunk of a pooled k-d tree query. Fresh-process medians of
+# `track-dense` calls at seed 11 on a 2-core Xeon: 0.1235 s at 2048 points,
+# 0.1255 s at 4096 and 0.1369 s at 8192 over 7 calls; 0.1217, 0.1235 and
+# 0.1223 s over 9 calls, a spread of about 0.01 s. 4096 queues half the tasks
+# of 2048 and still splits a 16k-point Chamfer query four ways.
+QUERY_CHUNK = 4096
+
+_WORKERS = len(os.sched_getaffinity(0))
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process-wide query pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="rigalign-nn")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the executor without its threads, so a task
+    # queued there would never run; it makes its own pool on first use.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact nearest neighbours for a sequence of (cKDTree, points) pairs:
+    one (distances float64, indices int64) per pair, in order.
+
+    Every k-d tree query in the package goes through here. The points of all
+    pairs are cut into chunks of QUERY_CHUNK, queued together on one
+    persistent pool of one thread per usable CPU, and each chunk writes its
+    own slice of arrays allocated up front. A point's nearest neighbour does
+    not depend on the rest of its batch, so the result is the same bytes as
+    one query per pair. One chunk in all, or one usable CPU, runs inline.
+    """
+    pairs = [(tree, _as_points(points)) for tree, points in pairs]
+    out = [(np.empty(len(pts)), np.empty(len(pts), dtype=np.int64)) for _, pts in pairs]
+    chunks = [(tree, pts, d, i, slice(s, s + QUERY_CHUNK))
+              for (tree, pts), (d, i) in zip(pairs, out)
+              for s in range(0, len(pts), QUERY_CHUNK)]
+
+    def run(chunk):
+        tree, pts, d, i, rows = chunk
+        d[rows], i[rows] = tree.query(pts[rows], k=1)
+
+    if _WORKERS == 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            run(chunk)
+    else:
+        for _ in _executor().map(run, chunks):
+            pass
+    return out
+
 
 class NearestNeighborIndex:
     """Exact nearest-neighbor queries over a fixed point set (kd-tree backed)."""
@@ -36,8 +99,7 @@ class NearestNeighborIndex:
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
-        d, i = self._tree.query(_as_points(points), k=1, workers=-1)
-        return np.asarray(d, dtype=float), np.asarray(i, dtype=np.int64)
+        return nearest([(self._tree, points)])[0]
 
 
 @dataclass(frozen=True)
@@ -111,6 +173,7 @@ def f_score(pred, gt, threshold: float):
 class IcpResult:
     transform: SimilarityTransform
     rms_history: list[float]
+    distances: np.ndarray  # the last query's distances, in source order: those of `transform`
 
     @property
     def rms(self) -> float:
@@ -186,8 +249,8 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     closed-form similarity refit of the original source onto the matched
     targets; stops when the RMS correspondence distance improves by less
     than tol (meters) or after max_iters queries. No refit follows the last
-    query, so a result's RMS is that of its transform. Runs from a
-    deterministic set of coarse starts and keeps the lowest final RMS. Each
+    query, so a result's RMS and distances are those of its transform. Runs
+    from a deterministic set of coarse starts and keeps the lowest final RMS. Each
     refit is the exact least-squares optimum, so RMS never increases within
     a run. The target may be given as a NearestNeighborIndex over it, so
     that a caller reuses its k-d tree.
@@ -209,6 +272,7 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     order = cKDTree(src).indices  # the source's points in k-d tree leaf order
     transforms = _initial_candidates(src, tgt)
     histories: list[list[float]] = [[] for _ in transforms]
+    finals: list[np.ndarray | None] = [None] * len(transforms)  # set when a start stops
     failures: list[DegenerateGeometry | None] = [None] * len(transforms)
     live = list(range(len(transforms)))
     batch = np.empty((len(live) * n, 3))
@@ -221,12 +285,14 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
         d_all, idx_all = index.query(batch[:len(live) * n])
         for slot, k in enumerate(live):
             d[order] = d_all[slot * n:(slot + 1) * n]
-            histories[k].append(float(np.sqrt(np.mean(d**2))))
+            history = histories[k]
+            history.append(float(np.sqrt(np.mean(d**2))))
+            if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
+                finals[k] = d.copy()
         del d_all  # the refits need only the indices
         still = []
         for slot, k in enumerate(live):
-            history = histories[k]
-            if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
+            if finals[k] is not None:
                 continue
             idx[order] = idx_all[slot * n:(slot + 1) * n]
             try:
@@ -238,11 +304,11 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
         live = still
     best: IcpResult | None = None
     failure: DegenerateGeometry | None = None
-    for transform, history, error in zip(transforms, histories, failures):
+    for transform, history, distances, error in zip(transforms, histories, finals, failures):
         if error is not None:
             failure = error
             continue
-        result = IcpResult(transform=transform, rms_history=history)
+        result = IcpResult(transform=transform, rms_history=history, distances=distances)
         if best is None or result.rms < best.rms:
             best = result
     if best is None:

@@ -369,7 +369,7 @@ def icp_per_start(source, target, max_iters: int = 100, tol: float = 1e-6) -> Ic
         except DegenerateGeometry as e:
             failure = e
             continue
-        result = IcpResult(transform=transform, rms_history=history)
+        result = IcpResult(transform=transform, rms_history=history, distances=d)
         if best is None or result.rms < best.rms:
             best = result
     if best is None:

@@ -280,6 +280,33 @@ def test_track_value_too_large_or_not_an_integer_rejected_by_eval(scene, tmp_pat
     assert "invalid pose track JSON" in err and message in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("scale", "true", "scale is true"),
+    ("scale", '"2"', 'scale is "2"'),
+    ("rotation_wxyz", '[true, 0, 0, "0.5"]', "entry 1: rotation_wxyz[0] is true"),
+    ("rotation_wxyz[3]", '"0.5"', 'entry 1: rotation_wxyz[3] is "0.5"'),
+    ("translation_m[0]", "false", "entry 1: translation_m[0] is false"),
+    ("translation_m[2]", '"0.4"', 'entry 1: translation_m[2] is "0.4"'),
+], ids=["scale-bool", "scale-string", "rotation-bool-and-string", "rotation-string",
+        "translation-bool", "translation-string"])
+def test_track_number_that_is_no_json_number_rejected_by_eval(scene, tmp_path, field, value,
+                                                             message):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    if field == "scale":
+        track_obj["scale"] = "@"
+    elif "[" in field:
+        key, i = field[:-1].split("[")
+        track_obj["frames"][1][key][int(i)] = "@"
+    else:
+        track_obj["frames"][1][field] = "@"
+    (scene / "bad_track.json").write_text(json.dumps(track_obj).replace('"@"', value))
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"invalid pose track JSON: {message}, not a number" in err
+
+
 @pytest.mark.parametrize("name", ["model.obj", "config.cfg", "gt_track.json", "camera.json"])
 def test_non_utf8_text_file_rejected(scene, tmp_path, name):
     set_config(scene, track="gt_track.json")
@@ -314,6 +341,19 @@ def test_camera_size_that_is_no_json_integer_rejected(scene, tmp_path, field, va
     code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
     assert_rejected(code, err, out)
     assert f"camera.json: invalid camera file: {field} is {value}, not an integer" in err
+
+
+@pytest.mark.parametrize("field, value", [("fx", "true"), ("fy", '"500"'), ("cx", '"32"'),
+                                          ("cy", "false")])
+def test_camera_number_that_is_no_json_number_rejected(scene, tmp_path, field, value):
+    cam = json.loads((scene / "camera.json").read_text())
+    cam[field] = "@"
+    (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
+    set_config(scene, track="gt_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"camera.json: invalid camera file: {field} is {value}, not a number" in err
 
 
 @pytest.mark.parametrize("prefix, token", [("v", "abc"), ("f", "x1")])

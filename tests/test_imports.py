@@ -2,7 +2,9 @@
 inside a function, is an edge, and the graph has no cycle. The scene
 generator sits on top of it: the feature term and the pipeline do not
 import it. Only `metrics` imports scipy at module level, so the package and
-every module that builds no k-d tree import without it."""
+every module that builds no k-d tree import without it. Every k-d tree
+query goes through `metrics.nearest`, whose thread pool makes `metrics` the
+only module that imports `concurrent.futures`."""
 
 import ast
 import os
@@ -116,3 +118,93 @@ def test_package_and_scene_modules_import_without_scipy():
                             timeout=120, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def absolute_imports(source: str) -> set[str]:
+    """Dotted names of the absolute imports anywhere in `source`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_only_metrics_imports_concurrent_futures():
+    importers = {p.stem for p in PACKAGE.glob("*.py")
+                 if any(name.split(".")[0] == "concurrent"
+                        for name in absolute_imports(p.read_text()))}
+    assert importers == {"metrics"}
+
+
+def own_nodes(scope):
+    """The nodes inside `scope`, those of the functions defined in it excluded."""
+    for child in ast.iter_child_nodes(scope):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from own_nodes(child)
+
+
+def builds_index(node) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "NearestNeighborIndex" for n in ast.walk(node))
+
+
+def query_calls(source: str) -> list[str]:
+    """`scope: receiver.query` for every `.query(` call outside `nearest`
+    (and the functions nested in it) whose receiver is not known to be a
+    NearestNeighborIndex. Known: a receiver that builds one, as in
+    `NearestNeighborIndex(p).query`, or a name the same scope assigns from an
+    expression that builds one. A parameter is not known."""
+    tree = ast.parse(source)
+    inside_nearest = {id(n) for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef) and f.name == "nearest"
+                      for n in ast.walk(f)}
+    found = []
+    for scope in ast.walk(tree):
+        if (not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef))
+                or id(scope) in inside_nearest):
+            continue
+        nodes = list(own_nodes(scope))
+        indexes = {target.id for n in nodes if isinstance(n, ast.Assign) and builds_index(n.value)
+                   for target in n.targets if isinstance(target, ast.Name)}
+        for call in nodes:
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "query"):
+                continue
+            receiver = call.func.value
+            if builds_index(receiver) or (isinstance(receiver, ast.Name) and receiver.id in indexes):
+                continue
+            found.append(f"{getattr(scope, 'name', '<module>')}: {ast.unparse(receiver)}.query")
+    return found
+
+
+def workers_keywords(source: str) -> list[int]:
+    """Line numbers of every call that passes `workers=`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and any(k.arg == "workers" for k in node.keywords)]
+
+
+def test_query_scans_tell_index_queries_from_tree_queries():
+    source = ("def nearest(pairs):\n"
+              "    def run(chunk):\n        chunk[0].query(chunk[1], k=1)\n"
+              "def f(tree, pts):\n"
+              "    index = NearestNeighborIndex(pts)\n    index.query(pts)\n"
+              "    NearestNeighborIndex(pts).query(pts)\n"
+              "    def g(index):\n        return index.query(pts)\n"
+              "    return tree.query(pts, workers=-1)\n"
+              "cKDTree(x).query(x)\n")
+    assert sorted(query_calls(source)) == ["<module>: cKDTree(x).query", "f: tree.query",
+                                           "g: index.query"]
+    assert workers_keywords(source) == [10]
+
+
+def test_every_tree_query_goes_through_nearest():
+    found = {p.stem: query_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: calls for module, calls in found.items() if calls} == {}
+
+
+def test_no_call_passes_workers():
+    found = {p.stem: workers_keywords(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}

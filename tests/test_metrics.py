@@ -1,12 +1,18 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from rigalign import metrics
 from rigalign.errors import DegenerateGeometry, EmptyCloud, InvalidInput
 from rigalign.geometry import SimilarityTransform
 from rigalign.metrics import (
     LEAFSIZE,
+    QUERY_CHUNK,
     MetricReport,
     NearestNeighborIndex,
     chamfer_distance,
@@ -15,6 +21,7 @@ from rigalign.metrics import (
     fit_similarity,
     icp_with_scaling,
     median_metrics,
+    nearest,
 )
 
 from oracles import icp_per_start, random_unit_quaternions
@@ -147,8 +154,6 @@ class TestNearestNeighborIndex:
         assert np.allclose(d, np.sqrt(d2.min(axis=1)), atol=0)
 
     def test_matches_single_threaded_query(self):
-        from scipy.spatial import cKDTree
-
         rng = np.random.default_rng(16)
         data = rng.normal(size=(2000, 3))
         data = np.concatenate([data, data[:300]])  # duplicate points
@@ -165,6 +170,81 @@ class TestNearestNeighborIndex:
         d16, idx16 = cKDTree(data).query(queries, k=1, workers=1)
         assert np.array_equal(d, d16)
         assert np.array_equal(data[idx], data[idx16])
+
+
+def thread_starts(monkeypatch) -> list:
+    """Names of the threads started from now on, appended as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def query_case(seed: int, n_data: int = 3000, n_query: int = 3 * QUERY_CHUNK + 7):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(n_data, 3))
+    return data, rng.normal(size=(n_query, 3))
+
+
+def pooled_query_bytes(data, queries) -> bytes:
+    d, i = nearest([(cKDTree(data), queries)])[0]
+    return d.tobytes() + i.tobytes()
+
+
+class TestNearest:
+    """The pooled, chunked query gives the bytes of one single-threaded query."""
+
+    @pytest.mark.parametrize("size", [0, 1, QUERY_CHUNK - 1, QUERY_CHUNK, QUERY_CHUNK + 1,
+                                      3 * QUERY_CHUNK + 7])
+    def test_equals_single_threaded_query(self, size):
+        data, queries = query_case(30, n_query=size)
+        tree = cKDTree(data)
+        [(d, i)] = nearest([(tree, queries)])
+        d1, i1 = tree.query(queries, k=1, workers=1)
+        assert d.dtype == np.float64 and i.dtype == np.int64
+        assert np.array_equal(d, d1) and np.array_equal(i, i1)
+
+    def test_pairs_on_different_trees_keep_their_order(self):
+        data_a, queries_a = query_case(31)
+        data_b, queries_b = query_case(32, n_data=500, n_query=QUERY_CHUNK + 1)
+        tree_a, tree_b = cKDTree(data_a), cKDTree(data_b, leafsize=LEAFSIZE)
+        pairs = [(tree_a, queries_a), (tree_b, queries_b), (tree_a, queries_b)]
+        for (d, i), (tree, queries) in zip(nearest(pairs), pairs):
+            d1, i1 = tree.query(queries, k=1, workers=1)
+            assert np.array_equal(d, d1) and np.array_equal(i, i1)
+
+    def test_no_thread_per_query(self, monkeypatch):
+        data, queries = query_case(33)
+        index = NearestNeighborIndex(data)
+        active = threading.active_count()
+        started = thread_starts(monkeypatch)
+        for _ in range(50):
+            index.query(queries)
+        assert len(started) <= metrics._WORKERS
+        assert threading.active_count() - active <= metrics._WORKERS
+
+    def test_one_worker_queries_inline(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_WORKERS", 1)
+        data, queries = query_case(34)
+        tree = cKDTree(data)
+        started = thread_starts(monkeypatch)
+        d, i = nearest([(tree, queries)])[0]
+        assert started == []
+        d1, i1 = tree.query(queries, k=1, workers=1)
+        assert np.array_equal(d, d1) and np.array_equal(i, i1)
+
+    def test_forked_child_runs_its_own_pooled_query(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_WORKERS", 2)  # pooled whatever this host's CPUs
+        data, queries = query_case(35)
+        expected = pooled_query_bytes(data, queries)  # the pool exists before the fork
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(pooled_query_bytes, (data, queries)).get(timeout=60)
+        assert got == expected
 
 
 class TestFitSimilarity:
@@ -238,6 +318,7 @@ def icp_case(seed: int, n: int = 400):
 
 def assert_same_icp(a, b):
     assert a.rms_history == b.rms_history
+    assert a.distances.tobytes() == b.distances.tobytes()
     assert np.array_equal(a.transform.rotation, b.transform.rotation)
     assert np.array_equal(a.transform.translation, b.transform.translation)
     assert a.transform.scale == b.transform.scale
@@ -253,14 +334,16 @@ class TestLockstepIcp:
         assert_same_icp(icp_with_scaling(src, tgt, max_iters=max_iters),
                         icp_per_start(src, tgt, max_iters=max_iters))
 
-    @pytest.mark.parametrize("max_iters", [1, 2, 8])
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("max_iters", [1, 2, 8, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rms_is_that_of_the_returned_transform(self, seed, max_iters):
+        """So are the distances, which the evaluation reuses."""
         src, tgt = icp_case(seed)
         index = NearestNeighborIndex(tgt)
         result = icp_with_scaling(src, index, max_iters=max_iters)
         d, _ = index.query(result.transform.apply(src))
         assert result.rms == float(np.sqrt(np.mean(d**2)))
+        assert result.distances.tobytes() == d.tobytes()
 
     def test_equals_oracle_with_a_shared_index(self):
         src, tgt = icp_case(4)
