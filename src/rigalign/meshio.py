@@ -207,9 +207,14 @@ def _read_ply(path):
     return out
 
 
-def _face_rows(data) -> list:
+def _face_rows(data, path) -> list:
     face = data.get("face", {})
-    return face.get("vertex_indices", face.get("vertex_index", []))
+    for name in ("vertex_indices", "vertex_index"):
+        if name in face:
+            if not isinstance(face[name], list):  # list properties are read as lists of rows
+                raise ParseError(f"{path}: face property '{name}' is a scalar, not a list")
+            return face[name]
+    return []
 
 
 def load_ply_cloud(path) -> PointCloud:
@@ -272,7 +277,7 @@ def _mesh_from(data, path) -> TriangleMesh:
         raise ParseError(f"{path}: PLY mesh needs vertex and face elements")
     points = _vertex_points(data["vertex"], path)
     faces = []
-    for row in _face_rows(data):
+    for row in _face_rows(data, path):
         if len(row) < 3:
             raise ParseError(f"{path}: face with fewer than 3 indices")
         for k in range(1, len(row) - 1):
@@ -311,7 +316,7 @@ def load_mesh(path) -> TriangleMesh:
 def load_ply_geometry(path):
     """PLY as a TriangleMesh when faces are present, else a PointCloud."""
     data = _read_ply(path)
-    if any(len(r) for r in _face_rows(data)):
+    if any(len(r) for r in _face_rows(data, path)):
         return _mesh_from(data, path)
     return _cloud_from(data, path)
 

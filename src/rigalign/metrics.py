@@ -171,6 +171,10 @@ def f_score(pred, gt, threshold: float):
 
 @dataclass(eq=False)
 class IcpResult:
+    """One ICP start's run. `icp_with_scaling` advances each start in its own
+    result, which is updated in place until the start stops, and returns the
+    winning one. Compared by identity."""
+
     transform: SimilarityTransform
     rms_history: list[float]
     distances: np.ndarray  # the last query's distances, in source order: those of `transform`
@@ -255,65 +259,53 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     a run. The target may be given as a NearestNeighborIndex over it, so
     that a caller reuses its k-d tree.
 
-    The starts advance in lockstep: each iteration makes one k-d tree query
-    over the moved source of every live start, with each start's points in
-    one spatial order of the source (nearby queries walk the same leaves).
-    A query point's result does not depend on the rest of its batch, and the
-    results go back to the source's own order before the RMS and the refit,
-    so every start's history and transform are those of a run on its own.
-    A start leaves the batch when it converges or its refit is degenerate.
+    The starts advance in lockstep: each iteration makes one `nearest` call
+    with one pair per live start, the start's moved source in one spatial
+    order of the source (nearby queries walk the same leaves). A query
+    point's result does not depend on the rest of its call, and the results
+    go back to the source's own order before the RMS and the refit, so every
+    start's history and transform are those of a run on its own. A start
+    leaves the call when it converges or its refit is degenerate. The winner
+    is the first start, in start order, with the lowest final RMS; if every
+    start's refit is degenerate, the last start's error is raised.
     """
     src = _as_points(source)
     tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
     index = target if isinstance(target, NearestNeighborIndex) else NearestNeighborIndex(tgt)
-    n = len(src)
     order = cKDTree(src).indices  # the source's points in k-d tree leaf order
-    transforms = _initial_candidates(src, tgt)
-    histories: list[list[float]] = [[] for _ in transforms]
-    finals: list[np.ndarray | None] = [None] * len(transforms)  # set when a start stops
-    failures: list[DegenerateGeometry | None] = [None] * len(transforms)
-    live = list(range(len(transforms)))
-    batch = np.empty((len(live) * n, 3))
-    d, idx = np.empty(n), np.empty(n, dtype=np.int64)
+    runs = [IcpResult(transform=t, rms_history=[], distances=None)
+            for t in _initial_candidates(src, tgt)]
+    failures: dict[IcpResult, DegenerateGeometry] = {}
+    live = runs
     for _ in range(max_iters):
         if not live:
             break
-        for slot, k in enumerate(live):
-            batch[slot * n:(slot + 1) * n] = transforms[k].apply(src)[order]
-        d_all, idx_all = index.query(batch[:len(live) * n])
-        for slot, k in enumerate(live):
-            d[order] = d_all[slot * n:(slot + 1) * n]
-            history = histories[k]
+        found = nearest([(index._tree, run.transform.apply(src)[order]) for run in live])
+        still = []
+        for run in live:
+            d_leaf, idx_leaf = found.pop(0)  # freed once scattered back
+            d = np.empty(len(src))
+            d[order] = d_leaf
+            history = run.rms_history
             history.append(float(np.sqrt(np.mean(d**2))))
             if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
-                finals[k] = d.copy()
-        del d_all  # the refits need only the indices
-        still = []
-        for slot, k in enumerate(live):
-            if finals[k] is not None:
+                run.distances = d
                 continue
-            idx[order] = idx_all[slot * n:(slot + 1) * n]
+            idx = np.empty(len(src), dtype=np.int64)
+            idx[order] = idx_leaf
             try:
-                transforms[k] = fit_similarity(src, tgt[idx])
+                run.transform = fit_similarity(src, tgt[idx])
             except DegenerateGeometry as e:
-                failures[k] = e
+                failures[run] = e
                 continue
-            still.append(k)
+            still.append(run)
         live = still
-    best: IcpResult | None = None
-    failure: DegenerateGeometry | None = None
-    for transform, history, distances, error in zip(transforms, histories, finals, failures):
-        if error is not None:
-            failure = error
-            continue
-        result = IcpResult(transform=transform, rms_history=history, distances=distances)
-        if best is None or result.rms < best.rms:
-            best = result
-    if best is None:
-        raise failure if failure is not None else DegenerateGeometry("no ICP start succeeded")
-    return best
+    done = [run for run in runs if run not in failures]
+    if not done:
+        raise failures[runs[-1]]  # every start failed: the last start's error
+    return min(done, key=lambda run: run.rms)
 
 
 def median_metrics(reports) -> MetricReport:

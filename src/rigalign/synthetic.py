@@ -33,7 +33,7 @@ from .geometry import (
     surface_centroid,
 )
 from .grids import RotationGrid, TranslationGrid, build_rotation_grid, build_translation_grid
-from .seeding import SEED_LIMIT, derive_seed
+from .seeding import check_seed, derive_seed
 
 # seed stream tags
 _TRAJ, _CLOUD, _NOISE, _HAND, _FIELD, _SCALE = range(6)
@@ -106,8 +106,7 @@ class SceneSpec:
         for name in ("cloud_points", "hand_points"):
             if getattr(self, name) > MAX_SAMPLE_POINTS:
                 raise InvalidInput(f"{name} must be <= {MAX_SAMPLE_POINTS}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise InvalidInput("seed must be >= 0" if self.seed < 0 else "seed must be < 2**32")
+        check_seed(self.seed, "seed")
         if not 0 <= self.noise_std < math.inf:
             raise InvalidInput("noise_std must be finite and >= 0")
         if not 3 <= self.feature_channels <= MAX_FEATURE_CHANNELS:

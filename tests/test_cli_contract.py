@@ -385,6 +385,24 @@ def test_model_ply_without_xyz_rejected(scene, tmp_path):
     assert "model.ply: vertex element lacks property 'x'" in err
 
 
+@pytest.mark.parametrize("name, prop", [("model.ply", "vertex_indices"),
+                                        ("gt_000000.ply", "vertex_index")])
+def test_ply_face_indices_that_are_no_list_rejected(scene, tmp_path, name, prop):
+    mesh = meshio.load_obj(scene / "model.obj")
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {len(mesh.vertices)}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              f"element face {len(mesh.faces)}\n"
+              f"property int {prop}\nend_header\n")
+    (scene / name).write_bytes(header.encode() + mesh.vertices.astype("<f4").tobytes()
+                               + mesh.faces[:, 0].astype("<i4").tobytes())
+    if name == "model.ply":
+        set_config(scene, model_mesh="model.ply")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"{name}: face property '{prop}' is a scalar, not a list" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--frames", "0"],
     ["synth", "--channels", "2"],

@@ -24,6 +24,7 @@ from rigalign.metrics import (
     nearest,
 )
 
+import oracles
 from oracles import icp_per_start, random_unit_quaternions
 
 
@@ -350,25 +351,36 @@ class TestLockstepIcp:
         assert_same_icp(icp_with_scaling(src, NearestNeighborIndex(tgt), max_iters=100),
                         icp_per_start(src, tgt, max_iters=100))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_iters", [1, 2, 8, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_per_start_oracle_on_set_workers(self, monkeypatch, seed, max_iters, workers):
+        """One worker queries inline, two on the pool, whatever this host's CPUs."""
+        src, tgt = icp_case(seed)
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        assert_same_icp(icp_with_scaling(src, tgt, max_iters=max_iters),
+                        icp_per_start(src, tgt, max_iters=max_iters))
+
     def test_one_query_per_iteration_as_starts_finish(self, monkeypatch):
         src, tgt = icp_case(5)
-        sizes = []
-        query = NearestNeighborIndex.query
+        calls = []
 
-        def spy(self, points):
-            sizes.append(len(points))
-            return query(self, points)
+        def spy(pairs):
+            pairs = list(pairs)
+            calls.append([len(points) for _, points in pairs])
+            return nearest(pairs)
 
-        monkeypatch.setattr(NearestNeighborIndex, "query", spy)
+        monkeypatch.setattr(metrics, "nearest", spy)
         result = icp_with_scaling(src, tgt, max_iters=100)
         monkeypatch.undo()
         assert_same_icp(result, icp_per_start(src, tgt, max_iters=100))
-        # five starts in the first query, then one fewer each time a start
-        # converges; they converge at three or more different iterations
-        assert sizes[0] == 5 * len(src)
-        assert all(s % len(src) == 0 for s in sizes)
-        assert sizes == sorted(sizes, reverse=True)
-        assert len(set(sizes)) >= 3
+        # one pair per start in the first call, then one fewer each time a
+        # start converges; they converge at three or more different iterations
+        assert calls[0] == [len(src)] * 5
+        assert all(sizes == [len(src)] * len(sizes) for sizes in calls)
+        counts = [len(sizes) for sizes in calls]
+        assert counts == sorted(counts, reverse=True)
+        assert len(set(counts)) >= 3
 
     @pytest.mark.parametrize("max_iters", [2, 8])
     def test_degenerate_target_raises_like_oracle(self, max_iters):
@@ -380,6 +392,25 @@ class TestLockstepIcp:
         with pytest.raises(DegenerateGeometry) as got:
             icp_with_scaling(src, tgt, max_iters=max_iters)
         assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("max_iters", [2, 8])
+    def test_every_start_failing_raises_the_last_starts_error(self, monkeypatch, max_iters):
+        """Each start's refit fails with its own message; the last start's is raised."""
+        src, tgt = icp_case(7)
+        messages = []
+
+        def failing_fit(source, target):
+            messages.append(repr(target[:2].tolist()))
+            raise DegenerateGeometry(messages[-1])
+
+        monkeypatch.setattr(metrics, "fit_similarity", failing_fit)
+        monkeypatch.setattr(oracles, "fit_similarity", failing_fit)
+        with pytest.raises(DegenerateGeometry) as expected:
+            icp_per_start(src, tgt, max_iters=max_iters)
+        assert len(set(messages)) == 5
+        with pytest.raises(DegenerateGeometry) as got:
+            icp_with_scaling(src, tgt, max_iters=max_iters)
+        assert str(got.value) == str(expected.value) == messages[-1]
 
 
 class TestBatchedQueryOrder:
