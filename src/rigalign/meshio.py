@@ -166,6 +166,9 @@ def _parse_ply_header(blob: bytes, path):
                     prop = (parts[2], _PLY_TYPES[parts[1]])
             except (IndexError, KeyError):
                 raise ParseError(f"{path}: bad PLY property line '{line}'") from None
+            if prop[0] == "list" and not (prop[1][0] in "iu" and prop[2][0] in "iu"):
+                raise ParseError(f"{path}: list property '{prop[3]}' needs integer count "
+                                 f"and item types, not '{parts[2]} {parts[3]}'")
             elements[-1][2].append(prop)
     if not fmt_seen:
         raise ParseError(f"{path}: PLY format line missing")

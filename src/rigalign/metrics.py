@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,6 +25,14 @@ M2_TO_CM2 = 1e4
 # Distances and indices were bit-identical at every size. The emission trees
 # keep scipy's default: with 64 there, `track-cloud-l3` ran slower.
 LEAFSIZE = 64
+
+# Whether the index's k-d tree shrinks each node's box to its points. Replaying
+# the 102 queries of an `eval-icp` call at seed 11 on one thread of a 2-core
+# Xeon took 0.835-0.839 s of CPU with scipy's default (True) and 0.796-0.824 s
+# without; over 16 alternating fresh-process `eval-icp` calls the median went
+# from 0.528 to 0.508 s, faster in 15. Distances were bit-identical; an index
+# may differ only between duplicates of one point, which have equal coordinates.
+COMPACT_NODES = False
 
 # Query points per chunk of a pooled k-d tree query. Fresh-process medians of
 # `track-dense` calls at seed 11 on a 2-core Xeon: 0.1235 s at 2048 points,
@@ -57,16 +65,39 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact nearest neighbours for a sequence of (cKDTree, points) pairs:
-    one (distances float64, indices int64) per pair, in order.
+class PendingQuery:
+    """A query handed to the pool by `submit`. Calling it waits for its chunks
+    and returns what `nearest` returns; `cancel` drops the chunks not yet
+    started and waits for the running ones."""
+
+    def __init__(self, futures, out):
+        self._futures = futures
+        self._out = out
+
+    def __call__(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        wait(self._futures)  # no chunk outlives the call, even if one failed
+        for future in self._futures:
+            future.result()
+        return self._out
+
+    def cancel(self) -> None:
+        for future in self._futures:
+            future.cancel()
+        wait(self._futures)
+
+
+def submit(pairs) -> PendingQuery:
+    """Start an exact nearest-neighbour query for a sequence of (cKDTree,
+    points) pairs and return at once; calling the handle gives one (distances
+    float64, indices int64) per pair, in order.
 
     Every k-d tree query in the package goes through here. The points of all
     pairs are cut into chunks of QUERY_CHUNK, queued together on one
     persistent pool of one thread per usable CPU, and each chunk writes its
     own slice of arrays allocated up front. A point's nearest neighbour does
     not depend on the rest of its batch, so the result is the same bytes as
-    one query per pair. One chunk in all, or one usable CPU, runs inline.
+    one query per pair. One chunk in all, or one usable CPU, runs inline
+    before `submit` returns.
     """
     pairs = [(tree, _as_points(points)) for tree, points in pairs]
     out = [(np.empty(len(pts)), np.empty(len(pts), dtype=np.int64)) for _, pts in pairs]
@@ -81,10 +112,15 @@ def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
     if _WORKERS == 1 or len(chunks) <= 1:
         for chunk in chunks:
             run(chunk)
-    else:
-        for _ in _executor().map(run, chunks):
-            pass
-    return out
+        return PendingQuery([], out)
+    pool = _executor()
+    return PendingQuery([pool.submit(run, chunk) for chunk in chunks], out)
+
+
+def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact nearest neighbours for a sequence of (cKDTree, points) pairs,
+    waited for: `submit(pairs)()`."""
+    return submit(pairs)()
 
 
 class NearestNeighborIndex:
@@ -95,7 +131,7 @@ class NearestNeighborIndex:
         if len(pts) == 0:
             raise EmptyCloud("cannot index an empty point set")
         self.points = pts
-        self._tree = cKDTree(pts, leafsize=LEAFSIZE)
+        self._tree = cKDTree(pts, leafsize=LEAFSIZE, compact_nodes=COMPACT_NODES)
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
@@ -259,16 +295,21 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     a run. The target may be given as a NearestNeighborIndex over it, so
     that a caller reuses its k-d tree.
 
-    The starts advance in lockstep: each iteration makes one `nearest` call
-    with one pair per live start, the start's moved source in one spatial
-    order of the source (nearby queries walk the same leaves). A query
-    point's result does not depend on the rest of its call, and the results
-    go back to the source's own order before the RMS and the refit, so every
-    start's history and transform are those of a run on its own. A start
-    leaves the call when it converges or its refit is degenerate. The winner
-    is the first start, in start order, with the lowest final RMS; if every
-    start's refit is degenerate, the last start's error is raised.
+    Each start keeps one query in flight: a first-in-first-out queue holds
+    one `submit`ted query per live start, the start's moved source in one
+    spatial order of the source (nearby queries walk the same leaves). The
+    oldest is waited for, scattered back to the source's own order for the
+    RMS and the refit, and the start's next query joins the back, so the
+    other starts' queries keep the pool busy meanwhile. A start's history
+    depends on its own queries only, and a query point's result does not
+    depend on the rest of its batch, so every start's history and transform
+    are those of a run on its own. A start leaves the queue when it
+    converges or its refit is degenerate. The winner is the first start, in
+    start order, with the lowest final RMS; if every start's refit is
+    degenerate, the last start's error is raised.
     """
+    if max_iters < 1:
+        raise InvalidInput(f"max_iters must be >= 1; got {max_iters}")
     src = _as_points(source)
     tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
@@ -278,14 +319,17 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     runs = [IcpResult(transform=t, rms_history=[], distances=None)
             for t in _initial_candidates(src, tgt)]
     failures: dict[IcpResult, DegenerateGeometry] = {}
-    live = runs
-    for _ in range(max_iters):
-        if not live:
-            break
-        found = nearest([(index._tree, run.transform.apply(src)[order]) for run in live])
-        still = []
-        for run in live:
-            d_leaf, idx_leaf = found.pop(0)  # freed once scattered back
+    pending: dict[IcpResult, PendingQuery] = {}  # insertion order: oldest first
+
+    def query(run):
+        pending[run] = submit([(index._tree, run.transform.apply(src)[order])])
+
+    try:
+        for run in runs:
+            query(run)
+        while pending:
+            run = next(iter(pending))
+            [(d_leaf, idx_leaf)] = pending.pop(run)()
             d = np.empty(len(src))
             d[order] = d_leaf
             history = run.rms_history
@@ -300,8 +344,10 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
             except DegenerateGeometry as e:
                 failures[run] = e
                 continue
-            still.append(run)
-        live = still
+            query(run)
+    finally:
+        for waiting in pending.values():  # only when raising: leave no chunk behind
+            waiting.cancel()
     done = [run for run in runs if run not in failures]
     if not done:
         raise failures[runs[-1]]  # every start failed: the last start's error

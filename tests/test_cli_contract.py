@@ -403,6 +403,32 @@ def test_ply_face_indices_that_are_no_list_rejected(scene, tmp_path, name, prop)
     assert f"{name}: face property '{prop}' is a scalar, not a list" in err
 
 
+@pytest.mark.parametrize("count_t, item_t", [("uchar", "float"), ("float", "int"),
+                                             ("uchar", "double")])
+@pytest.mark.parametrize("name, prop", [("model.ply", "vertex_indices"),
+                                        ("gt_000000.ply", "vertex_index")])
+def test_ply_face_lists_of_non_integers_rejected(scene, tmp_path, name, prop, count_t, item_t):
+    """Indices 0.0, 1.6, 2.9 would load as the face [0, 1, 2] if cast."""
+    mesh = meshio.load_obj(scene / "model.obj")
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {len(mesh.vertices)}\n"
+              "property float x\nproperty float y\nproperty float z\n"
+              f"element face {len(mesh.faces)}\n"
+              f"property list {count_t} {item_t} {prop}\nend_header\n")
+    types = {"uchar": "u1", "int": "<i4", "float": "<f4", "double": "<f8"}
+    faces = np.empty(len(mesh.faces), dtype=[("n", types[count_t]), ("i", types[item_t], (3,))])
+    faces["n"] = 3
+    faces["i"] = mesh.faces + np.array([0.0, 0.6, 0.9]) * (item_t in ("float", "double"))
+    (scene / name).write_bytes(header.encode() + mesh.vertices.astype("<f4").tobytes()
+                               + faces.tobytes())
+    if name == "model.ply":
+        set_config(scene, model_mesh="model.ply")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert (f"{name}: list property '{prop}' needs integer count and item types, "
+            f"not '{count_t} {item_t}'") in err
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--frames", "0"],
     ["synth", "--channels", "2"],

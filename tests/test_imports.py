@@ -3,8 +3,8 @@ inside a function, is an edge, and the graph has no cycle. The scene
 generator sits on top of it: the feature term and the pipeline do not
 import it. Only `metrics` imports scipy at module level, so the package and
 every module that builds no k-d tree import without it. Every k-d tree
-query goes through `metrics.nearest`, whose thread pool makes `metrics` the
-only module that imports `concurrent.futures`."""
+query goes through `metrics.submit` (which `metrics.nearest` calls), whose
+thread pool makes `metrics` the only module that imports `concurrent.futures`."""
 
 import ast
 import os
@@ -152,19 +152,19 @@ def builds_index(node) -> bool:
 
 
 def query_calls(source: str) -> list[str]:
-    """`scope: receiver.query` for every `.query(` call outside `nearest`
+    """`scope: receiver.query` for every `.query(` call outside `submit`
     (and the functions nested in it) whose receiver is not known to be a
     NearestNeighborIndex. Known: a receiver that builds one, as in
     `NearestNeighborIndex(p).query`, or a name the same scope assigns from an
     expression that builds one. A parameter is not known."""
     tree = ast.parse(source)
-    inside_nearest = {id(n) for f in ast.walk(tree)
-                      if isinstance(f, ast.FunctionDef) and f.name == "nearest"
-                      for n in ast.walk(f)}
+    inside_submit = {id(n) for f in ast.walk(tree)
+                     if isinstance(f, ast.FunctionDef) and f.name == "submit"
+                     for n in ast.walk(f)}
     found = []
     for scope in ast.walk(tree):
         if (not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef))
-                or id(scope) in inside_nearest):
+                or id(scope) in inside_submit):
             continue
         nodes = list(own_nodes(scope))
         indexes = {target.id for n in nodes if isinstance(n, ast.Assign) and builds_index(n.value)
@@ -187,7 +187,7 @@ def workers_keywords(source: str) -> list[int]:
 
 
 def test_query_scans_tell_index_queries_from_tree_queries():
-    source = ("def nearest(pairs):\n"
+    source = ("def submit(pairs):\n"
               "    def run(chunk):\n        chunk[0].query(chunk[1], k=1)\n"
               "def f(tree, pts):\n"
               "    index = NearestNeighborIndex(pts)\n    index.query(pts)\n"

@@ -1,5 +1,6 @@
 import multiprocessing
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rigalign import metrics
 from rigalign.errors import DegenerateGeometry, EmptyCloud, InvalidInput
 from rigalign.geometry import SimilarityTransform
 from rigalign.metrics import (
+    COMPACT_NODES,
     LEAFSIZE,
     QUERY_CHUNK,
     MetricReport,
@@ -22,6 +24,7 @@ from rigalign.metrics import (
     icp_with_scaling,
     median_metrics,
     nearest,
+    submit,
 )
 
 import oracles
@@ -163,10 +166,11 @@ class TestNearestNeighborIndex:
                                   + rng.normal(scale=1e-3, size=(10000, 3)),
                                   rng.normal(size=(20000, 3))])
         d, idx = NearestNeighborIndex(data).query(queries)
-        d1, idx1 = cKDTree(data, leafsize=LEAFSIZE).query(queries, k=1, workers=1)
+        d1, idx1 = cKDTree(data, leafsize=LEAFSIZE, compact_nodes=COMPACT_NODES).query(
+            queries, k=1, workers=1)
         assert np.array_equal(d, d1)
         assert np.array_equal(idx, idx1)
-        # scipy's default leaf size: the same distances and the same points;
+        # scipy's default tree: the same distances and the same points;
         # an index may differ only between duplicates of one point
         d16, idx16 = cKDTree(data).query(queries, k=1, workers=1)
         assert np.array_equal(d, d16)
@@ -326,7 +330,8 @@ def assert_same_icp(a, b):
 
 
 class TestLockstepIcp:
-    """The lockstep starts give bitwise the result of running each start alone."""
+    """The starts, each keeping one query in flight, give bitwise the result of
+    running each start alone."""
 
     @pytest.mark.parametrize("max_iters", [1, 2, 8, 100])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -362,25 +367,99 @@ class TestLockstepIcp:
                         icp_per_start(src, tgt, max_iters=max_iters))
 
     def test_one_query_per_iteration_as_starts_finish(self, monkeypatch):
+        """Each start keeps one query in flight: all five are submitted before
+        the first wait, and a start's next query follows the wait for its last."""
         src, tgt = icp_case(5)
-        calls = []
+        runs, events, pending = [], [], {}  # pending: handle -> start, for handles not waited for
+        starts = []  # the start of each submission, in order
+        make_run = metrics.IcpResult
 
-        def spy(pairs):
-            pairs = list(pairs)
-            calls.append([len(points) for _, points in pairs])
-            return nearest(pairs)
+        def record_run(**fields):
+            runs.append(make_run(**fields))
+            return runs[-1]
 
-        monkeypatch.setattr(metrics, "nearest", spy)
+        class Spy:
+            def __init__(self, pairs):
+                pairs = list(pairs)
+                assert [len(points) for _, points in pairs] == [len(src)]
+                # the first submission of each start comes in start order; every
+                # later one refits the start whose query was waited for last
+                start = len(starts) if len(starts) < len(runs) else events[-1][1]
+                assert start not in pending.values()
+                starts.append(start)
+                pending[self] = start
+                events.append(("submit", start, len(pending)))
+                self.query = submit(pairs)
+
+            def __call__(self):
+                events.append(("wait", pending.pop(self), len(pending)))
+                return self.query()
+
+            def cancel(self):
+                raise AssertionError("no query is cancelled when no call raises")
+
+        monkeypatch.setattr(metrics, "IcpResult", record_run)
+        monkeypatch.setattr(metrics, "submit", Spy)
         result = icp_with_scaling(src, tgt, max_iters=100)
         monkeypatch.undo()
         assert_same_icp(result, icp_per_start(src, tgt, max_iters=100))
-        # one pair per start in the first call, then one fewer each time a
-        # start converges; they converge at three or more different iterations
-        assert calls[0] == [len(src)] * 5
-        assert all(sizes == [len(src)] * len(sizes) for sizes in calls)
-        counts = [len(sizes) for sizes in calls]
-        assert counts == sorted(counts, reverse=True)
-        assert len(set(counts)) >= 3
+        assert len(runs) == 5
+        assert [kind for kind, _, _ in events[:6]] == ["submit"] * 5 + ["wait"]
+        assert pending == {}
+        assert [starts.count(k) for k in range(5)] == [len(run.rms_history) for run in runs]
+        assert max(in_flight for kind, _, in_flight in events if kind == "submit") >= 2
+        # the starts converge at three or more different iterations
+        assert len({len(run.rms_history) for run in runs}) >= 3
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected_before_any_query(self, monkeypatch, max_iters):
+        src, tgt = icp_case(5)
+
+        def no_query(pairs):
+            raise AssertionError("queried")
+
+        monkeypatch.setattr(metrics, "submit", no_query)
+        with pytest.raises(InvalidInput, match=f"max_iters must be >= 1; got {max_iters}"):
+            icp_with_scaling(src, tgt, max_iters=max_iters)
+
+    def test_equals_per_start_oracle_on_the_pool(self, monkeypatch):
+        """Queries of several chunks each, so that the starts' queries overlap
+        on the pool."""
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        for seed, max_iters in [(0, 8), (1, 100)]:
+            src, tgt = icp_case(seed, n=2 * QUERY_CHUNK + 1)
+            assert_same_icp(icp_with_scaling(src, tgt, max_iters=max_iters),
+                            icp_per_start(src, tgt, max_iters=max_iters))
+
+    def test_no_query_outlives_a_raising_call(self, monkeypatch):
+        """A refit that raises mid-run leaves no chunk queued or running."""
+        src, tgt = icp_case(8, n=2 * QUERY_CHUNK + 1)
+        pool = metrics._executor()
+        futures = []
+
+        class SlowPool:  # every chunk takes 20 ms more, so that queries queue up
+            def submit(self, fn, *args):
+                def slow():
+                    time.sleep(0.02)
+                    return fn(*args)
+                futures.append(pool.submit(slow))
+                return futures[-1]
+
+        fits = []
+
+        def fit_then_fail(source, target):
+            fits.append(source)
+            if len(fits) == 3:
+                raise RuntimeError("refit failed")
+            return fit_similarity(source, target)
+
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        monkeypatch.setattr(metrics, "_executor", SlowPool)
+        monkeypatch.setattr(metrics, "fit_similarity", fit_then_fail)
+        with pytest.raises(RuntimeError, match="refit failed"):
+            icp_with_scaling(src, tgt, max_iters=8)
+        assert len(futures) > 5 * 3
+        assert all(future.done() for future in futures)
 
     @pytest.mark.parametrize("max_iters", [2, 8])
     def test_degenerate_target_raises_like_oracle(self, max_iters):
