@@ -5,9 +5,10 @@ similarity, the synthetic feature field, the feature sources, and the
 combined chamfer + feature emission cost evaluated over candidate pose
 states.
 
-Importing this module loads no scipy: only EmissionEvaluator builds k-d
-trees, and it imports scipy.spatial and rigalign.metrics where it uses them,
-so a process that builds scenes but scores nothing skips that import.
+Importing this module loads no scipy, and no code here imports scipy. Only
+EmissionEvaluator builds k-d trees, with rigalign.metrics.kd_tree, and it
+imports rigalign.metrics (which loads scipy) where it uses it, so a process
+that builds scenes but scores nothing skips that import.
 """
 
 from __future__ import annotations
@@ -288,8 +289,10 @@ class EmissionEvaluator:
     term comes from `feature_source` (a table, or a cast source that holds
     the input maps); without one, or with `w_dino = 0`, there is none.
 
-    The first evaluator built in a process pays the scipy.spatial import
-    (about 0.37 s), unless rigalign.metrics is already loaded.
+    Its k-d trees come from rigalign.metrics.kd_tree, in the shape of every
+    other tree; it imports no scipy itself. The first evaluator built in a
+    process imports rigalign.metrics, which loads scipy.spatial (about
+    0.37 s), unless it is already loaded.
     """
 
     def __init__(self, mesh: TriangleMesh, *, w_cd: float = 1.0, w_dino: float = 1.0,
@@ -303,10 +306,11 @@ class EmissionEvaluator:
         self.seed = int(seed)
         self.penalty_factor = float(penalty_factor)
         self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
-        # Deferred: scipy.spatial takes about 0.37 s to import (-X importtime,
-        # numpy loaded), which a process that scores no pose need not pay.
-        from scipy.spatial import cKDTree
-        self._sample_tree = cKDTree(self.sample)
+        # Deferred: rigalign.metrics loads scipy.spatial, about 0.37 s (-X
+        # importtime, numpy loaded), which a process that scores no pose need
+        # not pay.
+        from .metrics import kd_tree
+        self._sample_tree = kd_tree(self.sample)
 
     def chamfer_term(self, x_resampled: np.ndarray, poses) -> np.ndarray:
         """Chamfer distance (cm^2) between the observed resample and the model
@@ -320,12 +324,11 @@ class EmissionEvaluator:
         about _CHAMFER_BLOCK_POINTS query points; each block's two queries
         share one `nearest` call, so they share the query pool.
         """
-        from scipy.spatial import cKDTree  # deferred as in __init__; loaded by then
-        from .metrics import chamfer_from_distances, nearest
+        from .metrics import chamfer_from_distances, kd_tree, nearest  # loaded by __init__
 
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
-        obs_tree = cKDTree(x)
+        obs_tree = kd_tree(x)
         row = np.empty(len(poses))
         per_block = max(1, _CHAMFER_BLOCK_POINTS // max(n, m))
         for start in range(0, len(poses), per_block):

@@ -466,12 +466,22 @@ def triangle_areas(mesh: TriangleMesh) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
-    """Area-weighted centroid of the mesh surface (exact, no sampling)."""
-    areas = triangle_areas(mesh)
-    total = areas.sum()
+def _surface_areas(mesh: TriangleMesh) -> tuple[np.ndarray, float]:
+    """(per-face areas, their sum), the sum positive and finite: a mesh whose
+    finite coordinates overflow the area arithmetic is degenerate too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = triangle_areas(mesh)
+        total = areas.sum()
     if total == 0.0:
         raise DegenerateGeometry("mesh has zero surface area")
+    if not np.isfinite(total):
+        raise DegenerateGeometry("mesh surface area overflows: its coordinates are too large")
+    return areas, total
+
+
+def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
+    """Area-weighted centroid of the mesh surface (exact, no sampling)."""
+    areas, total = _surface_areas(mesh)
     centers = mesh.triangles().mean(axis=1)
     return (areas[:, None] * centers).sum(axis=0) / total
 
@@ -482,10 +492,7 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
         raise InvalidInput("n must be >= 1")
     if len(mesh.faces) == 0:
         raise EmptyMesh("mesh has no faces")
-    areas = triangle_areas(mesh)
-    total = areas.sum()
-    if total == 0.0:
-        raise DegenerateGeometry("mesh has zero surface area")
+    areas, total = _surface_areas(mesh)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(areas), size=n, p=areas / total)
     tris = mesh.triangles()[idx]

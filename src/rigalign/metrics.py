@@ -10,23 +10,43 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# The package's one scipy import. scipy's wheel bundles its own OpenBLAS, which
+# the package never calls: cKDTree uses no BLAS. Loaded as it comes, that
+# library starts one worker thread per extra CPU, and the worker busy-waits for
+# about 0.1 s, taking a core from the query pool. So scipy loads with
+# OPENBLAS_NUM_THREADS at 1, unless the caller set it, and the environment is
+# restored right after: child processes see it as it was, and numpy's own
+# OpenBLAS, loaded above, keeps its threads.
+_openblas_preset = "OPENBLAS_NUM_THREADS" in os.environ
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+try:
+    from scipy.spatial import cKDTree
+finally:
+    if not _openblas_preset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import DegenerateGeometry, EmptyCloud, InvalidInput
 from .geometry import PointCloud, SimilarityTransform, matrix_to_quat
 
 M2_TO_CM2 = 1e4
 
-# Points per k-d tree leaf. ICP's non-identity starts put query points 1-11 mm
-# off a surface sampled every ~0.3 mm. Replaying the 99 queries (10k points
-# each) of an `eval-icp` call at seed 11 on one thread of a 2-core Xeon, the
-# far-start queries took 1.69 s at scipy's default of 16, 1.30 s at 32,
-# 1.12 s at 64 and 1.21 s at 128; the near-surface ones 0.16-0.17 s at 16-64.
-# Distances and indices were bit-identical at every size. The emission trees
-# keep scipy's default: with 64 there, `track-cloud-l3` ran slower.
-LEAFSIZE = 64
+# Points per leaf of every k-d tree (see kd_tree). Medians of `wall_s` over 4
+# rounds of `bench/run.py --seconds 12` at seed 11 on a 2-core Xeon, with
+# every tree's node boxes left uncompacted, at leaf sizes 32 / 48 / 64:
+#   track-dense     0.0939 / 0.0931 / 0.1006 s
+#   eval-icp        0.5295 / 0.5020 / 0.4997 s
+#   track-cloud-l3  0.5394 / 0.5329 / 0.6265 s
+# The code before read 0.1051, 0.5130 and 0.5411 s: ICP's target tree used 64,
+# the other trees scipy's defaults (16 points, compacted nodes), and scipy
+# loaded without the OpenBLAS pin above. The Chamfer trees,
+# about a thousand points each, prefer smaller leaves and ICP's 10k-point
+# trees larger ones; 48 is within 0.5% of the best on each workload. Outputs
+# were byte-identical at every size: a distance does not depend on the leaf
+# size, and an index may differ only between duplicates of one point.
+LEAFSIZE = 48
 
-# Whether the index's k-d tree shrinks each node's box to its points. Replaying
+# Whether a k-d tree shrinks each node's box to its points. Replaying
 # the 102 queries of an `eval-icp` call at seed 11 on one thread of a 2-core
 # Xeon took 0.835-0.839 s of CPU with scipy's default (True) and 0.796-0.824 s
 # without; over 16 alternating fresh-process `eval-icp` calls the median went
@@ -117,6 +137,12 @@ def submit(pairs) -> PendingQuery:
     return PendingQuery([pool.submit(run, chunk) for chunk in chunks], out)
 
 
+def kd_tree(points) -> cKDTree:
+    """A k-d tree over (N, 3) points. Every tree in the package is built here,
+    in one shape: LEAFSIZE points per leaf, node boxes per COMPACT_NODES."""
+    return cKDTree(points, leafsize=LEAFSIZE, compact_nodes=COMPACT_NODES)
+
+
 def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact nearest neighbours for a sequence of (cKDTree, points) pairs,
     waited for: `submit(pairs)()`."""
@@ -131,7 +157,7 @@ class NearestNeighborIndex:
         if len(pts) == 0:
             raise EmptyCloud("cannot index an empty point set")
         self.points = pts
-        self._tree = cKDTree(pts, leafsize=LEAFSIZE, compact_nodes=COMPACT_NODES)
+        self._tree = kd_tree(pts)
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
@@ -282,6 +308,10 @@ def _initial_candidates(src: np.ndarray, tgt: np.ndarray) -> list[SimilarityTran
     return candidates
 
 
+# Finite coordinates can still overflow ICP's sums of squares. Such a start
+# ends on a non-finite RMS, which fails it like a degenerate refit, so numpy's
+# warnings on the way would only add lines to the error report.
+@np.errstate(over="ignore", invalid="ignore")
 def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) -> IcpResult:
     """Iterative closest point with a global scale.
 
@@ -304,9 +334,9 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     depends on its own queries only, and a query point's result does not
     depend on the rest of its batch, so every start's history and transform
     are those of a run on its own. A start leaves the queue when it
-    converges or its refit is degenerate. The winner is the first start, in
-    start order, with the lowest final RMS; if every start's refit is
-    degenerate, the last start's error is raised.
+    converges, its refit is degenerate or its RMS overflows. The winner is
+    the first start, in start order, with the lowest final RMS; if every
+    start failed, the last start's error is raised.
     """
     if max_iters < 1:
         raise InvalidInput(f"max_iters must be >= 1; got {max_iters}")
@@ -315,7 +345,7 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
     index = target if isinstance(target, NearestNeighborIndex) else NearestNeighborIndex(tgt)
-    order = cKDTree(src).indices  # the source's points in k-d tree leaf order
+    order = kd_tree(src).indices  # the source's points in k-d tree leaf order
     runs = [IcpResult(transform=t, rms_history=[], distances=None)
             for t in _initial_candidates(src, tgt)]
     failures: dict[IcpResult, DegenerateGeometry] = {}
@@ -334,6 +364,10 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
             d[order] = d_leaf
             history = run.rms_history
             history.append(float(np.sqrt(np.mean(d**2))))
+            if not math.isfinite(history[-1]):
+                failures[run] = DegenerateGeometry("ICP distances overflow: the clouds' "
+                                                   "coordinates are too large")
+                continue
             if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
                 run.distances = d
                 continue

@@ -235,6 +235,22 @@ def test_non_finite_track_rejected_by_eval(scene, tmp_path, scale, z):
     assert "invalid pose track JSON" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+@pytest.mark.parametrize("field, value", [("scale", 1e300), ("translation_m", 1e308)])
+def test_track_too_large_for_icp_rejected_by_eval(scene, tmp_path, field, value):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    if field == "scale":
+        track_obj["scale"] = value
+    else:
+        track_obj["frames"][1]["translation_m"][2] = value
+    (scene / "bad_track.json").write_text(json.dumps(track_obj))
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out, codes=(3,))
+    assert "ICP distances overflow" in err
+
+
 @pytest.mark.parametrize("ts, first", [((7, 3), "entry 0 has t = 7"),
                                        ((0, 3), "entry 1 has t = 3"),
                                        ((1, 0), "entry 0 has t = 1")])
@@ -366,6 +382,17 @@ def test_bad_model_token_rejected(scene, tmp_path, prefix, token):
     code, err = track(scene, tmp_path / "out")
     assert_rejected(code, err, tmp_path / "out")
     assert f"model.obj:{ln + 1}: " in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+def test_model_whose_area_overflows_rejected(scene, tmp_path):
+    lines = (scene / "model.obj").read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines) if line.startswith("v "))
+    lines[ln] = "v 1e300 1e300 1e300"
+    (scene / "model.obj").write_text("\n".join(lines) + "\n")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out", codes=(3,))
+    assert "mesh surface area overflows" in err
 
 
 def test_model_ply_without_xyz_rejected(scene, tmp_path):

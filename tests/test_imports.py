@@ -1,16 +1,21 @@
 """The package's module graph: every relative import, at module level or
 inside a function, is an edge, and the graph has no cycle. The scene
 generator sits on top of it: the feature term and the pipeline do not
-import it. Only `metrics` imports scipy at module level, so the package and
-every module that builds no k-d tree import without it. Every k-d tree
-query goes through `metrics.submit` (which `metrics.nearest` calls), whose
-thread pool makes `metrics` the only module that imports `concurrent.futures`."""
+import it. Only `metrics` imports scipy, anywhere in its source, and only
+`metrics.kd_tree` builds a k-d tree, so the package and every module that
+builds no tree import without scipy. Importing `metrics` starts no thread:
+scipy's OpenBLAS loads with one, and the environment is left as found. Every
+k-d tree query goes through `metrics.submit` (which `metrics.nearest`
+calls), whose thread pool makes `metrics` the only module that imports
+`concurrent.futures`."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rigalign
 
@@ -72,52 +77,85 @@ def test_feature_term_and_pipeline_do_not_import_the_scene_generator():
     assert "synthetic" not in graph["pipeline"]
 
 
-# Modules whose import must not load scipy; `emission` defers its scipy
-# import into EmissionEvaluator, the only code there that builds k-d trees.
+# Modules whose import must not load scipy; `emission` imports `metrics`
+# inside EmissionEvaluator, the only code there that builds k-d trees.
 SCIPY_FREE = ("errors", "seeding", "geometry", "grids", "meshio", "config", "viterbi", "align",
               "emission", "synthetic")
 
 
-def module_level_imports(source: str) -> set[str]:
-    """Top-level names of the absolute imports that run when `source` is
-    imported: every import outside a function body."""
-    found = set()
+def tree_constructions(source: str) -> list[str]:
+    """The scope (function name or `<module>`) of every call that constructs
+    a scipy k-d tree, by name or attribute: `cKDTree(...)`, `spatial.KDTree(...)`."""
+    found = []
 
-    def visit(node):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
                 continue
-            if isinstance(child, ast.Import):
-                found.update(alias.name.split(".")[0] for alias in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                found.add(child.module.split(".")[0])
-            visit(child)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("cKDTree", "KDTree"):
+                    found.append(scope)
+            visit(child, scope)
 
-    visit(ast.parse(source))
+    visit(ast.parse(source), "<module>")
     return found
 
 
-def test_module_level_scan_skips_function_bodies():
-    source = "import os.path\nfrom numpy import array\nclass A:\n    import json\n" \
-             "def f():\n    import scipy\n"
-    assert module_level_imports(source) == {"os", "numpy", "json"}
+def test_tree_scan_sees_every_construction():
+    source = ("import scipy.spatial\nt = scipy.spatial.cKDTree(x)\n"
+              "class A:\n    def f(self):\n        return KDTree(y).query(y)\n"
+              "def g():\n    return kd_tree(x), cKDTree\n")
+    assert tree_constructions(source) == ["<module>", "f"]
 
 
-def test_only_metrics_imports_scipy_at_module_level():
+def test_only_metrics_imports_scipy():
     importers = {p.stem for p in PACKAGE.glob("*.py")
-                 if "scipy" in module_level_imports(p.read_text())}
+                 if any(name.split(".")[0] == "scipy" for name in absolute_imports(p.read_text()))}
     assert importers == {"metrics"}
+
+
+def test_every_tree_is_built_by_kd_tree():
+    found = {p.stem: tree_constructions(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: scopes for module, scopes in found.items() if scopes} == {"metrics": ["kd_tree"]}
+
+
+def run_child(code: str, **env) -> str:
+    """Standard output of a fresh Python that runs `code` with the package
+    from source, in this process's environment with OPENBLAS_NUM_THREADS
+    unset unless given in `env`."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1", **env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def test_package_and_scene_modules_import_without_scipy():
     modules = ", ".join(["rigalign"] + [f"rigalign.{m}" for m in SCIPY_FREE])
     code = (f"import sys\nimport {modules}\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=120, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_child(code).strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_importing_metrics_starts_no_thread():
+    code = ("import os\nimport numpy\nbefore = len(os.listdir('/proc/self/task'))\n"
+            "import rigalign.metrics\nprint(before, len(os.listdir('/proc/self/task')))")
+    before, after = run_child(code).split()
+    assert after == before
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_importing_metrics_leaves_the_environment_as_found(preset):
+    show = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    code = (f"import subprocess, sys\nimport rigalign.metrics\n{show}\n"
+            f"subprocess.run([sys.executable, '-c', {show!r}], check=True)")
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert run_child(code, **env).split() == [str(preset)] * 2  # this process, then its child
 
 
 def absolute_imports(source: str) -> set[str]:

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigalign
 from rigalign import emission, meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
@@ -132,6 +136,33 @@ class TestRunTrack:
         run_track(cfg, out2)
         assert (out1 / "track.json").read_bytes() == (out2 / "track.json").read_bytes()
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
+
+    def test_byte_identical_whatever_the_thread_counts(self, scene_dir, tmp_path):
+        """Fresh processes with the query pool at 1 and at 3 workers, and one
+        with OPENBLAS_NUM_THREADS preset to 2, write the same bytes. Queries go
+        in chunks of 256 points, so that this scene's queries do split."""
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        cfg_text = (scene / "config.cfg").read_text()
+        (scene / "config.cfg").write_text(cfg_text.replace("eval_samples = 10000",
+                                                           "eval_samples = 2000"))
+        code = ("import sys\nfrom rigalign import cli, metrics\nmetrics.QUERY_CHUNK = 256\n"
+                "if sys.argv[1] != 'default':\n    metrics._WORKERS = int(sys.argv[1])\n"
+                "sys.exit(cli.run(['track', '--config', sys.argv[2], '--out', sys.argv[3]]))")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(rigalign.__file__).parent.parent)
+        outputs = []
+        for workers, extra in (("1", {}), ("3", {}), ("default", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"out-{workers}"
+            result = subprocess.run(
+                [sys.executable, "-c", code, workers, str(scene / "config.cfg"), str(out)],
+                capture_output=True, text=True, timeout=300, env=dict(env, **extra))
+            assert result.returncode == 0, result.stderr
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["emissions_rotation.emit", "emissions_translation.emit",
+                                      "metrics.json", "track.json"]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     def test_missing_feature_file_fails_fast(self, scene_dir, tmp_path):
         import shutil
