@@ -66,21 +66,29 @@ def track_to_json(track: PoseTrack) -> str:
     return meshio.json_text(obj)
 
 
-def _json_vectors(frames, key: str) -> np.ndarray:
-    """Every frame's `key` list as one float array; each component must be a
-    JSON number."""
-    return np.array([[meshio.json_float(v, f"entry {k}: {key}[{i}]")
-                      for i, v in enumerate(f[key])] for k, f in enumerate(frames)], dtype=float)
+def _json_vectors(frames, key: str, size: int) -> np.ndarray:
+    """Every frame's `key` list of `size` JSON numbers, as one float array."""
+    rows = []
+    for k, f in enumerate(frames):
+        values = f[key]
+        if not isinstance(values, list):
+            raise ValueError(f"entry {k}: {key} is {json.dumps(values)}, not a list")
+        if len(values) != size:
+            raise ValueError(f"entry {k}: {key} holds {len(values)} values; it needs {size}")
+        rows.append([meshio.json_float(v, f"entry {k}: {key}[{i}]") for i, v in enumerate(values)])
+    return np.array(rows, dtype=float)
 
 
 def track_from_json(text: str) -> PoseTrack:
     try:
         obj = json.loads(text)
         frames = obj["frames"]
+        if not frames:
+            raise ValueError("frames is empty; a track needs at least one frame")
         return PoseTrack(
             scale=meshio.json_float(obj["scale"], "scale"),
-            rotations=_json_vectors(frames, "rotation_wxyz"),
-            translations=_json_vectors(frames, "translation_m"),
+            rotations=_json_vectors(frames, "rotation_wxyz", 4),
+            translations=_json_vectors(frames, "translation_m", 3),
             timestamps=np.array([meshio.json_int(f["t"], f"entry {k}: t")
                                  for k, f in enumerate(frames)], dtype=np.int64),
         )

@@ -1,7 +1,8 @@
 """Flat `key = value` run configuration: parse, validate, serialize.
 
 Relative paths are resolved against the directory containing the config
-file. Unknown keys are rejected so typos fail fast.
+file. Unknown keys are rejected so typos fail fast, and so is a key set
+twice, which would otherwise let the last line win unseen.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _parser(default):
 def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     cfg = RunConfig(base_dir=str(base_dir))
     defaults = {f.name: f.default for f in fields(RunConfig) if f.name != "base_dir"}
+    first_line = {}  # key -> the line that set it
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -96,6 +98,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         value = value.strip()
         if key not in defaults:
             raise ConfigError(f"line {ln}: unknown key '{key}'")
+        if key in first_line:
+            raise ConfigError(f"line {ln}: '{key}' is set again; first set on line "
+                              f"{first_line[key]}")
+        first_line[key] = ln
         try:
             parsed = _parser(defaults[key])(value)
             if key == "feature_source" and parsed not in FEATURE_SOURCES:

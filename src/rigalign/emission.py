@@ -14,7 +14,9 @@ that builds scenes but scores nothing skips that import.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,9 @@ from .geometry import (
 from . import meshio
 
 # Query points per batched Chamfer block: bounds the posed-point buffers at
-# a few MB whatever the number of states scored.
+# a few MB whatever the number of states scored. Up to two blocks are alive at
+# once (see PendingRow), each with its posed points and its query's results:
+# about 1.3 MB each at this size.
 _CHAMFER_BLOCK_POINTS = 16384
 
 # Floor on dino_similarity's norm product: a map at the basis mean projects to 0.
@@ -312,9 +316,10 @@ class EmissionEvaluator:
         from .metrics import kd_tree
         self._sample_tree = kd_tree(self.sample)
 
-    def chamfer_term(self, x_resampled: np.ndarray, poses) -> np.ndarray:
-        """Chamfer distance (cm^2) between the observed resample and the model
-        sample under every model-to-camera pose, in pose order.
+    def chamfer_term(self, x_resampled: np.ndarray, poses) -> "PendingRow":
+        """Queue the Chamfer distances (cm^2) between the observed resample
+        and the model sample under every model-to-camera pose, and return at
+        once; calling the handle gives the row, in pose order.
 
         Sample->observed distances query the forward-posed samples against
         one tree on the observed points. Observed->sample distances query the
@@ -322,25 +327,32 @@ class EmissionEvaluator:
         similarity pose of scale s scales every distance by s, so those
         distances are s times the model-frame ones. Poses go in blocks of
         about _CHAMFER_BLOCK_POINTS query points; each block's two queries
-        share one `nearest` call, so they share the query pool.
+        share one `submit`, so they share the query pool. Only the first
+        block is queued here; the handle queues the rest (see PendingRow).
         """
-        from .metrics import chamfer_from_distances, kd_tree, nearest  # loaded by __init__
+        from .metrics import chamfer_from_distances, kd_tree, submit  # loaded by __init__
 
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
         obs_tree = kd_tree(x)
         row = np.empty(len(poses))
         per_block = max(1, _CHAMFER_BLOCK_POINTS // max(n, m))
-        for start in range(0, len(poses), per_block):
+
+        def queue(start):
             block = poses[start:start + per_block]
             forward = np.concatenate([pose.apply(self.sample) for pose in block])
             inverse = np.concatenate([((x - pose.translation) @ pose.matrix()) / pose.scale
                                       for pose in block])
-            (d_ba, _), (d_ab, _) = nearest([(obs_tree, forward), (self._sample_tree, inverse)])
             scales = np.array([pose.scale for pose in block])[:, None]
-            row[start:start + len(block)] = chamfer_from_distances(
-                d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
-        return row
+
+            def reduce(results):
+                (d_ba, _), (d_ab, _) = results
+                row[start:start + len(block)] = chamfer_from_distances(
+                    d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
+
+            return submit([(obs_tree, forward), (self._sample_tree, inverse)]), reduce
+
+        return PendingRow(map(queue, range(0, len(poses), per_block)), row)
 
     def frame_terms(self, phase: str, frame_index: int, points: PointCloud,
                     poses) -> tuple[np.ndarray, np.ndarray | None]:
@@ -349,13 +361,20 @@ class EmissionEvaluator:
         object cloud is `points`.
 
         The feature array uses NaN for empty-overlap poses and is None when
-        there is no feature source.
+        there is no feature source. The feature term runs on this thread
+        while the pool queries the first Chamfer block; the row's other
+        blocks follow, two in flight. If the feature term raises, the queued
+        Chamfer chunks are dropped and the running ones waited for before
+        the error propagates.
         """
         x_res = resample_point_cloud(points, self.sample_count, self.seed).points
-        cd = self.chamfer_term(x_res, poses)
-        if self.feature_source is None:
-            return cd, None
-        return cd, self.feature_source.frame_errors(phase, frame_index, self.mesh, poses)
+        pending = self.chamfer_term(x_res, poses)
+        try:
+            dino = (None if self.feature_source is None else
+                    self.feature_source.frame_errors(phase, frame_index, self.mesh, poses))
+            return pending(), dino
+        finally:
+            pending.cancel()  # a no-op once the row is in
 
     def combine_terms(self, cd: np.ndarray, dino: np.ndarray | None) -> np.ndarray:
         """Per-frame min-max normalization of each term, weighted sum, and
@@ -374,6 +393,38 @@ class EmissionEvaluator:
             penalty = max(self.penalty_factor * float(np.median(good)), float(good.max()))
             costs[~valid] = penalty
         return costs
+
+
+class PendingRow:
+    """A Chamfer row being queried, returned by `EmissionEvaluator.chamfer_term`.
+
+    `blocks` yields one (PendingQuery, reduce) pair per block of poses; each
+    step queues that block's query. The first block is queued on creation.
+    Calling the handle queues block k + 1 before it waits for block k, so the
+    pool holds at most two blocks, and hands each block's distances to its
+    `reduce`, which writes the block's slice of the row; it returns the row.
+    `cancel` drops the chunks not yet started and waits for the running ones,
+    as `metrics.PendingQuery.cancel` does.
+    """
+
+    def __init__(self, blocks, row: np.ndarray):
+        self._blocks = blocks
+        self._row = row
+        self._queued = deque(islice(blocks, 1))
+
+    def __call__(self) -> np.ndarray:
+        try:
+            while self._queued:
+                self._queued.extend(islice(self._blocks, 1))
+                query, reduce = self._queued.popleft()
+                reduce(query())
+        finally:
+            self.cancel()  # a no-op unless a block raised
+        return self._row
+
+    def cancel(self) -> None:
+        while self._queued:
+            self._queued.popleft()[0].cancel()
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:

@@ -110,6 +110,15 @@ class Camera:
         if self.width * self.height > MAX_PIXELS:
             raise InvalidInput(f"image of {self.width} x {self.height} pixels is over the "
                                f"{MAX_PIXELS} pixel limit (3840 x 2160)")
+        # pixel_rays squares each pixel's offset from the principal point over
+        # the focal length; it is largest at a corner pixel. If that overflows,
+        # every ray normalizes to zero, so the check is the rays' own arithmetic.
+        tx = max(abs(0.5 - self.cx), abs(self.width - 0.5 - self.cx)) / self.fx
+        ty = max(abs(0.5 - self.cy), abs(self.height - 0.5 - self.cy)) / self.fy
+        if not math.isfinite(tx * tx + ty * ty + 1.0):
+            raise InvalidInput(f"principal point ({self.cx!r}, {self.cy!r}) is too far from the "
+                               f"image for focal lengths ({self.fx!r}, {self.fy!r}): the pixel "
+                               "rays overflow")
 
     @cached_property
     def pixel_rays(self) -> np.ndarray:

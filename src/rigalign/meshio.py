@@ -443,11 +443,19 @@ def load_pgm_mask(path) -> np.ndarray:
 # Camera and pose-track JSON.
 
 
+_CAMERA_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+
+
 def load_camera(path) -> Camera:
     path = Path(path)
     text = read_input(path, "camera file", text=True)
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        unknown = [key for key in obj if key not in _CAMERA_KEYS]
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(map(repr, unknown))}")
         return Camera(**{key: json_float(obj[key], key) for key in ("fx", "fy", "cx", "cy")},
                       width=json_int(obj["width"], "width"),
                       height=json_int(obj["height"], "height"))

@@ -101,6 +101,16 @@ def test_bad_config_value_rejected_at_load(scene, tmp_path, key, value):
     assert key in err
 
 
+def test_config_key_set_twice_rejected(scene, tmp_path):
+    lines = (scene / "config.cfg").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("rotation_level"))
+    (scene / "config.cfg").write_text("\n".join(lines + ["rotation_level = 1"]) + "\n")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert (f"line {len(lines) + 1}: 'rotation_level' is set again; first set on line {first}"
+            in err)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_feature_value_rejected(scene, tmp_path, value):
     path = scene / "feat_000001.fmap"
@@ -323,6 +333,27 @@ def test_track_number_that_is_no_json_number_rejected_by_eval(scene, tmp_path, f
     assert f"invalid pose track JSON: {message}, not a number" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rotation_wxyz", [1.0, 0.0, 0.0], "entry 1: rotation_wxyz holds 3 values; it needs 4"),
+    ("translation_m", [0.0, 0.0, 0.4, 0.0],
+     "entry 1: translation_m holds 4 values; it needs 3"),
+    ("translation_m", 0.4, "entry 1: translation_m is 0.4, not a list"),
+    ("frames", [], "frames is empty; a track needs at least one frame"),
+], ids=["rotation-3", "translation-4", "translation-number", "no-frames"])
+def test_track_of_the_wrong_shape_rejected_by_eval(scene, tmp_path, field, value, message):
+    track_obj = json.loads((scene / "gt_track.json").read_text())
+    if field == "frames":
+        track_obj["frames"] = value
+    else:
+        track_obj["frames"][1][field] = value
+    (scene / "bad_track.json").write_text(json.dumps(track_obj))
+    set_config(scene, track="bad_track.json")
+    out = tmp_path / "out"
+    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"error: invalid pose track JSON: {message}" in err
+
+
 @pytest.mark.parametrize("name", ["model.obj", "config.cfg", "gt_track.json", "camera.json"])
 def test_non_utf8_text_file_rejected(scene, tmp_path, name):
     set_config(scene, track="gt_track.json")
@@ -370,6 +401,29 @@ def test_camera_number_that_is_no_json_number_rejected(scene, tmp_path, field, v
     code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
     assert_rejected(code, err, out)
     assert f"camera.json: invalid camera file: {field} is {value}, not a number" in err
+
+
+# Each camera's corner rays overflow when squared: with cx = 1e300 every ray
+# would normalize to zero, and the feature term would drop out unseen.
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+@pytest.mark.parametrize("field, value", [("cx", "1e300"), ("cy", "-1e300"), ("fx", "1e-300")])
+def test_camera_whose_rays_overflow_rejected(scene, tmp_path, field, value):
+    cam = json.loads((scene / "camera.json").read_text())
+    cam[field] = "@"
+    (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "camera.json: invalid camera file: principal point (" in err
+    assert "the pixel rays overflow" in err
+
+
+def test_unknown_camera_key_rejected(scene, tmp_path):
+    cam = json.loads((scene / "camera.json").read_text())
+    cam["k1"] = 0.1
+    (scene / "camera.json").write_text(json.dumps(cam))
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert "camera.json: invalid camera file: unknown key 'k1'" in err
 
 
 @pytest.mark.parametrize("prefix, token", [("v", "abc"), ("f", "x1")])

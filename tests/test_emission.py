@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ class TestEmissionCost:
         x_res = resample_point_cloud(points, 256, 6).points
         cd, dino = ev.frame_terms("rotation", 0, points, [state])
         assert dino is None
-        assert cd[0] == ev.chamfer_term(x_res, [state])[0]
+        assert cd[0] == ev.chamfer_term(x_res, [state])()[0]
 
     def test_zero_feature_weight_drops_a_given_source(self):
         pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
@@ -468,8 +469,23 @@ class TestFrameErrorsOneCast:
         self.check(source)
 
 
+class _ZeroFeatures:
+    """A feature source whose every pose scores 0; records how many Chamfer
+    blocks were reduced when it ran."""
+
+    def __init__(self, reduced=()):
+        self.reduced = reduced
+        self.seen = []
+
+    def frame_errors(self, phase, frame_index, mesh, poses):
+        self.seen.append(len(self.reduced))
+        return np.zeros(len(poses))
+
+
 class TestBatchedChamfer:
-    """The batched Chamfer row against metrics.chamfer_distance per state."""
+    """The batched Chamfer row against metrics.chamfer_distance per state, and
+    its schedule: frame_terms scores the feature term while the pool queries
+    the first block, then drains the rest with two blocks in flight."""
 
     def setup_method(self):
         self.mesh = irregular_tetrahedron()
@@ -495,6 +511,12 @@ class TestBatchedChamfer:
         offsets = rng.normal(scale=0.01, size=(count, 3))
         return [SimilarityTransform(q, centroid(obs) + o, scale) for q, o in zip(quats, offsets)]
 
+    def three_blocks(self, obs):
+        """States filling three Chamfer blocks at 512 samples, the last one short."""
+        from rigalign.emission import _CHAMFER_BLOCK_POINTS
+
+        return self.states(obs, 2 * (_CHAMFER_BLOCK_POINTS // 512) + 5, scale=1.3)
+
     def test_state_count_not_a_multiple_of_the_block(self):
         from rigalign.emission import _CHAMFER_BLOCK_POINTS
 
@@ -519,3 +541,69 @@ class TestBatchedChamfer:
         ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=6)
         obs = self.observation(points)
         self.check_row(ev, obs, self.states(obs, 12, scale=1.3))
+
+    def test_feature_term_runs_before_any_block_is_reduced(self, monkeypatch):
+        from rigalign import metrics
+
+        reduced = []
+        reduce = metrics.chamfer_from_distances
+        monkeypatch.setattr(metrics, "chamfer_from_distances",
+                            lambda d_ab, d_ba: reduced.append(len(d_ab)) or reduce(d_ab, d_ba))
+        source = _ZeroFeatures(reduced)
+        ev = EmissionEvaluator(self.mesh, feature_source=source, sample_count=512, seed=3)
+        obs = self.observation(700)
+        states = self.three_blocks(obs)
+        cd, dino = ev.frame_terms("rotation", 0, obs, states)
+        assert source.seen == [0]  # the Chamfer row was still outstanding
+        assert reduced == [32, 32, 5] and len(cd) == len(states) == len(dino)
+
+    def test_raising_feature_source_leaves_no_query_behind(self, monkeypatch):
+        from rigalign import metrics
+
+        class SlowTree:
+            """A k-d tree whose every query chunk takes 50 ms, so the first
+            block is still queued or running when the feature term raises."""
+
+            def __init__(self, points):
+                self.tree = kd_tree(points)
+
+            def query(self, points, k):
+                time.sleep(0.05)
+                return self.tree.query(points, k=k)
+
+        class Failing:
+            def frame_errors(self, phase, frame_index, mesh, poses):
+                raise InvalidInput("feature term failed")
+
+        kd_tree, submit, handles = metrics.kd_tree, metrics.submit, []
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        monkeypatch.setattr(metrics, "kd_tree", SlowTree)
+        monkeypatch.setattr(metrics, "submit", lambda pairs: handles.append(submit(pairs))
+                            or handles[-1])
+        ev = EmissionEvaluator(self.mesh, feature_source=Failing(), sample_count=512, seed=3)
+        obs = self.observation(700)
+        with pytest.raises(InvalidInput, match="feature term failed"):
+            ev.frame_terms("rotation", 0, obs, self.three_blocks(obs))
+        futures = [future for handle in handles for future in handle._futures]
+        assert len(handles) == 1 and len(futures) == 8  # the first block only, 4 chunks a side
+        assert all(future.done() for future in futures)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_equals_the_sequential_row_bitwise(self, monkeypatch, workers):
+        from scipy.spatial import cKDTree
+
+        from rigalign import metrics
+
+        monkeypatch.setattr(metrics, "_WORKERS", workers)
+        ev = EmissionEvaluator(self.mesh, feature_source=_ZeroFeatures(), sample_count=512,
+                               seed=3)
+        obs = self.observation(700)
+        states = self.three_blocks(obs)
+        row, _ = ev.frame_terms("rotation", 0, obs, states)
+        # one state at a time, every query on this thread
+        x = resample_point_cloud(obs, 512, 3).points
+        obs_tree, sample_tree = cKDTree(x), cKDTree(ev.sample)
+        want = np.array([metrics.chamfer_from_distances(
+            sample_tree.query(((x - s.translation) @ s.matrix()) / s.scale)[0] * s.scale,
+            obs_tree.query(s.apply(ev.sample))[0]) for s in states])
+        assert row.tobytes() == want.tobytes()
