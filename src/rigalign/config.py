@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, InvalidInput
 from .geometry import MAX_SAMPLE_POINTS
 from .grids import MAX_ROTATION_LEVEL, MAX_TRANSLATION_STATES
@@ -144,6 +146,24 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("weights must be >= 0")
     if cfg.penalty_factor < 0:
         raise ConfigError("penalty_factor must be >= 0")
+    # Every cost a run computes fits in a float32: the .emit files store the
+    # emission costs so, and terms of at most 3.4e38 leave a Viterbi path's
+    # float64 sum finite over any number of frames. The config alone bounds
+    # each weighted term at its largest. An emission cost is a weighted sum
+    # of two terms in [0, 1], or a penalty of at most penalty_factor times
+    # that; a rotation step's angle is at most pi; a translation step within
+    # the grid is at most its diagonal, and its offsets feed squared
+    # distances whatever lambda_trans is.
+    largest = float(np.finfo(np.float32).max)
+    for keys, cost in (
+            ("max(penalty_factor, 1) * (w_cd + w_dino)",
+             max(cfg.penalty_factor, 1.0) * (cfg.w_cd + cfg.w_dino)),
+            ("lambda_rot * pi", cfg.lambda_rot * math.pi),
+            ("max(lambda_trans, 1) * 2 * |translation_half_extent|",
+             max(cfg.lambda_trans, 1.0) * 2.0 * math.hypot(*cfg.translation_half_extent))):
+        if not cost <= largest:
+            raise ConfigError(f"{keys} is {cost:.4g}; every cost must fit in a float32, "
+                              f"at most {largest:.4g}")
     check_seed(cfg.seed, "seed", ConfigError)
     if cfg.synthetic_feature_seed < 0:  # unbounded above: a field seed, not a derive_seed part
         raise ConfigError(f"synthetic_feature_seed must be >= 0; got {cfg.synthetic_feature_seed}")

@@ -6,15 +6,15 @@ combined chamfer + feature emission cost evaluated over candidate pose
 states.
 
 Importing this module loads no scipy, and no code here imports scipy. Only
-EmissionEvaluator builds k-d trees, with rigalign.metrics.kd_tree, and it
-imports rigalign.metrics (which loads scipy) where it uses it, so a process
-that builds scenes but scores nothing skips that import.
+EmissionEvaluator builds k-d trees, with rigalign.metrics.kd_tree, and
+queries them, through one rigalign.metrics.InFlight per frame; it imports
+rigalign.metrics (which loads scipy) where it uses it, so a process that
+builds scenes but scores nothing skips that import.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -38,8 +38,8 @@ from . import meshio
 
 # Query points per batched Chamfer block: bounds the posed-point buffers at
 # a few MB whatever the number of states scored. Up to two blocks are alive at
-# once (see PendingRow), each with its posed points and its query's results:
-# about 1.3 MB each at this size.
+# once (see EmissionEvaluator.frame_terms), each with its posed points and its
+# query's results: about 1.3 MB each at this size.
 _CHAMFER_BLOCK_POINTS = 16384
 
 # Floor on dino_similarity's norm product: a map at the basis mean projects to 0.
@@ -79,21 +79,27 @@ def estimate_scale(x, y) -> float:
 
     Eigenvalues are of the per-point second-moment matrix of the mean-centered
     cloud, so the estimate is translation-invariant and tolerates unequal
-    point counts.
+    point counts. A cloud whose moments overflow, finite coordinates
+    notwithstanding, raises DegenerateCloud.
     """
 
-    def top_moment(cloud) -> float:
+    def top_moment(cloud, what: str) -> float:
         p = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
         p = p.reshape(-1, 3)
         if len(p) < 2:
             raise DegenerateCloud("scale estimation needs at least 2 points")
         if (p == p[0]).all():  # exactly 0, where the rounded mean would leave ~1e-34
             return 0.0
-        c = p - p.mean(axis=0)
-        return float(np.linalg.eigvalsh((c.T @ c) / len(p))[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = p - p.mean(axis=0)
+            moments = (c.T @ c) / len(p)
+        if not np.isfinite(moments).all():
+            raise DegenerateCloud(f"the {what}'s second moments overflow in scale estimation: "
+                                  f"its coordinates are too large")
+        return float(np.linalg.eigvalsh(moments)[-1])
 
-    lam_x = top_moment(x)
-    lam_y = top_moment(y)
+    lam_x = top_moment(x, "observed cloud")
+    lam_y = top_moment(y, "model cloud")
     if lam_y <= 0.0:
         raise DegenerateCloud("model cloud has zero extent")
     return math.sqrt(lam_x) / math.sqrt(lam_y)
@@ -316,10 +322,14 @@ class EmissionEvaluator:
         from .metrics import kd_tree
         self._sample_tree = kd_tree(self.sample)
 
-    def chamfer_term(self, x_resampled: np.ndarray, poses) -> "PendingRow":
-        """Queue the Chamfer distances (cm^2) between the observed resample
-        and the model sample under every model-to-camera pose, and return at
-        once; calling the handle gives the row, in pose order.
+    def chamfer_term(self, x_resampled: np.ndarray, poses):
+        """The Chamfer distances (cm^2) between the observed resample and the
+        model sample under every model-to-camera pose, as `(row, blocks)`:
+        `row` is an empty array with one entry per pose, and `blocks` a lazy
+        iterator of `(reduce, pairs)`, one per block of poses. Each step
+        builds one block's (cKDTree, points) query pairs; handing the
+        nearest-neighbour results of those pairs to `reduce` writes the
+        block's slice of `row`. No block is built or queried here.
 
         Sample->observed distances query the forward-posed samples against
         one tree on the observed points. Observed->sample distances query the
@@ -327,10 +337,9 @@ class EmissionEvaluator:
         similarity pose of scale s scales every distance by s, so those
         distances are s times the model-frame ones. Poses go in blocks of
         about _CHAMFER_BLOCK_POINTS query points; each block's two queries
-        share one `submit`, so they share the query pool. Only the first
-        block is queued here; the handle queues the rest (see PendingRow).
+        make one query, so they share the query pool.
         """
-        from .metrics import chamfer_from_distances, kd_tree, submit  # loaded by __init__
+        from .metrics import chamfer_from_distances, kd_tree  # loaded by __init__
 
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
@@ -338,7 +347,7 @@ class EmissionEvaluator:
         row = np.empty(len(poses))
         per_block = max(1, _CHAMFER_BLOCK_POINTS // max(n, m))
 
-        def queue(start):
+        def block_at(start):
             block = poses[start:start + per_block]
             forward = np.concatenate([pose.apply(self.sample) for pose in block])
             inverse = np.concatenate([((x - pose.translation) @ pose.matrix()) / pose.scale
@@ -350,9 +359,9 @@ class EmissionEvaluator:
                 row[start:start + len(block)] = chamfer_from_distances(
                     d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
 
-            return submit([(obs_tree, forward), (self._sample_tree, inverse)]), reduce
+            return reduce, [(obs_tree, forward), (self._sample_tree, inverse)]
 
-        return PendingRow(map(queue, range(0, len(poses), per_block)), row)
+        return row, map(block_at, range(0, len(poses), per_block))
 
     def frame_terms(self, phase: str, frame_index: int, points: PointCloud,
                     poses) -> tuple[np.ndarray, np.ndarray | None]:
@@ -362,19 +371,26 @@ class EmissionEvaluator:
 
         The feature array uses NaN for empty-overlap poses and is None when
         there is no feature source. The feature term runs on this thread
-        while the pool queries the first Chamfer block; the row's other
-        blocks follow, two in flight. If the feature term raises, the queued
-        Chamfer chunks are dropped and the running ones waited for before
-        the error propagates.
+        while the pool queries the first Chamfer block. Each later block is
+        put in flight before the one ahead of it is waited for, so at most
+        two blocks are alive. If anything raises, leaving the InFlight block
+        drops the queued Chamfer chunks and waits for the running ones.
         """
+        from .metrics import InFlight  # loaded by __init__
+
         x_res = resample_point_cloud(points, self.sample_count, self.seed).points
-        pending = self.chamfer_term(x_res, poses)
-        try:
+        row, blocks = self.chamfer_term(x_res, poses)
+        with InFlight() as flight:
+            for reduce, pairs in islice(blocks, 1):
+                flight.put(reduce, pairs)
             dino = (None if self.feature_source is None else
                     self.feature_source.frame_errors(phase, frame_index, self.mesh, poses))
-            return pending(), dino
-        finally:
-            pending.cancel()  # a no-op once the row is in
+            while flight:
+                for reduce, pairs in islice(blocks, 1):
+                    flight.put(reduce, pairs)
+                reduce, results = flight.pop()
+                reduce(results)
+        return row, dino
 
     def combine_terms(self, cd: np.ndarray, dino: np.ndarray | None) -> np.ndarray:
         """Per-frame min-max normalization of each term, weighted sum, and
@@ -393,38 +409,6 @@ class EmissionEvaluator:
             penalty = max(self.penalty_factor * float(np.median(good)), float(good.max()))
             costs[~valid] = penalty
         return costs
-
-
-class PendingRow:
-    """A Chamfer row being queried, returned by `EmissionEvaluator.chamfer_term`.
-
-    `blocks` yields one (PendingQuery, reduce) pair per block of poses; each
-    step queues that block's query. The first block is queued on creation.
-    Calling the handle queues block k + 1 before it waits for block k, so the
-    pool holds at most two blocks, and hands each block's distances to its
-    `reduce`, which writes the block's slice of the row; it returns the row.
-    `cancel` drops the chunks not yet started and waits for the running ones,
-    as `metrics.PendingQuery.cancel` does.
-    """
-
-    def __init__(self, blocks, row: np.ndarray):
-        self._blocks = blocks
-        self._row = row
-        self._queued = deque(islice(blocks, 1))
-
-    def __call__(self) -> np.ndarray:
-        try:
-            while self._queued:
-                self._queued.extend(islice(self._blocks, 1))
-                query, reduce = self._queued.popleft()
-                reduce(query())
-        finally:
-            self.cancel()  # a no-op unless a block raised
-        return self._row
-
-    def cancel(self) -> None:
-        while self._queued:
-            self._queued.popleft()[0].cancel()
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:

@@ -278,8 +278,7 @@ class SimilarityTransform:
 _CAST_PAIR_BUDGET = 4096
 
 
-def cast_hit_maps(vertex_sets, faces: np.ndarray, camera: Camera,
-                  pair_budget: int = _CAST_PAIR_BUDGET):
+def cast_hit_maps(vertex_sets, faces: np.ndarray, camera: Camera):
     """Yield the first-hit map of each (N, 3) vertex set in `vertex_sets`,
     in order; every set shares the (M, 3) `faces`.
 
@@ -289,15 +288,16 @@ def cast_hit_maps(vertex_sets, faces: np.ndarray, camera: Camera,
     of the face's projected vertex bounding box, padded by one pixel to
     absorb rounding; a face with a vertex at or behind the camera plane has
     an unbounded projection and casts the whole image. Work goes in steps of
-    at most `pair_budget` (pixel, face) pairs, grouping poses when faces are
-    few and splitting faces when pixels are many, and `vertex_sets` is read
-    one group of poses at a time, so no temporary grows with the pose count.
+    at most _CAST_PAIR_BUDGET (pixel, face) pairs, grouping poses when faces
+    are few and splitting faces when pixels are many, and `vertex_sets` is
+    read one group of poses at a time, so no temporary grows with the pose
+    count.
     """
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if len(faces) == 0:
         raise EmptyMesh("mesh has no faces")
-    face_step = min(len(faces), pair_budget)
-    per_group = max(1, pair_budget // len(faces))
+    face_step = min(len(faces), _CAST_PAIR_BUDGET)
+    per_group = max(1, _CAST_PAIR_BUDGET // len(faces))
     rays = camera.pixel_rays.reshape(-1, 3)
     winners = _WinnerMap(camera)
     vertex_sets = iter(vertex_sets)
@@ -306,7 +306,7 @@ def cast_hit_maps(vertex_sets, faces: np.ndarray, camera: Camera,
         pose = 0
         for f0 in range(0, len(faces), face_step):
             block = _FaceBlock(verts[:, faces[f0:f0 + face_step]], camera)
-            for g, pix, t, face, u, v in block.hits(rays, pair_budget):
+            for g, pix, t, face, u, v in block.hits(rays):
                 while pose < g:
                     yield winners.take(verts[pose], faces)
                     pose += 1
@@ -356,13 +356,13 @@ class _FaceBlock:
         e2q = e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz
         self.terms = np.vstack([tv.T, e1.T, e2.T, qx, qy, qz, e2q])
 
-    def hits(self, rays: np.ndarray, pair_budget: int):
-        """Per step of at most `pair_budget` pairs, and per pose in it, the
+    def hits(self, rays: np.ndarray):
+        """Per step of at most _CAST_PAIR_BUDGET pairs, and per pose in it, the
         hit pairs as (pose, pixel, t, face, u, v), in pair order: by pose,
         then face, then pixel."""
         total = int(self.ends[-1])
-        for k0 in range(0, total, pair_budget):
-            k1 = min(k0 + pair_budget, total)
+        for k0 in range(0, total, _CAST_PAIR_BUDGET):
+            k1 = min(k0 + _CAST_PAIR_BUDGET, total)
             # the entries whose boxes hold pairs k0 to k1 - 1, and how many each
             lo, hi = np.searchsorted(self.ends, [k0, k1 - 1], side="right")
             reps = np.minimum(self.ends[lo:hi + 1], k1) - np.maximum(self.box[0, lo:hi + 1], k0)
@@ -440,11 +440,10 @@ class _WinnerMap:
         return HandPointMap(points.reshape(self.shape + (3,)), hits.reshape(self.shape))
 
 
-def first_hit_map(mesh: TriangleMesh, camera: Camera,
-                  pair_budget: int = _CAST_PAIR_BUDGET) -> HandPointMap:
+def first_hit_map(mesh: TriangleMesh, camera: Camera) -> HandPointMap:
     """Nearest positive-t intersection of every pixel ray with the mesh: the
     one-pose case of cast_hit_maps."""
-    return next(cast_hit_maps([mesh.vertices], mesh.faces, camera, pair_budget))
+    return next(cast_hit_maps([mesh.vertices], mesh.faces, camera))
 
 
 # ---------------------------------------------------------------------------

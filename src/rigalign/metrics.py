@@ -1,11 +1,16 @@
 """Point-cloud evaluation metrics: Chamfer distance (cm^2), F-score at a
-distance threshold, exact nearest-neighbor queries, and ICP with scaling."""
+distance threshold, exact nearest-neighbor queries, and ICP with scaling.
+
+Every k-d tree query in the package is put in flight on one process-wide
+thread pool through an InFlight queue, which alone waits for or cancels the
+pool's work."""
 
 from __future__ import annotations
 
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
@@ -85,56 +90,67 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-class PendingQuery:
-    """A query handed to the pool by `submit`. Calling it waits for its chunks
-    and returns what `nearest` returns; `cancel` drops the chunks not yet
-    started and waits for the running ones."""
+class InFlight:
+    """Nearest-neighbour queries on the shared pool, waited for oldest first.
 
-    def __init__(self, futures, out):
-        self._futures = futures
-        self._out = out
+    `put(key, pairs)` starts an exact query for a sequence of (cKDTree,
+    points) pairs and returns at once; `pop()` waits for the oldest query
+    still held and returns its key and one (distances float64, indices
+    int64) per pair, in order. Leaving the `with` block drops the chunks of
+    the queries still held that have not started and waits for the running
+    ones, so no chunk outlives the block, whether it ends or raises.
 
-    def __call__(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        wait(self._futures)  # no chunk outlives the call, even if one failed
-        for future in self._futures:
-            future.result()
-        return self._out
-
-    def cancel(self) -> None:
-        for future in self._futures:
-            future.cancel()
-        wait(self._futures)
-
-
-def submit(pairs) -> PendingQuery:
-    """Start an exact nearest-neighbour query for a sequence of (cKDTree,
-    points) pairs and return at once; calling the handle gives one (distances
-    float64, indices int64) per pair, in order.
-
-    Every k-d tree query in the package goes through here. The points of all
-    pairs are cut into chunks of QUERY_CHUNK, queued together on one
+    Every k-d tree query in the package goes through `put`. The points of
+    all pairs are cut into chunks of QUERY_CHUNK, queued together on one
     persistent pool of one thread per usable CPU, and each chunk writes its
     own slice of arrays allocated up front. A point's nearest neighbour does
     not depend on the rest of its batch, so the result is the same bytes as
     one query per pair. One chunk in all, or one usable CPU, runs inline
-    before `submit` returns.
+    before `put` returns.
     """
-    pairs = [(tree, _as_points(points)) for tree, points in pairs]
-    out = [(np.empty(len(pts)), np.empty(len(pts), dtype=np.int64)) for _, pts in pairs]
-    chunks = [(tree, pts, d, i, slice(s, s + QUERY_CHUNK))
-              for (tree, pts), (d, i) in zip(pairs, out)
-              for s in range(0, len(pts), QUERY_CHUNK)]
 
-    def run(chunk):
-        tree, pts, d, i, rows = chunk
-        d[rows], i[rows] = tree.query(pts[rows], k=1)
+    def __init__(self):
+        self._held = deque()  # (key, futures, results), oldest first
 
-    if _WORKERS == 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            run(chunk)
-        return PendingQuery([], out)
-    pool = _executor()
-    return PendingQuery([pool.submit(run, chunk) for chunk in chunks], out)
+    def __enter__(self) -> "InFlight":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        futures = [future for _, queued, _ in self._held for future in queued]
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        self._held.clear()
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def put(self, key, pairs) -> None:
+        pairs = [(tree, _as_points(points)) for tree, points in pairs]
+        out = [(np.empty(len(pts)), np.empty(len(pts), dtype=np.int64)) for _, pts in pairs]
+        chunks = [(tree, pts, d, i, slice(s, s + QUERY_CHUNK))
+                  for (tree, pts), (d, i) in zip(pairs, out)
+                  for s in range(0, len(pts), QUERY_CHUNK)]
+
+        def run(chunk):
+            tree, pts, d, i, rows = chunk
+            d[rows], i[rows] = tree.query(pts[rows], k=1)
+
+        futures = []
+        if _WORKERS == 1 or len(chunks) <= 1:
+            for chunk in chunks:
+                run(chunk)
+        else:
+            pool = _executor()
+            futures = [pool.submit(run, chunk) for chunk in chunks]
+        self._held.append((key, futures, out))
+
+    def pop(self):
+        key, futures, out = self._held[0]
+        for future in futures:
+            future.result()  # a failed chunk leaves its query held, for __exit__
+        self._held.popleft()
+        return key, out
 
 
 def kd_tree(points) -> cKDTree:
@@ -145,8 +161,10 @@ def kd_tree(points) -> cKDTree:
 
 def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact nearest neighbours for a sequence of (cKDTree, points) pairs,
-    waited for: `submit(pairs)()`."""
-    return submit(pairs)()
+    waited for: one query put in flight and popped."""
+    with InFlight() as flight:
+        flight.put(None, pairs)
+        return flight.pop()[1]
 
 
 class NearestNeighborIndex:
@@ -246,6 +264,25 @@ class IcpResult:
         return self.rms_history[-1]
 
 
+def _paired_svd(src: np.ndarray, tgt: np.ndarray):
+    """The means of paired point sets, the centered source and the SVD of
+    their cross-covariance; raises DegenerateGeometry when that covariance
+    is rank-deficient.
+
+    Targets that are all one point give rank 0. Their rounded mean leaves
+    each centered target a few ulps off 0, and the singular values of that
+    noise can pass the relative test, so that case is tested exactly."""
+    mu_s = src.mean(axis=0)
+    mu_t = tgt.mean(axis=0)
+    sc = src - mu_s
+    tc = tgt - mu_t
+    cov = (tc.T @ sc) / len(src)
+    u, d, vt = np.linalg.svd(cov)
+    if d[1] <= d[0] * 1e-9 or (tgt == tgt[0]).all():
+        raise DegenerateGeometry("correspondence covariance is rank-deficient")
+    return mu_s, mu_t, sc, u, d, vt
+
+
 def fit_similarity(source: np.ndarray, target: np.ndarray) -> SimilarityTransform:
     """Least-squares similarity (positive scale) mapping paired source points
     onto target points, closed form."""
@@ -253,14 +290,7 @@ def fit_similarity(source: np.ndarray, target: np.ndarray) -> SimilarityTransfor
     tgt = np.asarray(target, dtype=float)
     if len(src) != len(tgt):
         raise InvalidInput("paired fits need equal-size point sets")
-    mu_s = src.mean(axis=0)
-    mu_t = tgt.mean(axis=0)
-    sc = src - mu_s
-    tc = tgt - mu_t
-    cov = (tc.T @ sc) / len(src)
-    u, d, vt = np.linalg.svd(cov)
-    if d[1] <= d[0] * 1e-9:
-        raise DegenerateGeometry("correspondence covariance is rank-deficient")
+    mu_s, mu_t, sc, u, d, vt = _paired_svd(src, tgt)
     s_fix = np.ones(3)
     if np.linalg.det(u) * np.linalg.det(vt) < 0:
         s_fix[2] = -1.0
@@ -288,7 +318,9 @@ def _initial_candidates(src: np.ndarray, tgt: np.ndarray) -> list[SimilarityTran
 
     Plain NN-ICP from identity stalls in local minima for large rotations;
     axis-aligned starts make recovery of arbitrary similarity transforms
-    reliable while leaving near-aligned inputs on the identity path.
+    reliable while leaving near-aligned inputs on the identity path. A cloud
+    whose variance is 0, or overflows, has no axes to align: the identity
+    start runs alone.
     """
     candidates = [SimilarityTransform.identity()]
     try:
@@ -298,7 +330,7 @@ def _initial_candidates(src: np.ndarray, tgt: np.ndarray) -> list[SimilarityTran
         return candidates
     var_s = float(np.mean(np.sum((src - src.mean(axis=0)) ** 2, axis=1)))
     var_t = float(np.mean(np.sum((tgt - tgt.mean(axis=0)) ** 2, axis=1)))
-    if var_s <= 0 or var_t <= 0:
+    if not (0 < var_s < math.inf and 0 < var_t < math.inf):
         return candidates
     scale = math.sqrt(var_t / var_s)
     for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
@@ -325,8 +357,8 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     a run. The target may be given as a NearestNeighborIndex over it, so
     that a caller reuses its k-d tree.
 
-    Each start keeps one query in flight: a first-in-first-out queue holds
-    one `submit`ted query per live start, the start's moved source in one
+    Each start keeps one query in flight: one InFlight queue holds one
+    query per live start, keyed by the start, the start's moved source in one
     spatial order of the source (nearby queries walk the same leaves). The
     oldest is waited for, scattered back to the source's own order for the
     RMS and the refit, and the start's next query joins the back, so the
@@ -334,7 +366,10 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     depends on its own queries only, and a query point's result does not
     depend on the rest of its batch, so every start's history and transform
     are those of a run on its own. A start leaves the queue when it
-    converges, its refit is degenerate or its RMS overflows. The winner is
+    converges, its refit is degenerate or its RMS overflows. A start that
+    stops on correspondences that fail the refit's rank test fails too: when
+    its scale has collapsed toward 0, every source point pairs with one
+    target point, and its RMS, near 0, would otherwise win. The winner is
     the first start, in start order, with the lowest final RMS; if every
     start failed, the last start's error is raised.
     """
@@ -349,17 +384,11 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     runs = [IcpResult(transform=t, rms_history=[], distances=None)
             for t in _initial_candidates(src, tgt)]
     failures: dict[IcpResult, DegenerateGeometry] = {}
-    pending: dict[IcpResult, PendingQuery] = {}  # insertion order: oldest first
-
-    def query(run):
-        pending[run] = submit([(index._tree, run.transform.apply(src)[order])])
-
-    try:
+    with InFlight() as flight:
         for run in runs:
-            query(run)
-        while pending:
-            run = next(iter(pending))
-            [(d_leaf, idx_leaf)] = pending.pop(run)()
+            flight.put(run, [(index._tree, run.transform.apply(src)[order])])
+        while flight:
+            run, [(d_leaf, idx_leaf)] = flight.pop()
             d = np.empty(len(src))
             d[order] = d_leaf
             history = run.rms_history
@@ -368,20 +397,19 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
                 failures[run] = DegenerateGeometry("ICP distances overflow: the clouds' "
                                                    "coordinates are too large")
                 continue
-            if len(history) == max_iters or (len(history) >= 2 and history[-2] - history[-1] < tol):
-                run.distances = d
-                continue
             idx = np.empty(len(src), dtype=np.int64)
             idx[order] = idx_leaf
             try:
+                if len(history) == max_iters or (len(history) >= 2
+                                                 and history[-2] - history[-1] < tol):
+                    _paired_svd(src, tgt[idx])  # a start ends on pairs that would refit
+                    run.distances = d
+                    continue
                 run.transform = fit_similarity(src, tgt[idx])
             except DegenerateGeometry as e:
                 failures[run] = e
                 continue
-            query(run)
-    finally:
-        for waiting in pending.values():  # only when raising: leave no chunk behind
-            waiting.cancel()
+            flight.put(run, [(index._tree, run.transform.apply(src)[order])])
     done = [run for run in runs if run not in failures]
     if not done:
         raise failures[runs[-1]]  # every start failed: the last start's error

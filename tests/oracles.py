@@ -15,7 +15,13 @@ from rigalign.geometry import (
     matrix_to_quat,
     quat_to_matrix,
 )
-from rigalign.metrics import IcpResult, NearestNeighborIndex, _initial_candidates, fit_similarity
+from rigalign.metrics import (
+    IcpResult,
+    NearestNeighborIndex,
+    _initial_candidates,
+    _paired_svd,
+    fit_similarity,
+)
 from rigalign.viterbi import StatePath
 
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -364,6 +370,7 @@ def icp_per_start(source, target, max_iters: int = 100, tol: float = 1e-6) -> Ic
                 rms = float(np.sqrt(np.mean(d**2)))
                 history.append(rms)
                 if len(history) == max_iters or (len(history) >= 2 and history[-2] - rms < tol):
+                    _paired_svd(src, tgt[idx])  # the final pairs pass the refit's rank test
                     break
                 transform = fit_similarity(src, tgt[idx])
         except DegenerateGeometry as e:

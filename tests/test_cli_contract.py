@@ -101,6 +101,33 @@ def test_bad_config_value_rejected_at_load(scene, tmp_path, key, value):
     assert key in err
 
 
+# Each of these makes some cost overflow a float32: the .emit files' format,
+# and the bound that keeps a Viterbi path's float64 sum finite.
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+@pytest.mark.parametrize("key, value", [
+    ("translation_half_extent", "1e308"), ("translation_half_extent", "1e200"),
+    ("lambda_rot", "1e308"), ("lambda_trans", "1e308"), ("w_cd", "1e308"),
+    ("penalty_factor", "1e300"), ("w_dino", "1e308"), ("w_cd", "3e38"),
+])
+def test_cost_too_large_for_a_float32_rejected_at_load(scene, tmp_path, monkeypatch, key, value):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a frame was scored before the config was checked")
+
+    monkeypatch.setattr(emission.EmissionEvaluator, "frame_terms", no_scoring)
+    set_config(scene, **{key: value})
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert key in err and "every cost must fit in a float32, at most 3.403e+38" in err
+
+
+def test_largest_costs_that_fit_a_float32_run(scene, tmp_path):
+    f32 = float(np.finfo(np.float32).max)
+    set_config(scene, w_cd=repr(f32 / 20), w_dino=repr(f32 / 20), lambda_rot=repr(f32 / 4),
+               lambda_trans=repr(f32 / 4))
+    code, err = track(scene, tmp_path / "out")
+    assert code == 0, err
+
+
 def test_config_key_set_twice_rejected(scene, tmp_path):
     lines = (scene / "config.cfg").read_text().splitlines()
     first = next(i for i, line in enumerate(lines, 1) if line.startswith("rotation_level"))
@@ -188,6 +215,22 @@ def test_zero_extent_clouds_rejected(scene, tmp_path):
     assert "the object clouds of frames 0, 1 have zero extent" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+def test_cloud_whose_moments_overflow_rejected(scene, tmp_path):
+    """Finite double coordinates whose squares overflow in scale estimation."""
+    path = scene / "cloud_000000.ply"
+    cloud = meshio.load_ply_cloud(path)
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(cloud)}",
+              "property double x", "property double y", "property double z",
+              "property uchar label", "end_header"]
+    rows = np.zeros(len(cloud), dtype=[("p", "<f8", 3), ("label", "u1")])
+    rows["p"], rows["label"] = cloud.points * 1e200, cloud.labels
+    path.write_bytes(("\n".join(header) + "\n").encode() + rows.tobytes())
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out", codes=(3,))
+    assert "the observed cloud's second moments overflow in scale estimation" in err
+
+
 @pytest.mark.parametrize("key, value", [("seed", "-1"), ("synthetic_feature_seed", "-5")])
 def test_negative_config_seed_rejected(scene, tmp_path, key, value):
     set_config(scene, **{key: value})
@@ -246,7 +289,10 @@ def test_non_finite_track_rejected_by_eval(scene, tmp_path, scale, z):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
-@pytest.mark.parametrize("field, value", [("scale", 1e300), ("translation_m", 1e308)])
+# At 1e200 the moved prediction's variance overflows first, which leaves no
+# axes to align; the identity start's distances then overflow too.
+@pytest.mark.parametrize("field, value", [("scale", 1e300), ("translation_m", 1e308),
+                                          ("translation_m", 1e200)])
 def test_track_too_large_for_icp_rejected_by_eval(scene, tmp_path, field, value):
     track_obj = json.loads((scene / "gt_track.json").read_text())
     if field == "scale":

@@ -26,7 +26,7 @@ from rigalign.geometry import (
     resample_point_cloud,
     sample_mesh_surface,
 )
-from rigalign.metrics import chamfer_distance
+from rigalign.metrics import chamfer_distance, nearest
 from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import irregular_tetrahedron, render_feature_map
 
@@ -288,7 +288,10 @@ class TestEmissionCost:
         x_res = resample_point_cloud(points, 256, 6).points
         cd, dino = ev.frame_terms("rotation", 0, points, [state])
         assert dino is None
-        assert cd[0] == ev.chamfer_term(x_res, [state])()[0]
+        row, blocks = ev.chamfer_term(x_res, [state])
+        for reduce, pairs in blocks:
+            reduce(nearest(pairs))
+        assert cd[0] == row[0]
 
     def test_zero_feature_weight_drops_a_given_source(self):
         pose = SimilarityTransform(self.grid.quaternions[9], np.array([0.0, 0.0, 0.4]), 1.0)
@@ -530,6 +533,12 @@ class TestBatchedChamfer:
         obs = self.observation(700)
         self.check_row(ev, obs, self.states(obs, 1, scale=1.3))
 
+    def test_no_states(self):
+        source = _ZeroFeatures()
+        ev = EmissionEvaluator(self.mesh, feature_source=source, sample_count=512, seed=4)
+        cd, dino = ev.frame_terms("rotation", 0, self.observation(700), [])
+        assert cd.shape == dino.shape == (0,) and source.seen == [0]
+
     @pytest.mark.parametrize("model_scale, state_scale", [(0.7, 1.0), (1.3, 1.6), (2.5, 0.4)])
     def test_scale_not_one(self, model_scale, state_scale):
         ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=5)
@@ -575,17 +584,22 @@ class TestBatchedChamfer:
             def frame_errors(self, phase, frame_index, mesh, poses):
                 raise InvalidInput("feature term failed")
 
-        kd_tree, submit, handles = metrics.kd_tree, metrics.submit, []
+        class CountingPool:
+            """The query pool, keeping every future it hands out."""
+
+            def submit(self, fn, *args):
+                futures.append(pool.submit(fn, *args))
+                return futures[-1]
+
+        kd_tree, pool, futures = metrics.kd_tree, metrics._executor(), []
         monkeypatch.setattr(metrics, "_WORKERS", 2)
         monkeypatch.setattr(metrics, "kd_tree", SlowTree)
-        monkeypatch.setattr(metrics, "submit", lambda pairs: handles.append(submit(pairs))
-                            or handles[-1])
+        monkeypatch.setattr(metrics, "_executor", CountingPool)
         ev = EmissionEvaluator(self.mesh, feature_source=Failing(), sample_count=512, seed=3)
         obs = self.observation(700)
         with pytest.raises(InvalidInput, match="feature term failed"):
             ev.frame_terms("rotation", 0, obs, self.three_blocks(obs))
-        futures = [future for handle in handles for future in handle._futures]
-        assert len(handles) == 1 and len(futures) == 8  # the first block only, 4 chunks a side
+        assert len(futures) == 8  # the first block only, 4 chunks a side
         assert all(future.done() for future in futures)
 
     @pytest.mark.parametrize("workers", [1, 2])

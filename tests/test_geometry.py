@@ -1,10 +1,12 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigalign import geometry
 from rigalign.errors import DegenerateCloud, DegenerateGeometry, EmptyCloud, EmptyMesh, InvalidInput
 from rigalign.geometry import (
     MAX_PIXELS,
@@ -31,6 +33,14 @@ from oracles import (
     ray_triangle_intersect,
     window_first_hit_map,
 )
+
+
+@contextmanager
+def cast_pair_budget(budget):
+    """geometry._CAST_PAIR_BUDGET set to `budget` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_CAST_PAIR_BUDGET", budget)
+        yield
 
 
 def brute_force_pixel_cast(mesh, camera):
@@ -169,12 +179,13 @@ class TestHandSampling:
         assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
         assert 0 < fast.hit_fraction <= 1.0
 
-    def test_random_meshes_match_bruteforce(self):
+    def test_random_meshes_match_bruteforce(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_CAST_PAIR_BUDGET", 37)
         camera = Camera(fx=30.0, fy=30.0, cx=8.0, cy=8.0, width=16, height=16)
         rng = np.random.default_rng(21)
         for _ in range(3):
             mesh = random_blob_mesh(rng, n_faces=int(rng.integers(20, 201)))
-            fast = first_hit_map(mesh, camera, pair_budget=37)
+            fast = first_hit_map(mesh, camera)
             points, hits = brute_force_pixel_cast(mesh, camera)
             assert np.array_equal(fast.hits, hits)
             assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
@@ -185,8 +196,9 @@ class TestHandSampling:
         assert d.max() < 1e-6
 
 
-def assert_matches_bruteforce(mesh, camera, pair_budget=4096):
-    fast = first_hit_map(mesh, camera, pair_budget=pair_budget)
+def assert_matches_bruteforce(mesh, camera, budget=4096):
+    with cast_pair_budget(budget):
+        fast = first_hit_map(mesh, camera)
     points, hits = brute_force_pixel_cast(mesh, camera)
     assert np.array_equal(fast.hits, hits)
     assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
@@ -246,11 +258,11 @@ class TestProjectedWindow:
         hits = assert_matches_bruteforce(mesh, self.camera)
         assert hits.sum() == 1 and hits[8, 8]
 
-    @pytest.mark.parametrize("pair_budget", [1, 3, 7])
-    def test_chunk_smaller_than_face_count(self, pair_budget):
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_chunk_smaller_than_face_count(self, budget):
         rng = np.random.default_rng(31)
         mesh = random_blob_mesh(rng, n_faces=12, center=(0.25, -0.1, 1.0), spread=0.15)
-        hits = assert_matches_bruteforce(mesh, self.camera, pair_budget=pair_budget)
+        hits = assert_matches_bruteforce(mesh, self.camera, budget)
         assert hits.any() and not hits.all()
 
     @settings(max_examples=30, deadline=None)
@@ -265,12 +277,14 @@ class TestProjectedWindow:
         q = random_unit_quaternions(1, seed=seed)[0]
         pose = SimilarityTransform(q, np.array(translation), scale)
         assert_matches_bruteforce(apply_pose(mesh, pose), self.camera,
-                                  pair_budget=int(rng.integers(1, 30)))
+                                  budget=int(rng.integers(1, 30)))
 
 
-def assert_matches_window_cast(vertex_sets, faces, camera, pair_budget=4096):
-    """cast_hit_maps over a pose stack gives, bitwise, each pose's window cast."""
-    maps = list(cast_hit_maps(iter(vertex_sets), faces, camera, pair_budget))
+def assert_matches_window_cast(vertex_sets, faces, camera, budget=4096):
+    """cast_hit_maps over a pose stack, `budget` pairs a step, gives, bitwise,
+    each pose's window cast."""
+    with cast_pair_budget(budget):
+        maps = list(cast_hit_maps(iter(vertex_sets), faces, camera))
     assert len(maps) == len(vertex_sets)
     for verts, got in zip(vertex_sets, maps):
         want = window_first_hit_map(TriangleMesh(verts, faces), camera)
@@ -293,26 +307,26 @@ class TestFaceBinnedCast:
 
     camera = Camera(fx=30.0, fy=33.0, cx=8.3, cy=7.6, width=16, height=15)
 
-    @pytest.mark.parametrize("pair_budget", [1, 3, 7, 10**9])
-    def test_random_pose_stacks(self, pair_budget):
-        rng = np.random.default_rng(pair_budget)
+    @pytest.mark.parametrize("budget", [1, 3, 7, 10**9])
+    def test_random_pose_stacks(self, budget):
+        rng = np.random.default_rng(budget)
         for n_faces, poses in [(1, 3), (6, 2), (17, 4)]:
             mesh = random_blob_mesh(rng, n_faces, spread=0.2)
             stack = [mesh.vertices] + pose_stack(mesh, poses, seed=n_faces)
-            maps = assert_matches_window_cast(stack, mesh.faces, self.camera, pair_budget)
+            maps = assert_matches_window_cast(stack, mesh.faces, self.camera, budget)
             assert any(m.hits.any() for m in maps)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5),
            st.sampled_from([5, 64, 4096]))
-    def test_random_meshes_and_pose_stacks(self, seed, poses, pair_budget):
+    def test_random_meshes_and_pose_stacks(self, seed, poses, budget):
         rng = np.random.default_rng(seed)
         mesh = random_blob_mesh(rng, n_faces=int(rng.integers(1, 40)))
         assert_matches_window_cast(pose_stack(mesh, poses, seed, shift=0.6), mesh.faces,
-                                   self.camera, pair_budget)
+                                   self.camera, budget)
 
-    @pytest.mark.parametrize("pair_budget", [3, 4096])
-    def test_faces_behind_and_across_the_camera_plane(self, pair_budget):
+    @pytest.mark.parametrize("budget", [3, 4096])
+    def test_faces_behind_and_across_the_camera_plane(self, budget):
         verts = np.array([
             [-0.2, -0.2, 1.0], [0.25, -0.15, 1.1], [0.0, 0.3, 0.9],  # in front
             [-0.3, -0.3, -1.0], [0.3, -0.3, -1.0], [0.0, 0.3, -1.0],  # wholly behind
@@ -325,7 +339,7 @@ class TestFaceBinnedCast:
         tilt = SimilarityTransform(random_unit_quaternions(1, seed=3)[0] * [8, 1, 1, 1],
                                    np.zeros(3))
         maps = assert_matches_window_cast([verts, tilt.apply(verts)], faces, self.camera,
-                                          pair_budget)
+                                          budget)
         assert maps[0].hits.any()
 
     def test_duplicate_faces_tie_in_t(self):
@@ -337,9 +351,9 @@ class TestFaceBinnedCast:
         verts = np.concatenate([mesh.vertices, mesh.vertices[mesh.faces[2]]])
         faces = np.concatenate([faces, len(mesh.vertices) + np.array([[0, 1, 2]])])
         dup = TriangleMesh(verts, faces)
-        for pair_budget in (2, 4096):
+        for budget in (2, 4096):
             assert_matches_window_cast([dup.vertices] + pose_stack(dup, 3, seed=5), dup.faces,
-                                       self.camera, pair_budget)
+                                       self.camera, budget)
 
     def test_rays_through_shared_edges_and_vertices(self):
         # a grid whose vertices sit on pixel-center rays: every ray through a
@@ -357,8 +371,8 @@ class TestFaceBinnedCast:
                 faces += [[a, b, e], [a, e, d]]
         faces = np.array(faces)
         stack = [verts * depth for depth in (1.0, 0.7, 2.5)]
-        for pair_budget in (7, 4096):
-            maps = assert_matches_window_cast(stack, faces, cam, pair_budget)
+        for budget in (7, 4096):
+            maps = assert_matches_window_cast(stack, faces, cam, budget)
             # every ray through an inner edge or vertex hits
             assert maps[0].hits[3:10, 4:11].all()
 

@@ -5,7 +5,7 @@ import it. Only `metrics` imports scipy, anywhere in its source, and only
 `metrics.kd_tree` builds a k-d tree, so the package and every module that
 builds no tree import without scipy. Importing `metrics` starts no thread:
 scipy's OpenBLAS loads with one, and the environment is left as found. Every
-k-d tree query goes through `metrics.submit` (which `metrics.nearest`
+k-d tree query goes through `metrics.InFlight.put` (which `metrics.nearest`
 calls), whose thread pool makes `metrics` the only module that imports
 `concurrent.futures`."""
 
@@ -190,19 +190,20 @@ def builds_index(node) -> bool:
 
 
 def query_calls(source: str) -> list[str]:
-    """`scope: receiver.query` for every `.query(` call outside `submit`
-    (and the functions nested in it) whose receiver is not known to be a
+    """`scope: receiver.query` for every `.query(` call outside
+    `InFlight.put` (and the functions nested in it) whose receiver is not known to be a
     NearestNeighborIndex. Known: a receiver that builds one, as in
     `NearestNeighborIndex(p).query`, or a name the same scope assigns from an
     expression that builds one. A parameter is not known."""
     tree = ast.parse(source)
-    inside_submit = {id(n) for f in ast.walk(tree)
-                     if isinstance(f, ast.FunctionDef) and f.name == "submit"
-                     for n in ast.walk(f)}
+    inside_put = {id(n) for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) and c.name == "InFlight"
+                  for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "put"
+                  for n in ast.walk(f)}
     found = []
     for scope in ast.walk(tree):
         if (not isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef))
-                or id(scope) in inside_submit):
+                or id(scope) in inside_put):
             continue
         nodes = list(own_nodes(scope))
         indexes = {target.id for n in nodes if isinstance(n, ast.Assign) and builds_index(n.value)
@@ -225,20 +226,22 @@ def workers_keywords(source: str) -> list[int]:
 
 
 def test_query_scans_tell_index_queries_from_tree_queries():
-    source = ("def submit(pairs):\n"
-              "    def run(chunk):\n        chunk[0].query(chunk[1], k=1)\n"
+    source = ("class InFlight:\n"
+              "    def put(self, key, pairs):\n"
+              "        def run(chunk):\n            chunk[0].query(chunk[1], k=1)\n"
               "def f(tree, pts):\n"
               "    index = NearestNeighborIndex(pts)\n    index.query(pts)\n"
               "    NearestNeighborIndex(pts).query(pts)\n"
               "    def g(index):\n        return index.query(pts)\n"
               "    return tree.query(pts, workers=-1)\n"
-              "cKDTree(x).query(x)\n")
+              "cKDTree(x).query(x)\n"
+              "def put(tree, pts):\n    return tree.query(pts)\n")
     assert sorted(query_calls(source)) == ["<module>: cKDTree(x).query", "f: tree.query",
-                                           "g: index.query"]
-    assert workers_keywords(source) == [10]
+                                           "g: index.query", "put: tree.query"]
+    assert workers_keywords(source) == [11]
 
 
-def test_every_tree_query_goes_through_nearest():
+def test_every_tree_query_goes_through_in_flight_put():
     found = {p.stem: query_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: calls for module, calls in found.items() if calls} == {}
 

@@ -15,6 +15,7 @@ from rigalign.metrics import (
     COMPACT_NODES,
     LEAFSIZE,
     QUERY_CHUNK,
+    InFlight,
     MetricReport,
     NearestNeighborIndex,
     chamfer_distance,
@@ -24,7 +25,6 @@ from rigalign.metrics import (
     icp_with_scaling,
     median_metrics,
     nearest,
-    submit,
 )
 
 import oracles
@@ -243,6 +243,32 @@ class TestNearest:
         d1, i1 = tree.query(queries, k=1, workers=1)
         assert np.array_equal(d, d1) and np.array_equal(i, i1)
 
+    def test_failed_chunk_leaves_no_chunk_behind(self, monkeypatch):
+        """A chunk that raises reaches `pop`; leaving the block drops or waits
+        for every other chunk, of that query and of the queries behind it."""
+        data, queries = query_case(36, n_query=4 * QUERY_CHUNK)
+        tree, pool, futures = cKDTree(data), metrics._executor(), []
+
+        class FailingTree:
+            def query(self, points, k):
+                time.sleep(0.02)
+                raise RuntimeError("chunk failed")
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                futures.append(pool.submit(fn, *args))
+                return futures[-1]
+
+        monkeypatch.setattr(metrics, "_WORKERS", 2)
+        monkeypatch.setattr(metrics, "_executor", CountingPool)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            with InFlight() as flight:
+                flight.put("failing", [(FailingTree(), queries)])
+                flight.put("behind", [(tree, queries)])
+                flight.pop()
+        assert len(futures) == 8
+        assert all(future.done() for future in futures)
+
     def test_forked_child_runs_its_own_pooled_query(self, monkeypatch):
         monkeypatch.setattr(metrics, "_WORKERS", 2)  # pooled whatever this host's CPUs
         data, queries = query_case(35)
@@ -267,6 +293,15 @@ class TestFitSimilarity:
         src = np.outer(np.arange(10.0), np.array([1.0, 0, 0]))
         with pytest.raises(DegenerateGeometry):
             fit_similarity(src, src * 2)
+
+    def test_targets_on_one_point_raise(self):
+        """The rounded mean of one repeated point leaves rounding noise, whose
+        singular values can pass a relative rank test; rank 0 is tested exactly."""
+        src = np.random.default_rng(3).normal(size=(2000, 3)) * 0.02
+        tgt = np.tile([0.05613317679893655, 0.015799398549931225, 0.3780043444300526], (2000, 1))
+        assert not np.array_equal(tgt - tgt.mean(axis=0), np.zeros_like(tgt))
+        with pytest.raises(DegenerateGeometry, match="rank-deficient"):
+            fit_similarity(src, tgt)
 
 
 class TestIcpWithScaling:
@@ -367,47 +402,47 @@ class TestLockstepIcp:
                         icp_per_start(src, tgt, max_iters=max_iters))
 
     def test_one_query_per_iteration_as_starts_finish(self, monkeypatch):
-        """Each start keeps one query in flight: all five are submitted before
-        the first wait, and a start's next query follows the wait for its last."""
+        """Each start keeps one query in flight: all five are put before the
+        first pop, and a start's next query follows the pop of its last."""
         src, tgt = icp_case(5)
-        runs, events, pending = [], [], {}  # pending: handle -> start, for handles not waited for
-        starts = []  # the start of each submission, in order
+        runs, events, queued = [], [], []  # queued: the keys put and not yet popped
         make_run = metrics.IcpResult
+        put, pop = InFlight.put, InFlight.pop
 
         def record_run(**fields):
             runs.append(make_run(**fields))
             return runs[-1]
 
-        class Spy:
-            def __init__(self, pairs):
-                pairs = list(pairs)
-                assert [len(points) for _, points in pairs] == [len(src)]
-                # the first submission of each start comes in start order; every
-                # later one refits the start whose query was waited for last
-                start = len(starts) if len(starts) < len(runs) else events[-1][1]
-                assert start not in pending.values()
-                starts.append(start)
-                pending[self] = start
-                events.append(("submit", start, len(pending)))
-                self.query = submit(pairs)
+        def spy_put(flight, key, pairs):
+            pairs = list(pairs)
+            assert [len(points) for _, points in pairs] == [len(src)]
+            # the first query of each start comes in start order; every later
+            # one refits the start whose query was popped last
+            start = runs.index(key)
+            assert start == (len(events) if len(events) < len(runs) else events[-1][1])
+            assert key not in queued
+            queued.append(key)
+            events.append(("put", start, len(queued)))
+            put(flight, key, pairs)
 
-            def __call__(self):
-                events.append(("wait", pending.pop(self), len(pending)))
-                return self.query()
-
-            def cancel(self):
-                raise AssertionError("no query is cancelled when no call raises")
+        def spy_pop(flight):
+            key, results = pop(flight)
+            assert key is queued.pop(0)  # the oldest
+            events.append(("pop", runs.index(key), len(queued)))
+            return key, results
 
         monkeypatch.setattr(metrics, "IcpResult", record_run)
-        monkeypatch.setattr(metrics, "submit", Spy)
+        monkeypatch.setattr(InFlight, "put", spy_put)
+        monkeypatch.setattr(InFlight, "pop", spy_pop)
         result = icp_with_scaling(src, tgt, max_iters=100)
         monkeypatch.undo()
         assert_same_icp(result, icp_per_start(src, tgt, max_iters=100))
         assert len(runs) == 5
-        assert [kind for kind, _, _ in events[:6]] == ["submit"] * 5 + ["wait"]
-        assert pending == {}
-        assert [starts.count(k) for k in range(5)] == [len(run.rms_history) for run in runs]
-        assert max(in_flight for kind, _, in_flight in events if kind == "submit") >= 2
+        assert [kind for kind, _, _ in events[:6]] == ["put"] * 5 + ["pop"]
+        assert queued == []
+        puts = [start for kind, start, _ in events if kind == "put"]
+        assert [puts.count(k) for k in range(5)] == [len(run.rms_history) for run in runs]
+        assert max(in_flight for kind, _, in_flight in events if kind == "put") >= 2
         # the starts converge at three or more different iterations
         assert len({len(run.rms_history) for run in runs}) >= 3
 
@@ -415,10 +450,10 @@ class TestLockstepIcp:
     def test_max_iters_below_one_rejected_before_any_query(self, monkeypatch, max_iters):
         src, tgt = icp_case(5)
 
-        def no_query(pairs):
+        def no_query(flight, key, pairs):
             raise AssertionError("queried")
 
-        monkeypatch.setattr(metrics, "submit", no_query)
+        monkeypatch.setattr(InFlight, "put", no_query)
         with pytest.raises(InvalidInput, match=f"max_iters must be >= 1; got {max_iters}"):
             icp_with_scaling(src, tgt, max_iters=max_iters)
 
@@ -490,6 +525,44 @@ class TestLockstepIcp:
         with pytest.raises(DegenerateGeometry) as got:
             icp_with_scaling(src, tgt, max_iters=max_iters)
         assert str(got.value) == str(expected.value) == messages[-1]
+
+
+class TestCollapsedIcp:
+    """A start whose scale shrinks toward 0 maps the whole source onto one
+    target point, where its one-sided RMS nears 0. Such a start fails like a
+    degenerate refit instead of winning."""
+
+    @staticmethod
+    def collapsing_case(n=2000):
+        from rigalign.evaluate import gt_points_for
+        from rigalign.geometry import sample_mesh_surface
+        from rigalign.seeding import derive_seed
+        from rigalign.synthetic import SceneSpec, generate_synthetic_scene
+
+        scene = generate_synthetic_scene(SceneSpec(frames=3, rotation_level=1, seed=10))
+        gt = gt_points_for(scene.gt_mesh(2), n, derive_seed(10, 102, 2))
+        wrong = SimilarityTransform(
+            [0.36503671705908464, 0.4343944881393742, 0.8041218747838109, -0.1773066111768699],
+            [0.05613317679893655, 0.015799398549931225, 0.3780043444300526], 0.7084487824244309)
+        pred = wrong.apply(sample_mesh_surface(scene.mesh, n, derive_seed(10, 101)).points)
+        return pred, gt, wrong
+
+    # at 3 the collapsing start stops at the cap on pairs that all meet one
+    # target point; at 8 its refit meets them
+    @pytest.mark.parametrize("max_iters", [3, 8])
+    def test_collapsed_start_does_not_win(self, max_iters):
+        pred, gt, wrong = self.collapsing_case()
+        result = icp_with_scaling(pred, gt, max_iters=max_iters)
+        assert_same_icp(result, icp_per_start(pred, gt, max_iters=max_iters))
+        assert result.transform.scale == pytest.approx(1 / wrong.scale, rel=0.02)
+        assert result.rms > 1e-4
+
+    def test_frame_report_scores_the_aligned_fit(self):
+        from rigalign.evaluate import frame_report
+
+        pred, gt, _ = self.collapsing_case()
+        report = frame_report(pred, gt, icp_max_iters=8)
+        assert report.f5 == report.f10 == 1.0 and report.chamfer_cm2 < 0.01
 
 
 class TestBatchedQueryOrder:
