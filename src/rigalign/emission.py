@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateCloud, InvalidInput
 from .geometry import (
     Camera,
-    HandPointMap,
+    PixelMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
@@ -44,22 +44,6 @@ _CHAMFER_BLOCK_POINTS = 16384
 
 # Floor on dino_similarity's norm product: a map at the basis mean projects to 0.
 _SIMILARITY_EPS = 1e-8
-
-
-@dataclass(eq=False)
-class FeatureMap:
-    """Dense (H, W, C) feature grid with a binary silhouette mask."""
-
-    features: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.features.ndim != 3:
-            raise InvalidInput("features must be (H, W, C)")
-        if self.mask.shape != self.features.shape[:2]:
-            raise InvalidInput("mask dimensions must match the feature grid")
 
 
 @dataclass(eq=False)
@@ -115,7 +99,7 @@ def rasterize_silhouette(mesh: TriangleMesh, pose: SimilarityTransform, camera: 
     A pixel is set when its center ray hits any triangle at positive depth:
     the hit mask of the ray cast.
     """
-    return first_hit_map(apply_pose(mesh, pose), camera).hits
+    return first_hit_map(apply_pose(mesh, pose), camera).mask
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +107,14 @@ def rasterize_silhouette(mesh: TriangleMesh, pose: SimilarityTransform, camera: 
 
 
 def pca_basis(maps) -> PCABasis:
-    """Top-3 principal directions of masked-in feature vectors pooled over maps.
+    """Top-3 principal directions of the feature vectors pooled over PixelMaps.
 
     Sign convention: each direction's largest-magnitude component is positive.
     """
     maps = list(maps)
     if not maps:
         raise InvalidInput("no feature maps given")
-    pooled = np.concatenate([m.features[m.mask] for m in maps], axis=0)
+    pooled = np.concatenate([m.values for m in maps], axis=0)
     if pooled.shape[0] < 3:
         raise InvalidInput("need at least 3 masked-in pixels to fit a basis")
     if pooled.shape[1] < 3:
@@ -146,20 +130,21 @@ def pca_basis(maps) -> PCABasis:
     return PCABasis(mean=mean, components=comps)
 
 
-def dino_similarity(f_j: FeatureMap, f_0: FeatureMap, basis: PCABasis) -> float:
+def dino_similarity(f_j: PixelMap, f_0: PixelMap, basis: PCABasis) -> float:
     """Feature disagreement in [0, 1]: 0 identical, 1 anti-aligned; NaN when
     the two masks do not intersect.
 
-    Projects both maps onto the basis over the intersection of their masks,
-    then maps cosine similarity c to 1 - (c + 1) / 2.
+    Projects both feature maps onto the basis over the intersection of their
+    masks, then maps cosine similarity c to 1 - (c + 1) / 2. Each map's rows
+    there are those its pixels keep through the other map's mask.
     """
-    if f_j.features.shape[:2] != f_0.features.shape[:2]:
+    if f_j.mask.shape != f_0.mask.shape:
         raise InvalidInput("feature maps must share spatial dimensions")
-    domain = f_j.mask & f_0.mask
-    if not domain.any():
+    rows_j = f_j.values[f_0.mask[f_j.mask]]
+    if len(rows_j) == 0:
         return math.nan
-    a = basis.project(f_j.features[domain]).ravel()
-    b = basis.project(f_0.features[domain]).ravel()
+    a = basis.project(rows_j).ravel()
+    b = basis.project(f_0.values[f_j.mask[f_0.mask]]).ravel()
     denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), _SIMILARITY_EPS)
     cos = float(a @ b) / denom
     cos = max(-1.0, min(1.0, cos))
@@ -195,15 +180,11 @@ class FeatureField:
         return np.sin(np.asarray(points, dtype=float) @ self.weights + self.phases)
 
 
-def field_features(hit_map: HandPointMap, pose: SimilarityTransform,
-                   field: FeatureField) -> FeatureMap:
+def field_features(hit_map: PixelMap, pose: SimilarityTransform,
+                   field: FeatureField) -> PixelMap:
     """The field at the model-frame points of a ray cast of the posed mesh,
     masked to its hits."""
-    features = np.zeros(hit_map.hits.shape + (field.channels,))
-    if hit_map.hits.any():
-        model_points = pose.inverse().apply(hit_map.points[hit_map.hits])
-        features[hit_map.hits] = field(model_points)
-    return FeatureMap(features, hit_map.hits)
+    return PixelMap(hit_map.mask, field(pose.inverse().apply(hit_map.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +222,8 @@ class CastFeatureSource:
         self.basis = pca_basis(self.inputs)
 
     def candidate_features(self, phase: str, frame_index: int, state_index: int,
-                           pose: SimilarityTransform, hit_map: HandPointMap) -> FeatureMap:
-        """Feature map of one posed state; its mask lies inside hit_map.hits."""
+                           pose: SimilarityTransform, hit_map: PixelMap) -> PixelMap:
+        """Feature map of one posed state; its mask lies inside hit_map.mask."""
         raise NotImplementedError
 
     def frame_errors(self, phase: str, frame_index: int, mesh: TriangleMesh, poses) -> np.ndarray:
@@ -269,9 +250,10 @@ class DirectoryFeatureSource(CastFeatureSource):
     def path_for(self, phase: str, frame_index: int, state_index: int) -> Path:
         return self.root / f"feat_{phase}_{frame_index:06d}_{state_index:06d}.fmap"
 
-    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
+    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> PixelMap:
         feats, mask = meshio.load_fmap(self.path_for(phase, frame_index, state_index))
-        return FeatureMap(feats, mask & hit_map.hits)
+        mask &= hit_map.mask
+        return PixelMap(mask, feats[mask])
 
 
 @dataclass(eq=False)
@@ -281,7 +263,7 @@ class SyntheticFeatureSource(CastFeatureSource):
 
     field: FeatureField
 
-    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> FeatureMap:
+    def candidate_features(self, phase, frame_index, state_index, pose, hit_map) -> PixelMap:
         return field_features(hit_map, pose, self.field)
 
 

@@ -202,15 +202,27 @@ class PointCloud:
 
 
 @dataclass(eq=False)
-class HandPointMap:
-    """Per-pixel first mesh intersections: (H, W, 3) points and an (H, W) hit mask."""
+class PixelMap:
+    """An (H, W) bool mask and one (D,) value vector per masked-in pixel: the
+    (N, D) `values`, in row-major pixel order. A ray cast's map holds the hit
+    points (D = 3); a feature map holds feature vectors (D = C)."""
 
-    points: np.ndarray
-    hits: np.ndarray
+    mask: np.ndarray
+    values: np.ndarray
 
-    @property
-    def hit_fraction(self) -> float:
-        return float(self.hits.mean()) if self.hits.size else 0.0
+    def __post_init__(self):
+        self.mask = np.asarray(self.mask, dtype=bool)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.mask.ndim != 2:
+            raise InvalidInput("a pixel map's mask must be (H, W)")
+        if self.values.ndim != 2 or len(self.values) != np.count_nonzero(self.mask):
+            raise InvalidInput("a pixel map needs one value row per masked-in pixel")
+
+    def dense(self) -> np.ndarray:
+        """The (H, W, D) grid with zeros off the mask, as an FMAP file holds it."""
+        grid = np.zeros(self.mask.shape + self.values.shape[1:])
+        grid[self.mask] = self.values
+        return grid
 
 
 @dataclass(frozen=True)
@@ -426,21 +438,20 @@ class _WinnerMap:
         self.u[pix[won]] = u[won]
         self.v[pix[won]] = v[won]
 
-    def take(self, verts: np.ndarray, faces: np.ndarray) -> HandPointMap:
-        """The pose's map, with each point at its winning barycentric
+    def take(self, verts: np.ndarray, faces: np.ndarray) -> PixelMap:
+        """The pose's map of hit points, each at its winning barycentric
         coordinates; the next pose starts empty."""
         hits = self.t < np.inf
         idx = np.flatnonzero(hits)
-        points = np.zeros((len(hits), 3))
         uw, vw = self.u[idx], self.v[idx]
         tri = verts[faces[self.face[idx]]]
         a1 = 1.0 - uw - vw
-        points[idx] = a1[:, None] * tri[:, 0] + uw[:, None] * tri[:, 1] + vw[:, None] * tri[:, 2]
         self.t[idx] = np.inf
-        return HandPointMap(points.reshape(self.shape + (3,)), hits.reshape(self.shape))
+        return PixelMap(hits.reshape(self.shape),
+                        a1[:, None] * tri[:, 0] + uw[:, None] * tri[:, 1] + vw[:, None] * tri[:, 2])
 
 
-def first_hit_map(mesh: TriangleMesh, camera: Camera) -> HandPointMap:
+def first_hit_map(mesh: TriangleMesh, camera: Camera) -> PixelMap:
     """Nearest positive-t intersection of every pixel ray with the mesh: the
     one-pose case of cast_hit_maps."""
     return next(cast_hit_maps([mesh.vertices], mesh.faces, camera))

@@ -87,6 +87,13 @@ def build_rotation_grid(level: int) -> RotationGrid:
     return RotationGrid(quats[keep])
 
 
+def rotation_state_count(level: int) -> int:
+    """len(build_rotation_grid(level)), without building it: the boundary of
+    the (2^L + 1)^4 lattice has (2^L + 1)^4 - (2^L - 1)^4 points, and the
+    antipodal ones pair up."""
+    return ((2**level + 1) ** 4 - (2**level - 1) ** 4) // 2
+
+
 def build_translation_grid(center, half_extent, counts) -> TranslationGrid:
     """Lattice of prod(counts) offsets; odd counts place a point at the center.
 

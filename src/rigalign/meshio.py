@@ -341,7 +341,8 @@ def save_fmap(features: np.ndarray, mask: np.ndarray, path) -> None:
 
 
 def load_fmap(path):
-    """Returns (features (H, W, C) float32, mask (H, W) bool). Every feature
+    """Returns (features (H, W, C) float32, mask (H, W) bool); the features
+    are a read-only view of the file's bytes, not a copy. Every feature
     value must be finite, masked in or not: a mask file may override the
     map's own mask."""
     path = Path(path)
@@ -363,7 +364,7 @@ def load_fmap(path):
         raise ParseError(f"{path}: feature value at row {i}, column {j}, channel {k} "
                          f"is not finite")
     mask = np.frombuffer(blob, "u1", h * w, 20 + h * w * c * 4).reshape(h, w) != 0
-    return feats.copy(), mask
+    return feats, mask
 
 
 # ---------------------------------------------------------------------------

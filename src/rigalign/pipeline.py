@@ -4,6 +4,7 @@ config and seeds."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -13,12 +14,12 @@ import numpy as np
 from . import meshio
 from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
-from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureField, FeatureMap,
+from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureField,
                        SyntheticFeatureSource, TableFeatureSource)
-from .errors import ConfigError, ParseError
-from .evaluate import evaluate_track
-from .geometry import LABEL_OBJECT, TriangleMesh, first_hit_map, normalize_points
-from .grids import build_rotation_grid, build_translation_grid
+from .errors import ConfigError, DegenerateGeometry, EmptyCloud, EmptyMesh, ParseError
+from .evaluate import evaluate_track, gt_points_for
+from .geometry import LABEL_OBJECT, PixelMap, TriangleMesh, first_hit_map, normalize_points
+from .grids import build_rotation_grid, build_translation_grid, rotation_state_count
 
 
 # Per-frame input kinds, each file named meshio.frame_file(kind, t, ext):
@@ -41,8 +42,6 @@ class RunInputs:
     frame_indices: list
     feature_source: object | None
     ground_truths: list | None
-    rot_grid: object
-    trans_grid: object
 
 
 def frame_files(cfg: RunConfig, kind: str, frames=None) -> dict[int, Path]:
@@ -83,20 +82,20 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     loaded only when candidate features are computed per state (`synthetic`
     and `maps`), must share the first map's channel count, which the
     synthetic field takes too, and go to the feature source, which fits its
-    PCA basis on them; a `table` run reads its tables alone."""
+    PCA basis on them; a `table` run reads its tables alone. Only those two
+    cast, so only they read the camera. No pose grid is built here: tables
+    and candidate maps are checked against the grids' state counts. Each
+    ground truth must be one that evaluation can sample."""
     if not cfg.model_mesh:
         raise ConfigError("model_mesh is required")
     mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
 
-    camera = meshio.load_camera(cfg.resolve(cfg.camera)) if cfg.camera else None
     source_name = cfg.feature_source if cfg.w_dino != 0.0 else "none"  # w_dino = 0: no features
     use_maps = source_name in ("synthetic", "maps")
-    if use_maps and camera is None:
+    if use_maps and not cfg.camera:
         raise ConfigError("feature_source requires a camera file")
-
-    rot_grid = build_rotation_grid(cfg.rotation_level)
-    trans_grid = build_translation_grid(np.zeros(3), np.array(cfg.translation_half_extent),
-                                        cfg.translation_counts)
+    camera = meshio.load_camera(cfg.resolve(cfg.camera)) if use_maps else None
+    s_rot, s_trans = rotation_state_count(cfg.rotation_level), math.prod(cfg.translation_counts)
 
     if not cfg.cloud_dir:
         raise ConfigError("cloud_dir is required")
@@ -115,42 +114,51 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         if use_maps:
             feats, mask = meshio.load_fmap(paths["feat"][t])
             _check_image_size(paths["feat"][t], feats.shape[:2], camera)
-            if inputs and feats.shape[2] != inputs[0].features.shape[2]:
+            if inputs and feats.shape[2] != inputs[0].values.shape[1]:
                 raise ParseError(f"{paths['feat'][t]}: {feats.shape[2]} feature channels, "
-                                 f"{paths['feat'][indices[0]]} has "
-                                 f"{inputs[0].features.shape[2]}")
+                                 f"{paths['feat'][indices[0]]} has {inputs[0].values.shape[1]}")
             if "mask" in paths:
                 mask = meshio.load_pgm_mask(paths["mask"][t])
                 _check_image_size(paths["mask"][t], mask.shape, camera)
-            inputs.append(FeatureMap(feats, mask))
+            inputs.append(PixelMap(mask, feats[mask]))
     if use_maps and not any(f.mask.any() for f in inputs):
         raise ParseError("no masked-in pixels across all input feature maps")
 
     feature_source = None
     if source_name == "synthetic":
-        field = FeatureField.from_seed(cfg.synthetic_feature_seed, inputs[0].features.shape[2])
+        field = FeatureField.from_seed(cfg.synthetic_feature_seed, inputs[0].values.shape[1])
         feature_source = SyntheticFeatureSource(camera, inputs, field)
     elif source_name == "table":
         if not cfg.dino_table_rot or not cfg.dino_table_trans:
             raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
         rot_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_rot))
         trans_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_trans))
-        _check_table(rot_tab, len(frames), len(rot_grid), "dino_table_rot")
-        _check_table(trans_tab, len(frames), len(trans_grid), "dino_table_trans")
+        _check_table(rot_tab, len(frames), s_rot, "dino_table_rot")
+        _check_table(trans_tab, len(frames), s_trans, "dino_table_trans")
         feature_source = TableFeatureSource(rot_tab, trans_tab)
     elif source_name == "maps":
         if not cfg.candidate_features_dir:
             raise ConfigError("maps feature source needs candidate_features_dir")
         feature_source = DirectoryFeatureSource(camera, inputs, cfg.resolve(cfg.candidate_features_dir))
-        _check_candidate_maps(feature_source, len(rot_grid), len(trans_grid))
+        _check_candidate_maps(feature_source, s_rot, s_trans)
 
-    ground_truths = [meshio.load_ply_geometry(paths["gt"][t]) for t in indices] if cfg.gt_dir else None
+    ground_truths = [_load_ground_truth(paths["gt"][t]) for t in indices] if cfg.gt_dir else None
 
     return RunInputs(
         mesh=mesh, frames=frames, frame_indices=indices,
         feature_source=feature_source, ground_truths=ground_truths,
-        rot_grid=rot_grid, trans_grid=trans_grid,
     )
+
+
+def _load_ground_truth(path: Path):
+    """A ground-truth mesh or cloud, drawn from once as evaluation will draw
+    its sample, so that one it cannot sample fails here, named."""
+    geometry = meshio.load_ply_geometry(path)
+    try:
+        gt_points_for(geometry, 1, 0)
+    except (DegenerateGeometry, EmptyCloud, EmptyMesh) as e:
+        raise ParseError(f"{path}: ground truth cannot be sampled: {e}") from None
+    return geometry
 
 
 def _check_image_size(path: Path, shape, camera) -> None:
@@ -210,12 +218,15 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
         inputs.frame_indices = inputs.frame_indices[:1]
         if inputs.ground_truths is not None:
             inputs.ground_truths = inputs.ground_truths[:1]
+    rot_grid = build_rotation_grid(cfg.rotation_level)
+    trans_grid = build_translation_grid(np.zeros(3), np.array(cfg.translation_half_extent),
+                                        cfg.translation_counts)
     evaluator = EmissionEvaluator(
         inputs.mesh, w_cd=cfg.w_cd, w_dino=cfg.w_dino, feature_source=inputs.feature_source,
         sample_count=cfg.emission_samples, seed=cfg.seed, penalty_factor=cfg.penalty_factor,
     )
     result = align_sequence(
-        evaluator, inputs.frames, inputs.rot_grid, inputs.trans_grid,
+        evaluator, inputs.frames, rot_grid, trans_grid,
         lam_rot=cfg.lambda_rot, lam_trans=cfg.lambda_trans,
         timestamps=np.array(inputs.frame_indices, dtype=np.int64),
     )
@@ -271,26 +282,23 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     computed = []
     for t, path in frame_files(cfg, "hand").items():
         hit_map = first_hit_map(meshio.load_mesh(path), camera)
-        hits = hit_map.hits
-        if not hits.any():
+        if not hit_map.mask.any():
             raise ParseError(f"frame {t}: hand mesh has no visible surface")
-        normalized, params = normalize_points(hit_map.points[hits], s=cfg.norm_scale)
-        grid = np.zeros((camera.height, camera.width, 3))
-        grid[hits] = normalized
+        normalized, params = normalize_points(hit_map.values, s=cfg.norm_scale)
         payload = {
             "mean": [float(v) for v in params.mean],
             "sigma": params.sigma,
             "scale": params.scale,
-            "hit_fraction": hit_map.hit_fraction,
+            "hit_fraction": float(hit_map.mask.mean()),
         }
-        computed.append((t, grid, hits, payload))
+        computed.append((t, PixelMap(hit_map.mask, normalized), payload))
     # nothing is written until every frame is computed
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = {}
-    for t, grid, hits, payload in computed:
-        meshio.save_fmap(grid, hits, out / meshio.frame_file("prep", t, "fmap"))
-        meshio.save_pgm_mask(hits, out / meshio.frame_file("prep_mask", t, "pgm"))
+    for t, prep, payload in computed:
+        meshio.save_fmap(prep.dense(), prep.mask, out / meshio.frame_file("prep", t, "fmap"))
+        meshio.save_pgm_mask(prep.mask, out / meshio.frame_file("prep_mask", t, "pgm"))
         meshio.write_atomic(out / meshio.frame_file("prep_params", t, "json"),
                             meshio.json_text(payload).encode())
         written[t] = str(out / meshio.frame_file("prep", t, "fmap"))

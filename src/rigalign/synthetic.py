@@ -19,11 +19,12 @@ import numpy as np
 from . import meshio
 from .align import PoseTrack, track_to_json
 from .config import RunConfig, serialize_config
-from .emission import FeatureField, FeatureMap, field_features
+from .emission import FeatureField, field_features
 from .errors import InvalidInput
 from .geometry import (
     MAX_SAMPLE_POINTS,
     Camera,
+    PixelMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
@@ -39,7 +40,7 @@ from .seeding import check_seed, derive_seed
 _TRAJ, _CLOUD, _NOISE, _HAND, _FIELD, _SCALE = range(6)
 
 # Most frames and feature channels a scene may have. A scene holds every
-# frame's 64 x 64 x C float64 feature map beside its clouds: under
+# frame's feature map, at most 64 x 64 x C float64, beside its clouds: under
 # tracemalloc a frame took 0.31 MB at 8 channels and 2.1 MB at 64, so 1,000
 # frames take about 0.3 GB at 8 channels and 2.1 GB at 64. Larger values are
 # rejected when the spec is built, before anything is allocated.
@@ -58,7 +59,7 @@ LAMBDA_TRANS = 0.2
 
 
 def render_feature_map(mesh: TriangleMesh, pose: SimilarityTransform, camera: Camera,
-                       field: FeatureField) -> FeatureMap:
+                       field: FeatureField) -> PixelMap:
     """Ray-cast the posed mesh and evaluate the field at the model-frame hit points."""
     return field_features(first_hit_map(apply_pose(mesh, pose), camera), pose, field)
 
@@ -234,7 +235,7 @@ def write_scene(scene: SyntheticScene, out_dir) -> Path:
     for t in range(len(scene.track)):
         meshio.save_ply_cloud(scene.clouds[t], out / meshio.frame_file("cloud", t, "ply"))
         fm = scene.feature_maps[t]
-        meshio.save_fmap(fm.features, fm.mask, out / meshio.frame_file("feat", t, "fmap"))
+        meshio.save_fmap(fm.dense(), fm.mask, out / meshio.frame_file("feat", t, "fmap"))
         meshio.save_ply_mesh(scene.gt_mesh(t), out / meshio.frame_file("gt", t, "ply"))
     meshio.write_atomic(out / "gt_track.json", track_to_json(scene.track).encode())
     states_csv = io.StringIO()

@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from rigalign.emission import dino_similarity
+from rigalign.emission import _SIMILARITY_EPS, PCABasis, dino_similarity
 from rigalign.errors import DegenerateGeometry, EmptyMesh, RigalignError
 from rigalign.geometry import (
-    HandPointMap,
+    PixelMap,
     SimilarityTransform,
     apply_pose,
     matrix_to_quat,
@@ -56,11 +56,6 @@ def two_step_poses(quats, positions, scale: float) -> list:
         state = SimilarityTransform(q, p, 1.0)
         poses.append(SimilarityTransform(state.rotation, state.translation, scale * state.scale))
     return poses
-
-
-def hit_points(hit_map) -> np.ndarray:
-    """(K, 3) intersection points of the pixels a HandPointMap marks as hits."""
-    return hit_map.points[hit_map.hits]
 
 
 def rotation_matrices(grid) -> np.ndarray:
@@ -143,7 +138,7 @@ def visible_window(tris: np.ndarray, camera) -> tuple[int, int, int, int]:
     return i0, i1, j0, j1
 
 
-def window_first_hit_map(mesh, camera, chunk: int = 128) -> HandPointMap:
+def window_first_hit_map(mesh, camera, chunk: int = 128) -> PixelMap:
     """The first-hit map cast over the whole mesh's projected window, every
     pixel there against every face, chunked over faces; ties in t go to the
     lowest face index. Same arithmetic as the package's face-binned caster,
@@ -156,7 +151,7 @@ def window_first_hit_map(mesh, camera, chunk: int = 128) -> HandPointMap:
     tris = mesh.triangles()
     i0, i1, j0, j1 = visible_window(tris, camera)
     if i0 >= i1 or j0 >= j1:
-        return HandPointMap(points, hits)
+        return PixelMap(hits, points[hits])
     dirs = camera.pixel_rays[i0:i1, j0:j1].reshape(-1, 3)
     npix = dirs.shape[0]
     best_t = np.full(npix, np.inf)
@@ -198,7 +193,34 @@ def window_first_hit_map(mesh, camera, chunk: int = 128) -> HandPointMap:
         best_t[better] = tmin[better]
     hits[i0:i1, j0:j1] = np.isfinite(best_t).reshape(i1 - i0, j1 - j0)
     points[i0:i1, j0:j1] = best_point.reshape(i1 - i0, j1 - j0, 3)
-    return HandPointMap(points, hits)
+    return PixelMap(hits, points[hits])
+
+
+def dense_pca_basis(grids, masks) -> PCABasis:
+    """emission.pca_basis over dense (H, W, C) feature grids: the vectors at
+    each grid's masked-in pixels, pooled in map order."""
+    pooled = np.concatenate([np.asarray(g, dtype=float)[m] for g, m in zip(grids, masks)])
+    mean = pooled.mean(axis=0)
+    centered = pooled - mean
+    _, vecs = np.linalg.eigh((centered.T @ centered) / len(centered))
+    comps = vecs[:, ::-1][:, :3].T.copy()
+    for row in comps:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return PCABasis(mean=mean, components=comps)
+
+
+def dense_similarity(grid_j, mask_j, grid_0, mask_0, basis) -> float:
+    """emission.dino_similarity over dense (H, W, C) feature grids: both
+    projected at the pixels of mask_j & mask_0; NaN when that is empty."""
+    domain = mask_j & mask_0
+    if not domain.any():
+        return math.nan
+    a = basis.project(np.asarray(grid_j, dtype=float)[domain]).ravel()
+    b = basis.project(np.asarray(grid_0, dtype=float)[domain]).ravel()
+    denom = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), _SIMILARITY_EPS)
+    cos = max(-1.0, min(1.0, float(a @ b) / denom))
+    return 1.0 - 0.5 * (cos + 1.0)
 
 
 def per_state_feature_errors(source, phase: str, frame_index: int, mesh, poses) -> np.ndarray:

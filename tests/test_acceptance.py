@@ -14,7 +14,6 @@ from rigalign.align import align_sequence
 from rigalign.cli import run as cli_run
 from rigalign.emission import (
     EmissionEvaluator,
-    FeatureMap,
     SyntheticFeatureSource,
     dino_similarity,
     estimate_scale,
@@ -23,6 +22,7 @@ from rigalign.emission import (
 )
 from rigalign.geometry import (
     LABEL_OBJECT,
+    PixelMap,
     SimilarityTransform,
     first_hit_map,
     apply_pose,
@@ -174,24 +174,27 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
 
 
 def test_criterion_07_feature_similarity_bounds():
+    def full(grid):
+        """The feature map of an (H, W, C) grid with every pixel masked in."""
+        return PixelMap(np.ones(grid.shape[:2], dtype=bool), grid.reshape(-1, grid.shape[2]))
+
     rng = np.random.default_rng(1007)
-    basis = pca_basis([FeatureMap(rng.normal(size=(16, 16, 8)), np.ones((16, 16), dtype=bool))])
-    full = np.ones((4, 4), dtype=bool)
+    basis = pca_basis([full(rng.normal(size=(16, 16, 8)))])
     for _ in range(1000):
-        fa = FeatureMap(rng.normal(size=(4, 4, 8)), full)
-        fb = FeatureMap(rng.normal(size=(4, 4, 8)), full)
+        fa = full(rng.normal(size=(4, 4, 8)))
+        fb = full(rng.normal(size=(4, 4, 8)))
         e = dino_similarity(fa, fb, basis)
         assert 0.0 <= e <= 1.0
-    f0 = FeatureMap(rng.normal(size=(8, 8, 8)), np.ones((8, 8), dtype=bool))
+    grid0 = rng.normal(size=(8, 8, 8))
+    f0 = full(grid0)
     assert dino_similarity(f0, f0, basis) == 0.0
-    mirrored = FeatureMap(2 * basis.mean - f0.features, f0.mask)
+    mirrored = full(2 * basis.mean - grid0)
     assert dino_similarity(mirrored, f0, basis) == pytest.approx(1.0, abs=1e-9)
     a = np.tile(basis.mean, (2, 2, 1))
     b = np.tile(basis.mean, (2, 2, 1))
     a[0, 0] += basis.components[0]
     b[0, 0] += basis.components[1]
-    ortho = dino_similarity(FeatureMap(a, np.ones((2, 2), bool)),
-                            FeatureMap(b, np.ones((2, 2), bool)), basis)
+    ortho = dino_similarity(full(a), full(b), basis)
     assert ortho == pytest.approx(0.5, abs=1e-9)
     print("ACCEPTANCE 7 PASS: E in [0,1] x1000, E(F,F) = 0, anti-aligned = 1, orthogonal = 0.5")
 
@@ -211,7 +214,7 @@ def test_criterion_09_rasterizer_raycast_agreement(camera64):
         q = random_unit_quaternions(1, seed=9000 + k)[0]
         pose = SimilarityTransform(q, np.array([0.0, 0.0, 0.1]), float(rng.uniform(0.5, 1.5)))
         silhouette = rasterize_silhouette(mesh, pose, camera64)
-        oracle = first_hit_map(apply_pose(mesh, pose), camera64).hits
+        oracle = first_hit_map(apply_pose(mesh, pose), camera64).mask
         assert np.array_equal(silhouette, oracle)
         assert np.array_equal(silhouette, solve_silhouette(mesh, pose, camera64))
     print("ACCEPTANCE 9 PASS: silhouettes equal the ray cast and the barycentric-solve oracle "

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigalign import emission, meshio
+from rigalign import emission, grids, meshio, pipeline
 from rigalign.cli import run as cli_run
 from rigalign.errors import ConfigError, InvalidInput, ParseError, RigalignError
 from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
@@ -87,6 +87,39 @@ def test_tiny_scene_runs(scene, tmp_path):
     assert (tmp_path / "out" / "metrics.json").is_file()
 
 
+def run_outputs(scene: Path, out: Path, command: str) -> dict:
+    """{file name: bytes} of a successful run of `command` on the scene."""
+    code, err = run_quietly([command, "--config", str(scene / "config.cfg"), "--out", str(out)])
+    assert code == 0, err
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command, source", [("eval", "synthetic"), ("track", "none"),
+                                             ("track", "table")])
+def test_run_that_casts_nothing_reads_no_camera(scene, tmp_path, command, source):
+    # eval scores a track and reads no features; none and table sources cast nothing
+    set_config(scene, track="gt_track.json", feature_source=source, dino_table_rot="rot.emit",
+               dino_table_trans="trans.emit")
+    meshio.save_emission_table(np.linspace(0.0, 1.0, 16).reshape(2, 8), scene / "rot.emit")
+    meshio.save_emission_table(np.linspace(1.0, 0.0, 18).reshape(2, 9), scene / "trans.emit")
+    want = run_outputs(scene, tmp_path / "with", command)
+    (scene / "camera.json").unlink()
+    assert run_outputs(scene, tmp_path / "without", command) == want
+
+
+def test_eval_builds_no_pose_grid(scene, tmp_path, monkeypatch):
+    set_config(scene, track="gt_track.json")
+    want = run_outputs(scene, tmp_path / "built", "eval")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("eval built a pose grid")
+
+    for module in (pipeline, grids):
+        monkeypatch.setattr(module, "build_rotation_grid", no_grid)
+        monkeypatch.setattr(module, "build_translation_grid", no_grid)
+    assert run_outputs(scene, tmp_path / "eval", "eval") == want
+
+
 @pytest.mark.parametrize("key, value", [
     ("w_cd", "nan"), ("w_dino", "inf"), ("lambda_rot", "inf"), ("lambda_trans", "nan"),
     ("penalty_factor", "nan"), ("penalty_factor", "-1"), ("translation_half_extent", "nan"),
@@ -142,6 +175,7 @@ def test_config_key_set_twice_rejected(scene, tmp_path):
 def test_non_finite_feature_value_rejected(scene, tmp_path, value):
     path = scene / "feat_000001.fmap"
     feats, mask = meshio.load_fmap(path)
+    feats = feats.copy()  # a view of the file's bytes, read-only
     i, j = np.argwhere(mask)[0]
     feats[i, j, 2] = value
     meshio.save_fmap(feats, mask, path)
@@ -407,7 +441,8 @@ def test_non_utf8_text_file_rejected(scene, tmp_path, name):
     data = path.read_bytes()
     path.write_bytes(data[:20] + b"\xff" + data[20:])
     out = tmp_path / "out"
-    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
+    command = "track" if name == "camera.json" else "eval"  # eval reads no camera
+    code, err = run_quietly([command, "--config", str(scene / "config.cfg"), "--out", str(out)])
     assert_rejected(code, err, out)
     assert f"{name}: invalid " in err and "can't decode byte 0xff in position 20" in err
 
@@ -429,10 +464,8 @@ def test_camera_size_that_is_no_json_integer_rejected(scene, tmp_path, field, va
     cam = json.loads((scene / "camera.json").read_text())
     cam[field] = "@"
     (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
-    set_config(scene, track="gt_track.json")
-    out = tmp_path / "out"
-    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
-    assert_rejected(code, err, out)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
     assert f"camera.json: invalid camera file: {field} is {value}, not an integer" in err
 
 
@@ -442,10 +475,8 @@ def test_camera_number_that_is_no_json_number_rejected(scene, tmp_path, field, v
     cam = json.loads((scene / "camera.json").read_text())
     cam[field] = "@"
     (scene / "camera.json").write_text(json.dumps(cam).replace('"@"', value))
-    set_config(scene, track="gt_track.json")
-    out = tmp_path / "out"
-    code, err = run_quietly(["eval", "--config", str(scene / "config.cfg"), "--out", str(out)])
-    assert_rejected(code, err, out)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
     assert f"camera.json: invalid camera file: {field} is {value}, not a number" in err
 
 
@@ -493,6 +524,26 @@ def test_model_whose_area_overflows_rejected(scene, tmp_path):
     code, err = track(scene, tmp_path / "out")
     assert_rejected(code, err, tmp_path / "out", codes=(3,))
     assert "mesh surface area overflows" in err
+
+
+@pytest.mark.parametrize("geometry, message", [
+    (PointCloud(np.zeros((0, 3))), "cannot resample an empty cloud"),
+    (TriangleMesh(np.array([[0.0, 0, 0.4], [0.01, 0, 0.4], [0.02, 0, 0.4]]), np.array([[0, 1, 2]])),
+     "mesh has zero surface area"),
+], ids=["empty-cloud", "zero-area-mesh"])
+def test_ground_truth_that_cannot_be_sampled_rejected_at_load(scene, tmp_path, monkeypatch,
+                                                              geometry, message):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a frame was scored before the ground truth was checked")
+
+    monkeypatch.setattr(emission.EmissionEvaluator, "frame_terms", no_scoring)
+    if isinstance(geometry, PointCloud):
+        meshio.save_ply_cloud(geometry, scene / "gt_000001.ply")
+    else:
+        meshio.save_ply_mesh(geometry, scene / "gt_000001.ply")
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"gt_000001.ply: ground truth cannot be sampled: {message}" in err
 
 
 def test_model_ply_without_xyz_rejected(scene, tmp_path):

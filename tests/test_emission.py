@@ -3,11 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigalign.emission import (
     EmissionEvaluator,
     FeatureField,
-    FeatureMap,
     SyntheticFeatureSource,
     TableFeatureSource,
     dino_similarity,
@@ -18,6 +19,7 @@ from rigalign.emission import (
 from rigalign.errors import DegenerateCloud, InvalidInput
 from rigalign.geometry import (
     Camera,
+    PixelMap,
     PointCloud,
     SimilarityTransform,
     TriangleMesh,
@@ -31,7 +33,13 @@ from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import irregular_tetrahedron, render_feature_map
 
 from conftest import random_blob_mesh, subdivided
-from oracles import per_state_feature_errors, random_unit_quaternions, solve_silhouette
+from oracles import (
+    dense_pca_basis,
+    dense_similarity,
+    per_state_feature_errors,
+    random_unit_quaternions,
+    solve_silhouette,
+)
 
 
 class TestEstimateScale:
@@ -96,7 +104,7 @@ class TestRasterizeSilhouette:
     def test_unit_quad_covers_frame(self, camera64, unit_quad_mesh):
         # at fx = 100 the unit quad at z = 1 projects past the 64x64 frame
         sil = rasterize_silhouette(unit_quad_mesh, SimilarityTransform.identity(), camera64)
-        oracle = first_hit_map(unit_quad_mesh, camera64).hits
+        oracle = first_hit_map(unit_quad_mesh, camera64).mask
         assert np.array_equal(sil, oracle)
         identity = SimilarityTransform.identity()
         assert np.array_equal(sil, solve_silhouette(unit_quad_mesh, identity, camera64))
@@ -117,7 +125,7 @@ class TestRasterizeSilhouette:
         )
         mesh = TriangleMesh(verts, np.array([[0, 1, 2], [0, 2, 3]]))
         sil = rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64)
-        oracle = first_hit_map(mesh, camera64).hits
+        oracle = first_hit_map(mesh, camera64).mask
         assert np.array_equal(sil, oracle)
         assert np.array_equal(sil, solve_silhouette(mesh, SimilarityTransform.identity(), camera64))
         # u = 32 + 100 * x in [12.07, 52.07]; centers j + 0.5 inside -> j in 12..51
@@ -132,7 +140,7 @@ class TestRasterizeSilhouette:
             q = random_unit_quaternions(1, seed=200 + k)[0]
             pose = SimilarityTransform(q, np.array([0.0, 0.0, 0.1]), float(rng.uniform(0.5, 1.5)))
             sil = rasterize_silhouette(mesh, pose, camera64)
-            oracle = first_hit_map(apply_pose(mesh, pose), camera64).hits
+            oracle = first_hit_map(apply_pose(mesh, pose), camera64).mask
             assert np.array_equal(sil, oracle)
             assert np.array_equal(sil, solve_silhouette(mesh, pose, camera64))
 
@@ -144,7 +152,7 @@ class TestRasterizeSilhouette:
             np.array([[0, 1, 2]]),
         )
         sil = rasterize_silhouette(mesh, SimilarityTransform.identity(), camera64)
-        oracle = first_hit_map(mesh, camera64).hits
+        oracle = first_hit_map(mesh, camera64).mask
         assert np.array_equal(sil, oracle)
         assert np.array_equal(sil, solve_silhouette(mesh, SimilarityTransform.identity(), camera64))
         assert sil.any()
@@ -154,7 +162,7 @@ def map_from(features, mask=None):
     features = np.asarray(features, dtype=float)
     if mask is None:
         mask = np.ones(features.shape[:2], dtype=bool)
-    return FeatureMap(features, mask)
+    return PixelMap(mask, features[mask])
 
 
 class TestPcaBasis:
@@ -214,7 +222,7 @@ class TestDinoSimilarity:
 
     def test_negated_projection_is_one(self):
         # features mirrored through the basis mean negate the projections
-        neg = map_from(2 * self.basis.mean - self.f0.features, self.f0.mask)
+        neg = map_from(2 * self.basis.mean - self.f0.dense(), self.f0.mask)
         assert dino_similarity(neg, self.f0, self.basis) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_projection_is_half(self):
@@ -241,9 +249,49 @@ class TestDinoSimilarity:
     def test_empty_overlap_is_nan(self):
         mask_a = np.zeros((16, 16), dtype=bool)
         mask_a[:8] = True
-        fa = map_from(self.f0.features, mask_a)
-        fb = map_from(self.f0.features, ~mask_a)
+        fa = map_from(self.f0.dense(), mask_a)
+        fb = map_from(self.f0.dense(), ~mask_a)
         assert math.isnan(dino_similarity(fa, fb, self.basis))
+
+
+class TestMapsAgainstDenseGrids:
+    """pca_basis and dino_similarity read each map's masked-in rows; they
+    equal, bit for bit, the same formulas over dense (H, W, C) grids
+    (tests/oracles.py), whatever the masks and however they overlap."""
+
+    @staticmethod
+    def masks(rng, h, w, overlap):
+        if overlap == "full":
+            return np.ones((h, w), dtype=bool), np.ones((h, w), dtype=bool)
+        a = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+        if overlap == "empty":
+            return a, ~a & (rng.random((h, w)) < 0.7)
+        b = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+        i, j = divmod(int(rng.integers(h * w)), w)
+        a[i, j] = b[i, j] = True  # at least one pixel in both
+        return a, b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["empty", "partial", "full"]))
+    def test_bitwise_equal_to_dense_formulas(self, seed, overlap):
+        rng = np.random.default_rng(seed)
+        h, w, c = int(rng.integers(1, 9)), int(rng.integers(2, 9)), int(rng.integers(3, 7))
+        grid_j, grid_0 = rng.normal(size=(2, h, w, c))
+        mask_j, mask_0 = self.masks(rng, h, w, overlap)
+        f_j = PixelMap(mask_j, grid_j[mask_j])
+        f_0 = PixelMap(mask_0, grid_0[mask_0])
+        if mask_j.sum() + mask_0.sum() >= 3:
+            got = pca_basis([f_j, f_0])
+            want = dense_pca_basis([grid_j, grid_0], [mask_j, mask_0])
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.components.tobytes() == want.components.tobytes()
+        basis = pca_basis([map_from(rng.normal(size=(4, 4, c)))])
+        pairs = ((f_j, grid_j), (f_0, grid_0))
+        for (a, grid_a), (b, grid_b) in (pairs, pairs[::-1]):
+            got = dino_similarity(a, b, basis)
+            want = dense_similarity(grid_a, a.mask, grid_b, b.mask, basis)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert math.isnan(got) == (overlap == "empty")
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:
@@ -381,8 +429,8 @@ class TestEmissionCost:
         _, dino = ev.frame_terms("rotation", 0, points, states)
         for j, pose in enumerate(states):
             rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
-            masked = FeatureMap(rendered.features,
-                                rendered.mask & rasterize_silhouette(self.mesh, pose, self.camera))
+            keep = rendered.mask & rasterize_silhouette(self.mesh, pose, self.camera)
+            masked = PixelMap(keep, rendered.dense()[keep])
             assert dino[j] == dino_similarity(masked, f0, basis)
 
     def test_directory_source_masks_to_the_cast(self, tmp_path):
@@ -393,10 +441,10 @@ class TestEmissionCost:
         rendered = render_feature_map(self.mesh, pose, self.camera, self.field)
         everywhere = np.ones(rendered.mask.shape, dtype=bool)
         source = DirectoryFeatureSource(self.camera, [rendered], tmp_path)
-        meshio.save_fmap(rendered.features, everywhere, source.path_for("rotation", 0, 3))
+        meshio.save_fmap(rendered.dense(), everywhere, source.path_for("rotation", 0, 3))
         hit_map = first_hit_map(apply_pose(self.mesh, pose), self.camera)
         loaded = source.candidate_features("rotation", 0, 3, pose, hit_map)
-        assert np.array_equal(loaded.mask, hit_map.hits)
+        assert np.array_equal(loaded.mask, hit_map.mask)
         assert np.array_equal(loaded.mask, rendered.mask)
 
 
@@ -467,7 +515,7 @@ class TestFrameErrorsOneCast:
         for t in range(2):
             for j, pose in enumerate(self.poses):
                 rendered = render_feature_map(self.mesh, pose, self.camera, other)
-                meshio.save_fmap(rendered.features, everywhere,
+                meshio.save_fmap(rendered.dense(), everywhere,
                                  source.path_for("rotation", t, j))
         self.check(source)
 

@@ -27,7 +27,6 @@ from rigalign.geometry import (
 from conftest import random_blob_mesh, subdivided
 from oracles import (
     compose,
-    hit_points,
     points_to_mesh_distance,
     random_unit_quaternions,
     ray_triangle_intersect,
@@ -160,13 +159,13 @@ class TestHandSampling:
         big = TriangleMesh(
             np.array([[-100.0, -100, 2], [100.0, -100, 2], [0.0, 200, 2]]), np.array([[0, 1, 2]])
         )
-        assert first_hit_map(big, camera64).hit_fraction == 1.0
+        assert first_hit_map(big, camera64).mask.mean() == 1.0
 
     def test_mesh_behind_camera(self, camera64):
         behind = TriangleMesh(
             np.array([[-1.0, -1, -2], [1.0, -1, -2], [0.0, 1, -2]]), np.array([[0, 1, 2]])
         )
-        assert first_hit_map(behind, camera64).hit_fraction == 0.0
+        assert first_hit_map(behind, camera64).mask.mean() == 0.0
 
     def test_empty_mesh_raises(self, camera64):
         with pytest.raises(EmptyMesh):
@@ -175,9 +174,9 @@ class TestHandSampling:
     def test_quad_matches_bruteforce(self, camera64, unit_quad_mesh):
         fast = first_hit_map(unit_quad_mesh, camera64)
         points, hits = brute_force_pixel_cast(unit_quad_mesh, camera64)
-        assert np.array_equal(fast.hits, hits)
-        assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
-        assert 0 < fast.hit_fraction <= 1.0
+        assert np.array_equal(fast.mask, hits)
+        assert np.allclose(fast.values, points[hits], atol=1e-12)
+        assert 0 < fast.mask.mean() <= 1.0
 
     def test_random_meshes_match_bruteforce(self, monkeypatch):
         monkeypatch.setattr(geometry, "_CAST_PAIR_BUDGET", 37)
@@ -187,12 +186,12 @@ class TestHandSampling:
             mesh = random_blob_mesh(rng, n_faces=int(rng.integers(20, 201)))
             fast = first_hit_map(mesh, camera)
             points, hits = brute_force_pixel_cast(mesh, camera)
-            assert np.array_equal(fast.hits, hits)
-            assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
+            assert np.array_equal(fast.mask, hits)
+            assert np.allclose(fast.values, points[hits], atol=1e-12)
 
     def test_hits_lie_on_surface(self, camera64, unit_quad_mesh):
         hit_map = first_hit_map(unit_quad_mesh, camera64)
-        d = points_to_mesh_distance(hit_points(hit_map), unit_quad_mesh)
+        d = points_to_mesh_distance(hit_map.values, unit_quad_mesh)
         assert d.max() < 1e-6
 
 
@@ -200,9 +199,9 @@ def assert_matches_bruteforce(mesh, camera, budget=4096):
     with cast_pair_budget(budget):
         fast = first_hit_map(mesh, camera)
     points, hits = brute_force_pixel_cast(mesh, camera)
-    assert np.array_equal(fast.hits, hits)
-    assert np.allclose(fast.points[hits], points[hits], atol=1e-12)
-    return fast.hits
+    assert np.array_equal(fast.mask, hits)
+    assert np.allclose(fast.values, points[hits], atol=1e-12)
+    return fast.mask
 
 
 def triangle_at(u, v, camera, z=1.0, half=0.1):
@@ -288,8 +287,8 @@ def assert_matches_window_cast(vertex_sets, faces, camera, budget=4096):
     assert len(maps) == len(vertex_sets)
     for verts, got in zip(vertex_sets, maps):
         want = window_first_hit_map(TriangleMesh(verts, faces), camera)
-        assert np.array_equal(got.hits, want.hits)
-        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.values, want.values)
     return maps
 
 
@@ -314,7 +313,7 @@ class TestFaceBinnedCast:
             mesh = random_blob_mesh(rng, n_faces, spread=0.2)
             stack = [mesh.vertices] + pose_stack(mesh, poses, seed=n_faces)
             maps = assert_matches_window_cast(stack, mesh.faces, self.camera, budget)
-            assert any(m.hits.any() for m in maps)
+            assert any(m.mask.any() for m in maps)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 5),
@@ -340,7 +339,7 @@ class TestFaceBinnedCast:
                                    np.zeros(3))
         maps = assert_matches_window_cast([verts, tilt.apply(verts)], faces, self.camera,
                                           budget)
-        assert maps[0].hits.any()
+        assert maps[0].mask.any()
 
     def test_duplicate_faces_tie_in_t(self):
         rng = np.random.default_rng(5)
@@ -374,7 +373,7 @@ class TestFaceBinnedCast:
         for budget in (7, 4096):
             maps = assert_matches_window_cast(stack, faces, cam, budget)
             # every ray through an inner edge or vertex hits
-            assert maps[0].hits[3:10, 4:11].all()
+            assert maps[0].mask[3:10, 4:11].all()
 
     def test_edges_along_pixel_center_rays(self):
         # a vertex or edge on the box's outermost pixel-center ray projects to
@@ -404,7 +403,7 @@ class TestFaceBinnedCast:
         faces = np.arange(len(verts)).reshape(-1, 3)
         shifts = [np.zeros(3), np.array([0.01, 0.0, 0.0]), np.array([0.0, -0.004, 0.3])]
         maps = assert_matches_window_cast([verts + s for s in shifts], faces, self.camera, 3)
-        assert maps[0].hits[3, 5]
+        assert maps[0].mask[3, 5]
 
     def test_no_poses(self, unit_quad_mesh):
         assert list(cast_hit_maps([], unit_quad_mesh.faces, self.camera)) == []
@@ -412,7 +411,7 @@ class TestFaceBinnedCast:
     def test_one_pose(self, camera64, unit_quad_mesh):
         (got,) = assert_matches_window_cast([unit_quad_mesh.vertices], unit_quad_mesh.faces,
                                             camera64)
-        assert got.hits.any()
+        assert got.mask.any()
 
     def test_peak_memory_does_not_grow_with_pose_count(self):
         import tracemalloc
@@ -432,7 +431,7 @@ class TestFaceBinnedCast:
                 covered = 0
                 for hit_map in cast_hit_maps((p.apply(mesh.vertices) for p in poses), mesh.faces,
                                              camera):
-                    covered += int(hit_map.hits.sum())
+                    covered += int(hit_map.mask.sum())
                 assert covered > 0
                 return tracemalloc.get_traced_memory()[1]
             finally:

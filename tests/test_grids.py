@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigalign.geometry import quat_to_matrix
-from rigalign.grids import build_rotation_grid, build_translation_grid
+from rigalign.grids import build_rotation_grid, build_translation_grid, rotation_state_count
 
 from oracles import covering_radius, random_unit_quaternions, rodrigues_error, rotation_matrices
 
@@ -17,6 +17,10 @@ def rz(angle):
 
 
 class TestRotationGrid:
+    @pytest.mark.parametrize("level", range(6))
+    def test_state_count_without_the_grid(self, level):
+        assert rotation_state_count(level) == len(build_rotation_grid(level))
+
     def test_level0_is_eight_diagonal_quaternions(self):
         grid = build_rotation_grid(0)
         assert len(grid) == 8

@@ -18,7 +18,7 @@ from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
-from oracles import hit_points, points_to_mesh_distance
+from oracles import points_to_mesh_distance
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,8 @@ class TestSyntheticScene:
         for ca, cb in zip(a.clouds, b.clouds):
             assert np.array_equal(ca.points, cb.points)
         for fa, fb in zip(a.feature_maps, b.feature_maps):
-            assert np.array_equal(fa.features, fb.features)
+            assert np.array_equal(fa.mask, fb.mask)
+            assert np.array_equal(fa.values, fb.values)
 
     def test_noise_matches_half_normal_expectation(self):
         std = 0.005
@@ -496,5 +497,5 @@ class TestPrep:
         params = json.loads((tmp_path / "prep" / "prep_params_000003.json").read_text())
         norm = NormalizationParams(np.array(params["mean"]), params["sigma"], params["scale"])
         recovered = norm.invert(grid[mask].astype(float))
-        original = hit_points(first_hit_map(quad, cam))
+        original = first_hit_map(quad, cam).values
         assert np.allclose(recovered, original, atol=1e-5)
