@@ -16,7 +16,7 @@ import numpy as np
 
 from . import meshio
 from .emission import EmissionEvaluator, estimate_scale
-from .errors import DegenerateCloud, InvalidInput, ParseError
+from .errors import DegenerateGeometry, InvalidInput
 from .geometry import SimilarityTransform, quat_normalize, sample_mesh_surface
 from .grids import RotationGrid, TranslationGrid
 from .viterbi import EmissionTable, StatePath, viterbi_decode
@@ -93,7 +93,7 @@ def track_from_json(text: str) -> PoseTrack:
                                  for k, f in enumerate(frames)], dtype=np.int64),
         )
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
-        raise ParseError(f"invalid pose track JSON: {e}") from e
+        raise InvalidInput(f"invalid pose track JSON: {e}") from e
 
 
 @dataclass(eq=False)
@@ -154,8 +154,8 @@ def align_sequence(
     scale = sorted(estimates)[(len(estimates) - 1) // 2]
     if scale == 0.0:
         flat_frames = ", ".join(str(timestamps[t]) for t, e in enumerate(estimates) if e == 0.0)
-        raise DegenerateCloud(f"the median scale estimate is 0: the object clouds of frames "
-                              f"{flat_frames} have zero extent")
+        raise DegenerateGeometry(f"the median scale estimate is 0: the object clouds of frames "
+                                 f"{flat_frames} have zero extent")
     mus = np.stack([f.points.mean(axis=0) for f in frames])  # (T, 3)
     quats = rot_grid.quaternions
     # Normalizing once more up front keeps every pose's rotation matrix

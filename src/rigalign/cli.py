@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import meshio, pipeline
 from .config import load_config
-from .errors import ConfigError, InvalidInput, RigalignError
+from .errors import InvalidInput, RigalignError
 from .seeding import check_seed
 from .synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = check_seed(args.seed, "--seed", ConfigError)
+        cfg.seed = check_seed(args.seed, "--seed")
     return cfg
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput
+from .errors import InvalidInput
 from .geometry import MAX_SAMPLE_POINTS
 from .grids import MAX_ROTATION_LEVEL, MAX_TRANSLATION_STATES
 from .meshio import read_input
@@ -94,15 +94,15 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value'")
+            raise InvalidInput(f"line {ln}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in defaults:
-            raise ConfigError(f"line {ln}: unknown key '{key}'")
+            raise InvalidInput(f"line {ln}: unknown key '{key}'")
         if key in first_line:
-            raise ConfigError(f"line {ln}: '{key}' is set again; first set on line "
-                              f"{first_line[key]}")
+            raise InvalidInput(f"line {ln}: '{key}' is set again; first set on line "
+                               f"{first_line[key]}")
         first_line[key] = ln
         try:
             parsed = _parser(defaults[key])(value)
@@ -110,7 +110,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                 raise InvalidInput(f"must be one of {FEATURE_SOURCES}")
             setattr(cfg, key, parsed)
         except ValueError as e:
-            raise ConfigError(f"line {ln}: bad value for '{key}': {e}") from e
+            raise InvalidInput(f"line {ln}: bad value for '{key}': {e}") from e
     _validate(cfg)
     return cfg
 
@@ -120,32 +120,32 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, f.name)
         values = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            raise ConfigError(f"{f.name} must be finite; got {value!r}")
+            raise InvalidInput(f"{f.name} must be finite; got {value!r}")
     if cfg.rotation_level < 0:
-        raise ConfigError("rotation_level must be >= 0")
+        raise InvalidInput("rotation_level must be >= 0")
     if cfg.rotation_level > MAX_ROTATION_LEVEL:
-        raise ConfigError(f"rotation_level must be <= {MAX_ROTATION_LEVEL}; "
-                          f"got {cfg.rotation_level}")
+        raise InvalidInput(f"rotation_level must be <= {MAX_ROTATION_LEVEL}; "
+                           f"got {cfg.rotation_level}")
     if any(c < 1 for c in cfg.translation_counts):
-        raise ConfigError("translation_counts must be >= 1 per axis")
+        raise InvalidInput("translation_counts must be >= 1 per axis")
     if math.prod(cfg.translation_counts) > MAX_TRANSLATION_STATES:
-        raise ConfigError(f"translation_counts must give at most {MAX_TRANSLATION_STATES} "
-                          f"states; got {math.prod(cfg.translation_counts)}")
+        raise InvalidInput(f"translation_counts must give at most {MAX_TRANSLATION_STATES} "
+                           f"states; got {math.prod(cfg.translation_counts)}")
     if any(h < 0 for h in cfg.translation_half_extent):
-        raise ConfigError("translation_half_extent must be >= 0")
+        raise InvalidInput("translation_half_extent must be >= 0")
     if cfg.emission_samples < 1 or cfg.eval_samples < 1:
-        raise ConfigError("sample counts must be >= 1")
+        raise InvalidInput("sample counts must be >= 1")
     for key in ("emission_samples", "eval_samples"):
         if getattr(cfg, key) > MAX_SAMPLE_POINTS:
-            raise ConfigError(f"{key} must be <= {MAX_SAMPLE_POINTS}; got {getattr(cfg, key)}")
+            raise InvalidInput(f"{key} must be <= {MAX_SAMPLE_POINTS}; got {getattr(cfg, key)}")
     if cfg.norm_scale <= 0:
-        raise ConfigError("norm_scale must be positive")
+        raise InvalidInput("norm_scale must be positive")
     if cfg.icp_max_iters < 1 or cfg.icp_tol <= 0:
-        raise ConfigError("icp parameters must be positive")
+        raise InvalidInput("icp parameters must be positive")
     if cfg.w_cd < 0 or cfg.w_dino < 0 or cfg.lambda_rot < 0 or cfg.lambda_trans < 0:
-        raise ConfigError("weights must be >= 0")
+        raise InvalidInput("weights must be >= 0")
     if cfg.penalty_factor < 0:
-        raise ConfigError("penalty_factor must be >= 0")
+        raise InvalidInput("penalty_factor must be >= 0")
     # Every cost a run computes fits in a float32: the .emit files store the
     # emission costs so, and terms of at most 3.4e38 leave a Viterbi path's
     # float64 sum finite over any number of frames. The config alone bounds
@@ -162,11 +162,11 @@ def _validate(cfg: RunConfig) -> None:
             ("max(lambda_trans, 1) * 2 * |translation_half_extent|",
              max(cfg.lambda_trans, 1.0) * 2.0 * math.hypot(*cfg.translation_half_extent))):
         if not cost <= largest:
-            raise ConfigError(f"{keys} is {cost:.4g}; every cost must fit in a float32, "
-                              f"at most {largest:.4g}")
-    check_seed(cfg.seed, "seed", ConfigError)
+            raise InvalidInput(f"{keys} is {cost:.4g}; every cost must fit in a float32, "
+                               f"at most {largest:.4g}")
+    check_seed(cfg.seed, "seed")
     if cfg.synthetic_feature_seed < 0:  # unbounded above: a field seed, not a derive_seed part
-        raise ConfigError(f"synthetic_feature_seed must be >= 0; got {cfg.synthetic_feature_seed}")
+        raise InvalidInput(f"synthetic_feature_seed must be >= 0; got {cfg.synthetic_feature_seed}")
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -186,5 +186,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    text = read_input(path, "config file", text=True, error=ConfigError)
+    text = read_input(path, "config file", text=True)
     return parse_config(text, base_dir=str(path.parent))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateCloud, InvalidInput
+from .errors import DegenerateGeometry, InvalidInput
 from .geometry import (
     Camera,
     PixelMap,
@@ -64,28 +64,28 @@ def estimate_scale(x, y) -> float:
     Eigenvalues are of the per-point second-moment matrix of the mean-centered
     cloud, so the estimate is translation-invariant and tolerates unequal
     point counts. A cloud whose moments overflow, finite coordinates
-    notwithstanding, raises DegenerateCloud.
+    notwithstanding, raises DegenerateGeometry.
     """
 
     def top_moment(cloud, what: str) -> float:
         p = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
         p = p.reshape(-1, 3)
         if len(p) < 2:
-            raise DegenerateCloud("scale estimation needs at least 2 points")
+            raise DegenerateGeometry("scale estimation needs at least 2 points")
         if (p == p[0]).all():  # exactly 0, where the rounded mean would leave ~1e-34
             return 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             c = p - p.mean(axis=0)
             moments = (c.T @ c) / len(p)
         if not np.isfinite(moments).all():
-            raise DegenerateCloud(f"the {what}'s second moments overflow in scale estimation: "
-                                  f"its coordinates are too large")
+            raise DegenerateGeometry(f"the {what}'s second moments overflow in scale estimation: "
+                                     f"its coordinates are too large")
         return float(np.linalg.eigvalsh(moments)[-1])
 
     lam_x = top_moment(x, "observed cloud")
     lam_y = top_moment(y, "model cloud")
     if lam_y <= 0.0:
-        raise DegenerateCloud("model cloud has zero extent")
+        raise DegenerateGeometry("model cloud has zero extent")
     return math.sqrt(lam_x) / math.sqrt(lam_y)
 
 

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package. The CLI exits 2 on
-`InvalidInput` (the input is wrong) and 3 on any other `RigalignError`."""
+"""One exception class per CLI exit code. The CLI exits 2 on `InvalidInput`
+(the input is wrong) and 3 on any other `RigalignError`: a
+`DegenerateGeometry`, where valid input reached a geometric dead end."""
 
 
 class RigalignError(Exception):
@@ -7,28 +8,10 @@ class RigalignError(Exception):
 
 
 class InvalidInput(RigalignError, ValueError):
-    """An input value, file or argument is out of range or malformed."""
-
-
-class ConfigError(InvalidInput):
-    """Invalid or inconsistent run configuration."""
-
-
-class ParseError(InvalidInput):
-    """A referenced file is missing or malformed."""
-
-
-class EmptyMesh(RigalignError):
-    """Mesh has no faces."""
-
-
-class EmptyCloud(RigalignError):
-    """Point cloud has no points."""
-
-
-class DegenerateCloud(RigalignError):
-    """Point cloud carries no usable spatial extent."""
+    """An input value, config key, file or argument is missing, out of range
+    or malformed."""
 
 
 class DegenerateGeometry(RigalignError):
-    """Geometry is degenerate: zero surface area or a rank-deficient fit."""
+    """Geometry is degenerate: an empty mesh or cloud, a cloud or model of
+    zero extent, zero or overflowing surface area, or a rank-deficient fit."""

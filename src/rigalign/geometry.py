@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCloud, DegenerateGeometry, EmptyCloud, EmptyMesh, InvalidInput
+from .errors import DegenerateGeometry, InvalidInput
 
 LABEL_BACKGROUND = 0
 LABEL_HAND = 1
@@ -307,7 +307,7 @@ def cast_hit_maps(vertex_sets, faces: np.ndarray, camera: Camera):
     """
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if len(faces) == 0:
-        raise EmptyMesh("mesh has no faces")
+        raise DegenerateGeometry("mesh has no faces")
     face_step = min(len(faces), _CAST_PAIR_BUDGET)
     per_group = max(1, _CAST_PAIR_BUDGET // len(faces))
     rays = camera.pixel_rays.reshape(-1, 3)
@@ -470,11 +470,11 @@ def normalize_points(points, s: float = 0.7):
         raise InvalidInput("s must be positive")
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(p) < 2:
-        raise DegenerateCloud("need at least 2 points to normalize")
+        raise DegenerateGeometry("need at least 2 points to normalize")
     mean = p.mean(axis=0)
     sigma = float(np.sqrt(np.mean(np.sum((p - mean) ** 2, axis=1))))
     if sigma == 0.0:
-        raise DegenerateCloud("all points identical")
+        raise DegenerateGeometry("all points identical")
     params = NormalizationParams(mean, sigma, float(s))
     return params.apply(p), params
 
@@ -510,7 +510,7 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if len(mesh.faces) == 0:
-        raise EmptyMesh("mesh has no faces")
+        raise DegenerateGeometry("mesh has no faces")
     areas, total = _surface_areas(mesh)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(areas), size=n, p=areas / total)
@@ -532,7 +532,7 @@ def resample_point_cloud(pc: PointCloud, n: int, seed: int) -> PointCloud:
     """Exactly n points: uniform subsample without replacement, or all originals
     plus uniform-with-replacement extras when supersampling."""
     if len(pc) == 0:
-        raise EmptyCloud("cannot resample an empty cloud")
+        raise DegenerateGeometry("cannot resample an empty cloud")
     if n < 1:
         raise InvalidInput("n must be >= 1")
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError
+from .errors import InvalidInput
 from .geometry import Camera, PointCloud, TriangleMesh
 
 FMAP_MAGIC = b"FMAP"
@@ -32,17 +32,17 @@ def write_atomic(path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_input(path, what: str, *, text: bool = False, error=ParseError):
+def read_input(path, what: str, *, text: bool = False):
     """The bytes of an input file, or its UTF-8 text with `text`. A file that
-    cannot be read, or is not UTF-8 text, raises `error` (an InvalidInput)."""
+    cannot be read, or is not UTF-8 text, raises InvalidInput."""
     path = Path(path)
     try:
         blob = path.read_bytes()
         return blob.decode("utf-8") if text else blob
     except OSError as e:
-        raise error(f"cannot read {what} {path}: {e}") from e
+        raise InvalidInput(f"cannot read {what} {path}: {e}") from e
     except UnicodeDecodeError as e:
-        raise error(f"{path}: invalid {what}: {e}") from e
+        raise InvalidInput(f"{path}: invalid {what}: {e}") from e
 
 
 def json_text(obj) -> str:
@@ -88,29 +88,29 @@ def load_obj(path) -> TriangleMesh:
             continue
         if parts[0] == "v":
             if len(parts) < 4:
-                raise ParseError(f"{path}:{ln}: vertex needs 3 coordinates")
+                raise InvalidInput(f"{path}:{ln}: vertex needs 3 coordinates")
             try:
                 vertices.append([float(x) for x in parts[1:4]])
             except ValueError as e:
-                raise ParseError(f"{path}:{ln}: bad vertex coordinate: {e}") from e
+                raise InvalidInput(f"{path}:{ln}: bad vertex coordinate: {e}") from e
         elif parts[0] == "f":
             idx = []
             for tok in parts[1:]:
                 try:
                     i = int(tok.split("/")[0])
                 except ValueError as e:
-                    raise ParseError(f"{path}:{ln}: bad face index: {e}") from e
+                    raise InvalidInput(f"{path}:{ln}: bad face index: {e}") from e
                 if i < 1:
-                    raise ParseError(f"{path}:{ln}: face indices must be positive (1-based)")
+                    raise InvalidInput(f"{path}:{ln}: face indices must be positive (1-based)")
                 idx.append(i - 1)
             if len(idx) < 3:
-                raise ParseError(f"{path}:{ln}: face needs at least 3 vertices")
+                raise InvalidInput(f"{path}:{ln}: face needs at least 3 vertices")
             for k in range(1, len(idx) - 1):
                 faces.append([idx[0], idx[k], idx[k + 1]])
     try:
         return TriangleMesh(np.array(vertices, dtype=float).reshape(-1, 3), np.array(faces, dtype=np.int64).reshape(-1, 3))
     except ValueError as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise InvalidInput(f"{path}: {e}") from e
 
 
 def save_obj(mesh: TriangleMesh, path) -> None:
@@ -136,13 +136,15 @@ _PLY_TYPES = {
 
 def _parse_ply_header(blob: bytes, path):
     if not blob.startswith(b"ply"):
-        raise ParseError(f"{path}: not a PLY file")
+        raise InvalidInput(f"{path}: not a PLY file")
     end = blob.find(b"end_header\n")
     if end < 0:
-        raise ParseError(f"{path}: PLY header is not terminated")
+        raise InvalidInput(f"{path}: PLY header is not terminated")
     header = blob[: end + len(b"end_header\n")].decode("ascii", errors="replace")
     body = blob[end + len(b"end_header\n"):]
-    elements = []  # (name, count, [(prop_name, dtype) or ("list", count_dtype, item_dtype, prop_name)])
+    # (name, count, props): a scalar prop is (name, dtype), a list prop
+    # (name, count_dtype, item_dtype); each name is declared once
+    elements = []
     fmt_seen = False
     for line in header.splitlines():
         parts = line.split()
@@ -150,28 +152,34 @@ def _parse_ply_header(blob: bytes, path):
             continue
         if parts[0] == "format":
             if parts[1:2] != ["binary_little_endian"]:
-                raise ParseError(f"{path}: only binary_little_endian PLY is supported")
+                raise InvalidInput(f"{path}: only binary_little_endian PLY is supported")
             fmt_seen = True
         elif parts[0] == "element":
             if len(parts) < 3 or not parts[2].isdigit():
-                raise ParseError(f"{path}: bad PLY element line '{line}'")
+                raise InvalidInput(f"{path}: bad PLY element line '{line}'")
+            if parts[1] in {name for name, _, _ in elements}:
+                raise InvalidInput(f"{path}: PLY element '{parts[1]}' is declared twice")
             elements.append((parts[1], int(parts[2]), []))
         elif parts[0] == "property":
             if not elements:
-                raise ParseError(f"{path}: property before any element")
+                raise InvalidInput(f"{path}: property before any element")
             try:
                 if parts[1] == "list":
-                    prop = ("list", _PLY_TYPES[parts[2]], _PLY_TYPES[parts[3]], parts[4])
+                    prop = (parts[4], _PLY_TYPES[parts[2]], _PLY_TYPES[parts[3]])
                 else:
                     prop = (parts[2], _PLY_TYPES[parts[1]])
             except (IndexError, KeyError):
-                raise ParseError(f"{path}: bad PLY property line '{line}'") from None
-            if prop[0] == "list" and not (prop[1][0] in "iu" and prop[2][0] in "iu"):
-                raise ParseError(f"{path}: list property '{prop[3]}' needs integer count "
-                                 f"and item types, not '{parts[2]} {parts[3]}'")
-            elements[-1][2].append(prop)
+                raise InvalidInput(f"{path}: bad PLY property line '{line}'") from None
+            if len(prop) == 3 and not (prop[1][0] in "iu" and prop[2][0] in "iu"):
+                raise InvalidInput(f"{path}: list property '{prop[0]}' needs integer count "
+                                   f"and item types, not '{parts[2]} {parts[3]}'")
+            element, _, props = elements[-1]
+            if prop[0] in {p[0] for p in props}:
+                raise InvalidInput(f"{path}: PLY property '{prop[0]}' of element '{element}' "
+                                   f"is declared twice")
+            props.append(prop)
     if not fmt_seen:
-        raise ParseError(f"{path}: PLY format line missing")
+        raise InvalidInput(f"{path}: PLY format line missing")
     return elements, body
 
 
@@ -183,16 +191,16 @@ def _read_ply(path):
 
     def take(dtype, count, offset):
         if count < 0 or offset + dtype.itemsize * count > len(body):
-            raise ParseError(f"{path}: PLY body is truncated")
+            raise InvalidInput(f"{path}: PLY body is truncated")
         return np.frombuffer(body, dtype, count, offset)
 
     out: dict[str, dict[str, np.ndarray]] = {}
     offset = 0
     for name, count, props in elements:
-        if any(p[0] == "list" for p in props):
+        if any(len(p) == 3 for p in props):
             if len(props) != 1:
-                raise ParseError(f"{path}: mixed list/scalar element '{name}' unsupported")
-            _, cnt_t, item_t, prop_name = props[0]
+                raise InvalidInput(f"{path}: mixed list/scalar element '{name}' unsupported")
+            prop_name, cnt_t, item_t = props[0]
             cnt_dt = np.dtype("<" + cnt_t)
             item_dt = np.dtype("<" + item_t)
             rows = []
@@ -201,7 +209,7 @@ def _read_ply(path):
                 offset += cnt_dt.itemsize
                 rows.append(take(item_dt, n, offset).astype(np.int64))
                 offset += item_dt.itemsize * n
-            out.setdefault(name, {})[prop_name] = rows
+            out[name] = {prop_name: rows}
         else:
             dt = np.dtype([(pn, "<" + pt) for pn, pt in props])
             arr = take(dt, count, offset)
@@ -215,7 +223,7 @@ def _face_rows(data, path) -> list:
     for name in ("vertex_indices", "vertex_index"):
         if name in face:
             if not isinstance(face[name], list):  # list properties are read as lists of rows
-                raise ParseError(f"{path}: face property '{name}' is a scalar, not a list")
+                raise InvalidInput(f"{path}: face property '{name}' is a scalar, not a list")
             return face[name]
     return []
 
@@ -229,23 +237,28 @@ def _vertex_points(v, path) -> np.ndarray:
     """(N, 3) float positions of a PLY vertex element, which must have x, y and z."""
     for k in ("x", "y", "z"):
         if k not in v:
-            raise ParseError(f"{path}: vertex element lacks property '{k}'")
+            raise InvalidInput(f"{path}: vertex element lacks property '{k}'")
     return np.stack([v["x"], v["y"], v["z"]], axis=1).astype(float)
 
 
 def _cloud_from(data, path) -> PointCloud:
     if "vertex" not in data:
-        raise ParseError(f"{path}: PLY has no vertex element")
+        raise InvalidInput(f"{path}: PLY has no vertex element")
     v = data["vertex"]
     points = _vertex_points(v, path)
     colors = None
     if all(k in v for k in ("red", "green", "blue")):
         colors = np.stack([v["red"], v["green"], v["blue"]], axis=1).astype(float) / 255.0
-    labels = v["label"].astype(np.int64) if "label" in v else None
+    labels = None
+    if "label" in v:
+        if v["label"].dtype.kind not in "iu":  # a float label would be truncated
+            raise InvalidInput(f"{path}: vertex property 'label' must have an integer type, "
+                               f"not {v['label'].dtype}")
+        labels = v["label"].astype(np.int64)
     try:
         return PointCloud(points, colors, labels)
     except ValueError as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise InvalidInput(f"{path}: {e}") from e
 
 
 def save_ply_cloud(cloud: PointCloud, path) -> None:
@@ -277,18 +290,18 @@ def load_ply_mesh(path) -> TriangleMesh:
 
 def _mesh_from(data, path) -> TriangleMesh:
     if "vertex" not in data or "face" not in data:
-        raise ParseError(f"{path}: PLY mesh needs vertex and face elements")
+        raise InvalidInput(f"{path}: PLY mesh needs vertex and face elements")
     points = _vertex_points(data["vertex"], path)
     faces = []
     for row in _face_rows(data, path):
         if len(row) < 3:
-            raise ParseError(f"{path}: face with fewer than 3 indices")
+            raise InvalidInput(f"{path}: face with fewer than 3 indices")
         for k in range(1, len(row) - 1):
             faces.append([row[0], row[k], row[k + 1]])
     try:
         return TriangleMesh(points, np.array(faces, dtype=np.int64).reshape(-1, 3))
     except ValueError as e:
-        raise ParseError(f"{path}: {e}") from e
+        raise InvalidInput(f"{path}: {e}") from e
 
 
 def save_ply_mesh(mesh: TriangleMesh, path) -> None:
@@ -313,7 +326,7 @@ def load_mesh(path) -> TriangleMesh:
         return load_obj(path)
     if suffix == ".ply":
         return load_ply_mesh(path)
-    raise ParseError(f"{path}: unsupported mesh format '{suffix}'")
+    raise InvalidInput(f"{path}: unsupported mesh format '{suffix}'")
 
 
 def load_ply_geometry(path):
@@ -348,21 +361,21 @@ def load_fmap(path):
     path = Path(path)
     blob = read_input(path, "feature map")
     if blob[:4] != FMAP_MAGIC:
-        raise ParseError(f"{path}: bad FMAP magic")
+        raise InvalidInput(f"{path}: bad FMAP magic")
     if len(blob) < 20:
-        raise ParseError(f"{path}: truncated FMAP header")
+        raise InvalidInput(f"{path}: truncated FMAP header")
     version, h, w, c = struct.unpack("<IIII", blob[4:20])
     if version != 1:
-        raise ParseError(f"{path}: unsupported FMAP version {version}")
+        raise InvalidInput(f"{path}: unsupported FMAP version {version}")
     need = 20 + h * w * c * 4 + h * w
     if len(blob) != need:
-        raise ParseError(f"{path}: FMAP payload size mismatch ({len(blob)} != {need})")
+        raise InvalidInput(f"{path}: FMAP payload size mismatch ({len(blob)} != {need})")
     feats = np.frombuffer(blob, "<f4", h * w * c, 20).reshape(h, w, c)
     bad = np.argwhere(~np.isfinite(feats))
     if len(bad):
         i, j, k = bad[0]
-        raise ParseError(f"{path}: feature value at row {i}, column {j}, channel {k} "
-                         f"is not finite")
+        raise InvalidInput(f"{path}: feature value at row {i}, column {j}, channel {k} "
+                           f"is not finite")
     mask = np.frombuffer(blob, "u1", h * w, 20 + h * w * c * 4).reshape(h, w) != 0
     return feats, mask
 
@@ -382,12 +395,12 @@ def load_emission_table(path) -> np.ndarray:
     path = Path(path)
     blob = read_input(path, "emission table")
     if blob[:4] != EMIT_MAGIC:
-        raise ParseError(f"{path}: bad EMIT magic")
+        raise InvalidInput(f"{path}: bad EMIT magic")
     if len(blob) < 12:
-        raise ParseError(f"{path}: EMIT header cut short ({len(blob)} of 12 bytes)")
+        raise InvalidInput(f"{path}: EMIT header cut short ({len(blob)} of 12 bytes)")
     t, s = struct.unpack("<II", blob[4:12])
     if len(blob) != 12 + t * s * 4:
-        raise ParseError(f"{path}: EMIT payload size mismatch")
+        raise InvalidInput(f"{path}: EMIT payload size mismatch")
     return np.frombuffer(blob, "<f4", t * s, 12).reshape(t, s).astype(float)
 
 
@@ -405,7 +418,7 @@ def load_pgm_mask(path) -> np.ndarray:
     path = Path(path)
     blob = read_input(path, "mask")
     if not blob.startswith(b"P5"):
-        raise ParseError(f"{path}: only binary PGM (P5) masks are supported")
+        raise InvalidInput(f"{path}: only binary PGM (P5) masks are supported")
     # header tokens: P5, width, height, maxval; '#' comments allowed
     tokens: list[bytes] = []
     i = 2
@@ -424,19 +437,19 @@ def load_pgm_mask(path) -> np.ndarray:
             tokens.append(blob[i:j])
             i = j
     if len(tokens) < 3:
-        raise ParseError(f"{path}: truncated PGM header")
+        raise InvalidInput(f"{path}: truncated PGM header")
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
-        raise ParseError(f"{path}: non-numeric PGM header") from None
+        raise InvalidInput(f"{path}: non-numeric PGM header") from None
     if w < 0 or h < 0:
-        raise ParseError(f"{path}: negative PGM size {w}x{h}")
+        raise InvalidInput(f"{path}: negative PGM size {w}x{h}")
     if maxval != 255:
-        raise ParseError(f"{path}: PGM maxval must be 255")
+        raise InvalidInput(f"{path}: PGM maxval must be 255")
     i += 1  # single whitespace after maxval
     data = blob[i : i + w * h]
     if len(data) != w * h:
-        raise ParseError(f"{path}: PGM payload size mismatch")
+        raise InvalidInput(f"{path}: PGM payload size mismatch")
     return np.frombuffer(data, "u1").reshape(h, w) != 0
 
 
@@ -461,7 +474,7 @@ def load_camera(path) -> Camera:
                       width=json_int(obj["width"], "width"),
                       height=json_int(obj["height"], "height"))
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as e:
-        raise ParseError(f"{path}: invalid camera file: {e}") from e
+        raise InvalidInput(f"{path}: invalid camera file: {e}") from e
 
 
 def save_camera(camera: Camera, path) -> None:

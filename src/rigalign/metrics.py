@@ -31,7 +31,7 @@ finally:
     if not _openblas_preset:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .errors import DegenerateGeometry, EmptyCloud, InvalidInput
+from .errors import DegenerateGeometry, InvalidInput
 from .geometry import PointCloud, SimilarityTransform, matrix_to_quat
 
 M2_TO_CM2 = 1e4
@@ -173,7 +173,7 @@ class NearestNeighborIndex:
     def __init__(self, points):
         pts = _as_points(points)
         if len(pts) == 0:
-            raise EmptyCloud("cannot index an empty point set")
+            raise DegenerateGeometry("cannot index an empty point set")
         self.points = pts
         self._tree = kd_tree(pts)
 
@@ -209,7 +209,7 @@ def _nearest_distances(a, b, what: str):
     pa = _as_points(a)
     pb = _as_points(b)
     if len(pa) == 0 or len(pb) == 0:
-        raise EmptyCloud(f"{what} needs non-empty clouds")
+        raise DegenerateGeometry(f"{what} needs non-empty clouds")
     return NearestNeighborIndex(pb).query(pa)[0], NearestNeighborIndex(pa).query(pb)[0]
 
 

@@ -16,9 +16,10 @@ from .align import align_sequence, track_from_json, track_to_json
 from .config import RunConfig
 from .emission import (DirectoryFeatureSource, EmissionEvaluator, FeatureField,
                        SyntheticFeatureSource, TableFeatureSource)
-from .errors import ConfigError, DegenerateGeometry, EmptyCloud, EmptyMesh, ParseError
+from .errors import DegenerateGeometry, InvalidInput
 from .evaluate import evaluate_track, gt_points_for
-from .geometry import LABEL_OBJECT, PixelMap, TriangleMesh, first_hit_map, normalize_points
+from .geometry import (LABEL_OBJECT, PixelMap, TriangleMesh, first_hit_map, normalize_points,
+                       sample_mesh_surface)
 from .grids import build_rotation_grid, build_translation_grid, rotation_state_count
 
 
@@ -52,26 +53,26 @@ def frame_files(cfg: RunConfig, kind: str, frames=None) -> dict[int, Path]:
     dir_key, exts, noun = FRAME_INPUTS[kind]
     root = cfg.resolve(getattr(cfg, dir_key))
     if frames is None and not root.is_dir():
-        raise ParseError(f"{kind} directory {root} does not exist")
+        raise InvalidInput(f"{kind} directory {root} does not exist")
     pattern = re.compile(rf"^{kind}_(\d{{6}})\.({'|'.join(exts)})$")
     found: dict[int, Path] = {}
     for p in sorted(root.iterdir()) if root.is_dir() else ():
         if m := pattern.match(p.name):
             t = int(m.group(1))
             if t in found:
-                raise ParseError(f"frame {t} has two {kind} files: {found[t]} and {p}")
+                raise InvalidInput(f"frame {t} has two {kind} files: {found[t]} and {p}")
             found[t] = p
     if frames is None:
         if not found:
-            raise ParseError(f"no {kind}_NNNNNN.{'/.'.join(exts)} files in {root}")
+            raise InvalidInput(f"no {kind}_NNNNNN.{'/.'.join(exts)} files in {root}")
         return found
     extra = sorted(set(found) - set(frames))
     if extra:
-        raise ParseError(f"{found[extra[0]]}: frame {extra[0]} has no cloud file (the cloud "
-                         f"files define the frame set)")
+        raise InvalidInput(f"{found[extra[0]]}: frame {extra[0]} has no cloud file (the cloud "
+                           f"files define the frame set)")
     for t in frames:
         if t not in found:
-            raise ParseError(f"frame {t}: missing {noun} {root / meshio.frame_file(kind, t, exts[0])}")
+            raise InvalidInput(f"frame {t}: missing {noun} {root / meshio.frame_file(kind, t, exts[0])}")
     return found
 
 
@@ -85,20 +86,26 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     PCA basis on them; a `table` run reads its tables alone. Only those two
     cast, so only they read the camera. No pose grid is built here: tables
     and candidate maps are checked against the grids' state counts. Each
-    ground truth must be one that evaluation can sample."""
+    ground truth must be one that evaluation can sample, and so must the
+    model mesh, which is drawn from before any frame is read."""
     if not cfg.model_mesh:
-        raise ConfigError("model_mesh is required")
-    mesh = meshio.load_mesh(cfg.resolve(cfg.model_mesh))
+        raise InvalidInput("model_mesh is required")
+    model_path = cfg.resolve(cfg.model_mesh)
+    mesh = meshio.load_mesh(model_path)
+    try:
+        sample_mesh_surface(mesh, 1, 0)
+    except DegenerateGeometry as e:
+        raise DegenerateGeometry(f"{model_path}: model mesh cannot be sampled: {e}") from None
 
     source_name = cfg.feature_source if cfg.w_dino != 0.0 else "none"  # w_dino = 0: no features
     use_maps = source_name in ("synthetic", "maps")
     if use_maps and not cfg.camera:
-        raise ConfigError("feature_source requires a camera file")
+        raise InvalidInput("feature_source requires a camera file")
     camera = meshio.load_camera(cfg.resolve(cfg.camera)) if use_maps else None
     s_rot, s_trans = rotation_state_count(cfg.rotation_level), math.prod(cfg.translation_counts)
 
     if not cfg.cloud_dir:
-        raise ConfigError("cloud_dir is required")
+        raise InvalidInput("cloud_dir is required")
     clouds = frame_files(cfg, "cloud")
     indices = sorted(clouds)
     reads = {"feat": use_maps, "mask": use_maps and cfg.mask_dir, "gt": cfg.gt_dir}
@@ -109,20 +116,20 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     for t in indices:
         obj = meshio.load_ply_cloud(clouds[t]).filter_label(LABEL_OBJECT)
         if len(obj) == 0:
-            raise ParseError(f"frame {t}: no object-labeled points in {clouds[t].name}")
+            raise InvalidInput(f"frame {t}: no object-labeled points in {clouds[t].name}")
         frames.append(obj)
         if use_maps:
             feats, mask = meshio.load_fmap(paths["feat"][t])
             _check_image_size(paths["feat"][t], feats.shape[:2], camera)
             if inputs and feats.shape[2] != inputs[0].values.shape[1]:
-                raise ParseError(f"{paths['feat'][t]}: {feats.shape[2]} feature channels, "
-                                 f"{paths['feat'][indices[0]]} has {inputs[0].values.shape[1]}")
+                raise InvalidInput(f"{paths['feat'][t]}: {feats.shape[2]} feature channels, "
+                                   f"{paths['feat'][indices[0]]} has {inputs[0].values.shape[1]}")
             if "mask" in paths:
                 mask = meshio.load_pgm_mask(paths["mask"][t])
                 _check_image_size(paths["mask"][t], mask.shape, camera)
             inputs.append(PixelMap(mask, feats[mask]))
     if use_maps and not any(f.mask.any() for f in inputs):
-        raise ParseError("no masked-in pixels across all input feature maps")
+        raise InvalidInput("no masked-in pixels across all input feature maps")
 
     feature_source = None
     if source_name == "synthetic":
@@ -130,7 +137,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         feature_source = SyntheticFeatureSource(camera, inputs, field)
     elif source_name == "table":
         if not cfg.dino_table_rot or not cfg.dino_table_trans:
-            raise ConfigError("table feature source needs dino_table_rot and dino_table_trans")
+            raise InvalidInput("table feature source needs dino_table_rot and dino_table_trans")
         rot_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_rot))
         trans_tab = meshio.load_emission_table(cfg.resolve(cfg.dino_table_trans))
         _check_table(rot_tab, len(frames), s_rot, "dino_table_rot")
@@ -138,7 +145,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         feature_source = TableFeatureSource(rot_tab, trans_tab)
     elif source_name == "maps":
         if not cfg.candidate_features_dir:
-            raise ConfigError("maps feature source needs candidate_features_dir")
+            raise InvalidInput("maps feature source needs candidate_features_dir")
         feature_source = DirectoryFeatureSource(camera, inputs, cfg.resolve(cfg.candidate_features_dir))
         _check_candidate_maps(feature_source, s_rot, s_trans)
 
@@ -156,15 +163,15 @@ def _load_ground_truth(path: Path):
     geometry = meshio.load_ply_geometry(path)
     try:
         gt_points_for(geometry, 1, 0)
-    except (DegenerateGeometry, EmptyCloud, EmptyMesh) as e:
-        raise ParseError(f"{path}: ground truth cannot be sampled: {e}") from None
+    except DegenerateGeometry as e:
+        raise InvalidInput(f"{path}: ground truth cannot be sampled: {e}") from None
     return geometry
 
 
 def _check_image_size(path: Path, shape, camera) -> None:
     h, w = shape
     if (h, w) != (camera.height, camera.width):
-        raise ConfigError(
+        raise InvalidInput(
             f"{path}: image size {w}x{h} does not match the camera's "
             f"{camera.width}x{camera.height}"
         )
@@ -172,11 +179,11 @@ def _check_image_size(path: Path, shape, camera) -> None:
 
 def _check_table(table: np.ndarray, frames: int, states: int, name: str) -> None:
     if table.shape != (frames, states):
-        raise ConfigError(
+        raise InvalidInput(
             f"{name} shape {table.shape} does not match (frames={frames}, states={states})"
         )
     if np.isinf(table).any() or (table < 0).any():
-        raise ConfigError(f"{name} holds infinite or negative feature errors (NaN marks no overlap)")
+        raise InvalidInput(f"{name} holds infinite or negative feature errors (NaN marks no overlap)")
 
 
 def _check_candidate_maps(source: DirectoryFeatureSource, s_rot: int, s_trans: int) -> None:
@@ -189,12 +196,12 @@ def _check_candidate_maps(source: DirectoryFeatureSource, s_rot: int, s_trans: i
             for j in range(count):
                 p = source.path_for(phase, t, j)
                 if not p.is_file():
-                    raise ParseError(f"missing candidate feature map {p}")
+                    raise InvalidInput(f"missing candidate feature map {p}")
                 h, w, c = meshio.load_fmap(p)[0].shape
                 _check_image_size(p, (h, w), source.camera)
                 if c != len(source.basis.mean):
-                    raise ConfigError(f"{p}: {c} feature channels, the input feature maps "
-                                      f"have {len(source.basis.mean)}")
+                    raise InvalidInput(f"{p}: {c} feature channels, the input feature maps "
+                                       f"have {len(source.basis.mean)}")
 
 
 def _evaluate(cfg: RunConfig, inputs: RunInputs, track) -> bytes:
@@ -249,18 +256,18 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
 def run_eval(cfg: RunConfig, out_dir) -> dict:
     """Score an existing pose track against per-frame ground truth."""
     if not cfg.track:
-        raise ConfigError("eval needs a 'track' path in the config")
+        raise InvalidInput("eval needs a 'track' path in the config")
     if not cfg.gt_dir:
-        raise ConfigError("eval needs gt_dir")
+        raise InvalidInput("eval needs gt_dir")
     # evaluation reads no features: no feature map, mask or PCA basis is loaded
     inputs = load_run_inputs(replace(cfg, feature_source="none"))
     track_path = cfg.resolve(cfg.track)
     track = track_from_json(meshio.read_input(track_path, "track file", text=True))
     if len(track) != len(inputs.ground_truths):
-        raise ConfigError("track length does not match ground-truth frame count")
+        raise InvalidInput("track length does not match ground-truth frame count")
     for k, (t, want) in enumerate(zip(track.timestamps, inputs.frame_indices)):
         if t != want:
-            raise ConfigError(f"{track_path}: entry {k} has t = {t}, not frame index {want}")
+            raise InvalidInput(f"{track_path}: entry {k} has t = {t}, not frame index {want}")
     metrics = _evaluate(cfg, inputs, track)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,15 +282,15 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     hits), prep_mask_NNNNNN.pgm, and prep_params_NNNNNN.json per frame.
     """
     if not cfg.hand_dir:
-        raise ConfigError("prep needs hand_dir")
+        raise InvalidInput("prep needs hand_dir")
     if not cfg.camera:
-        raise ConfigError("prep needs a camera file")
+        raise InvalidInput("prep needs a camera file")
     camera = meshio.load_camera(cfg.resolve(cfg.camera))
     computed = []
     for t, path in frame_files(cfg, "hand").items():
         hit_map = first_hit_map(meshio.load_mesh(path), camera)
         if not hit_map.mask.any():
-            raise ParseError(f"frame {t}: hand mesh has no visible surface")
+            raise InvalidInput(f"frame {t}: hand mesh has no visible surface")
         normalized, params = normalize_points(hit_map.values, s=cfg.norm_scale)
         payload = {
             "mean": [float(v) for v in params.mean],

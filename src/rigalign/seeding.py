@@ -11,12 +11,12 @@ from .errors import InvalidInput
 SEED_LIMIT = 2**32
 
 
-def check_seed(value: int, name: str, error=InvalidInput) -> int:
-    """`value` if it lies in [0, 2**32), the range derive_seed takes; else `error`."""
+def check_seed(value: int, name: str) -> int:
+    """`value` if it lies in [0, 2**32), the range derive_seed takes; else InvalidInput."""
     if value < 0:
-        raise error(f"{name} must be >= 0; got {value}")
+        raise InvalidInput(f"{name} must be >= 0; got {value}")
     if value >= SEED_LIMIT:
-        raise error(f"{name} must be < 2**32; got {value}")
+        raise InvalidInput(f"{name} must be < 2**32; got {value}")
     return value
 
 

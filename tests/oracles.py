@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from rigalign.emission import _SIMILARITY_EPS, PCABasis, dino_similarity
-from rigalign.errors import DegenerateGeometry, EmptyMesh, RigalignError
+from rigalign.errors import DegenerateGeometry, RigalignError
 from rigalign.geometry import (
     PixelMap,
     SimilarityTransform,
@@ -144,7 +144,7 @@ def window_first_hit_map(mesh, camera, chunk: int = 128) -> PixelMap:
     lowest face index. Same arithmetic as the package's face-binned caster,
     so the two agree bitwise."""
     if len(mesh.faces) == 0:
-        raise EmptyMesh("mesh has no faces")
+        raise DegenerateGeometry("mesh has no faces")
     h, w = camera.height, camera.width
     hits = np.zeros((h, w), dtype=bool)
     points = np.zeros((h, w, 3))

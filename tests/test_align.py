@@ -5,7 +5,7 @@ import pytest
 
 from rigalign.align import PoseTrack, align_sequence, score_frame, track_from_json, track_to_json
 from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource, TableFeatureSource
-from rigalign.errors import InvalidInput, ParseError
+from rigalign.errors import InvalidInput
 from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
 from rigalign.grids import RotationGrid, build_rotation_grid, build_translation_grid
 from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
@@ -245,7 +245,7 @@ class TestPoseTrackJson:
     def test_non_finite_values_rejected(self, scale, translation):
         text = ('{"scale": %s, "frames": [{"t": 0, "rotation_wxyz": [1, 0, 0, 0], '
                 '"translation_m": [0, 0, %s]}]}' % (scale, translation))
-        with pytest.raises(ParseError, match="invalid pose track JSON"):
+        with pytest.raises(InvalidInput, match="invalid pose track JSON"):
             track_from_json(text)
 
     def test_pose_includes_scale(self):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from rigalign import emission, grids, meshio, pipeline
 from rigalign.cli import run as cli_run
-from rigalign.errors import ConfigError, InvalidInput, ParseError, RigalignError
+from rigalign.errors import InvalidInput, RigalignError
 from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
 
 
@@ -77,8 +77,6 @@ def track(scene: Path, out: Path) -> tuple[int, str]:
 def test_invalid_input_is_a_value_error():
     assert issubclass(InvalidInput, ValueError)
     assert issubclass(InvalidInput, RigalignError)
-    assert issubclass(ConfigError, InvalidInput)
-    assert issubclass(ParseError, InvalidInput)
 
 
 def test_tiny_scene_runs(scene, tmp_path):
@@ -605,6 +603,57 @@ def test_ply_face_lists_of_non_integers_rejected(scene, tmp_path, name, prop, co
     assert_rejected(code, err, tmp_path / "out")
     assert (f"{name}: list property '{prop}' needs integer count and item types, "
             f"not '{count_t} {item_t}'") in err
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("property", "PLY property 'x' of element 'vertex' is declared twice"),
+    ("element", "PLY element 'vertex' is declared twice"),
+    ("label", "vertex property 'label' must have an integer type"),
+], ids=["property", "element", "label"])
+def test_ply_header_that_is_ambiguous_or_truncates_rejected(scene, tmp_path, defect, message):
+    """A repeated property name would crash the record layout, a repeated
+    element would let the later one win unseen, and labels 1.6 and 2.6 would
+    load as 1 and 2 if cast."""
+    cloud = meshio.load_ply_cloud(scene / "cloud_000001.ply")
+    props = [("x", "float"), ("y", "float"), ("z", "float"), ("label", "uchar")]
+    if defect == "property":
+        props.insert(1, ("x", "float"))
+    if defect == "label":
+        props[-1] = ("label", "float")
+    types = {"float": "<f4", "uchar": "u1"}
+    rec = np.empty(len(cloud), dtype=[(f"f{i}", types[t]) for i, (_, t) in enumerate(props)])
+    for i, (name, _) in enumerate(props):
+        rec[f"f{i}"] = (cloud.labels + 0.6 * (defect == "label") if name == "label"
+                        else cloud.points[:, "xyz".index(name)])
+    element = f"element vertex {len(cloud)}\n" + "".join(f"property {t} {n}\n" for n, t in props)
+    copies = 2 if defect == "element" else 1
+    (scene / "cloud_000001.ply").write_bytes(
+        f"ply\nformat binary_little_endian 1.0\n{element * copies}end_header\n".encode()
+        + rec.tobytes() * copies)
+    code, err = track(scene, tmp_path / "out")
+    assert_rejected(code, err, tmp_path / "out")
+    assert f"cloud_000001.ply: {message}" in err
+
+
+@pytest.mark.parametrize("command", ["track", "eval"])
+@pytest.mark.parametrize("obj, message", [
+    ("v 0 0 0.4\nv 0.01 0 0.4\nv 0 0.01 0.4\n", "mesh has no faces"),
+    ("v 0 0 0.4\nv 0.01 0 0.4\nv 0.02 0 0.4\nf 1 2 3\n", "mesh has zero surface area"),
+], ids=["vertex-only", "collinear"])
+def test_model_that_cannot_be_sampled_rejected_before_any_frame_is_read(
+        scene, tmp_path, monkeypatch, command, obj, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a frame or a pose grid was loaded before the model was checked")
+
+    monkeypatch.setattr(meshio, "load_ply_cloud", never)
+    for module in (pipeline, grids):
+        monkeypatch.setattr(module, "build_rotation_grid", never)
+    (scene / "model.obj").write_text(obj)
+    set_config(scene, track="gt_track.json")
+    code, err = run_quietly([command, "--config", str(scene / "config.cfg"),
+                             "--out", str(tmp_path / "out")])
+    assert_rejected(code, err, tmp_path / "out", codes=(3,))
+    assert f"model.obj: model mesh cannot be sampled: {message}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,7 @@ from rigalign.emission import (
     pca_basis,
     rasterize_silhouette,
 )
-from rigalign.errors import DegenerateCloud, InvalidInput
+from rigalign.errors import DegenerateGeometry, InvalidInput
 from rigalign.geometry import (
     Camera,
     PixelMap,
@@ -71,7 +71,7 @@ class TestEstimateScale:
     def test_coincident_cloud_estimates_exactly_zero(self, n):
         y = np.random.default_rng(3).normal(size=(50, 3))
         assert estimate_scale(np.tile([[0.1, 0.2, 0.3]], (n, 1)), y) == 0.0
-        with pytest.raises(DegenerateCloud, match="model cloud has zero extent"):
+        with pytest.raises(DegenerateGeometry, match="model cloud has zero extent"):
             estimate_scale(y, np.tile([[0.1, 0.2, 0.3]], (n, 1)))
 
     def test_translation_invariance(self):
@@ -81,7 +81,7 @@ class TestEstimateScale:
         assert estimate_scale(x + 100.0, y) == pytest.approx(estimate_scale(x, y), rel=1e-9)
 
     def test_degenerate_model(self):
-        with pytest.raises(DegenerateCloud):
+        with pytest.raises(DegenerateGeometry, match="model cloud has zero extent"):
             estimate_scale(np.random.default_rng(4).normal(size=(10, 3)), np.zeros((10, 3)))
 
 

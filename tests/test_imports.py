@@ -7,9 +7,11 @@ builds no tree import without scipy. Importing `metrics` starts no thread:
 scipy's OpenBLAS loads with one, and the environment is left as found. Every
 k-d tree query goes through `metrics.InFlight.put` (which `metrics.nearest`
 calls), whose thread pool makes `metrics` the only module that imports
-`concurrent.futures`."""
+`concurrent.futures`. The package defines three exception classes, one per
+exit code and their base, all in `errors`."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -249,3 +251,36 @@ def test_every_tree_query_goes_through_in_flight_put():
 def test_no_call_passes_workers():
     found = {p.stem: workers_keywords(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+def exception_classes(source: str) -> list[str]:
+    """Names of the classes defined anywhere in `source` that derive, directly
+    or through other classes defined there, from a built-in exception or from
+    a name the package's `errors` module defines."""
+    known = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    known |= {"RigalignError", "InvalidInput", "DegenerateGeometry"}
+    classes = sorted((n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)),
+                     key=lambda c: c.lineno)
+    found = []
+    while True:
+        new = [c.name for c in classes if c.name not in found
+               and any((b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)) in known
+                       for b in c.bases)]
+        if not new:
+            return [c.name for c in classes if c.name in found]
+        found += new
+        known.update(new)
+
+
+def test_exception_scan_sees_every_exception_class():
+    source = ("class A(ValueError):\n    pass\nclass B(A):\n    pass\n"
+              "class C:\n    pass\ndef f():\n    class D(errors.InvalidInput):\n        pass\n"
+              "class E(C, KeyError):\n    pass\n")
+    assert exception_classes(source) == ["A", "B", "D", "E"]
+
+
+def test_errors_defines_the_only_exception_classes():
+    found = {p.stem: exception_classes(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {
+        "errors": ["RigalignError", "InvalidInput", "DegenerateGeometry"]}

@@ -3,7 +3,7 @@ import pytest
 
 from rigalign import meshio
 from rigalign.config import RunConfig, load_config, parse_config, serialize_config
-from rigalign.errors import ConfigError, InvalidInput, ParseError
+from rigalign.errors import InvalidInput
 from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.seeding import derive_seed
 from rigalign.synthetic import SceneSpec
@@ -37,27 +37,27 @@ class TestObj:
         assert len(back.faces) == 1
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_obj(tmp_path / "absent.obj")
 
     def test_bad_vertex(self, tmp_path):
         path = tmp_path / "bad.obj"
         path.write_text("v 0 0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_obj(path)
 
     @pytest.mark.parametrize("line", ["v 0 abc 0", "f x1 2 3", "f 1 2/1 ?/3"])
     def test_non_numeric_token_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "bad.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\n")
-        with pytest.raises(ParseError, match=f"{path}:4: "):
+        with pytest.raises(InvalidInput, match=f"{path}:4: "):
             meshio.load_obj(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_vertex_rejected(self, tmp_path, token):
         path = tmp_path / "bad.obj"
         path.write_text(f"v 0 0 0\nv 1 {token} 0\nv 0 1 0\nf 1 2 3\n")
-        with pytest.raises(ParseError, match="finite"):
+        with pytest.raises(InvalidInput, match="finite"):
             meshio.load_obj(path)
 
 
@@ -102,7 +102,7 @@ class TestPly:
     def test_ascii_rejected(self, tmp_path):
         path = tmp_path / "a.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 0\nend_header\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_ply_cloud(path)
 
     def test_truncated_rejected(self, mesh, tmp_path):
@@ -110,7 +110,7 @@ class TestPly:
         meshio.save_ply_mesh(mesh, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(InvalidInput, match="truncated"):
             meshio.load_ply_mesh(path)
 
     @pytest.mark.parametrize("cut", [1, 5, 12])
@@ -119,7 +119,7 @@ class TestPly:
         meshio.save_ply_cloud(PointCloud(np.ones((4, 3)), labels=np.array([0, 1, 2, 2])), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - cut])
-        with pytest.raises(ParseError, match="truncated"):
+        with pytest.raises(InvalidInput, match="truncated"):
             meshio.load_ply_cloud(path)
 
     @pytest.mark.parametrize("line", ["element vertex many", "element vertex -1",
@@ -128,8 +128,18 @@ class TestPly:
         path = tmp_path / "h.ply"
         path.write_bytes(f"ply\nformat binary_little_endian 1.0\nelement vertex 0\n{line}\n"
                          "end_header\n".encode())
-        with pytest.raises(ParseError, match="bad PLY"):
+        with pytest.raises(InvalidInput, match="bad PLY"):
             meshio.load_ply_cloud(path)
+
+    def test_scalar_property_named_list_loads(self, tmp_path):
+        # a list property is told apart by its declaration, not by its name
+        rec = np.zeros(2, dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("list", "u1")])
+        rec["x"] = [0.0, 1.0]
+        path = tmp_path / "l.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"property uchar list\nend_header\n" + rec.tobytes())
+        assert meshio.load_ply_cloud(path).points.tolist() == [[0, 0, 0], [1, 0, 0]]
 
 
 class TestFmap:
@@ -146,7 +156,7 @@ class TestFmap:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.fmap"
         path.write_bytes(b"NOPE" + bytes(16))
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_fmap(path)
 
     def test_size_mismatch(self, tmp_path):
@@ -154,7 +164,7 @@ class TestFmap:
         import struct
 
         path.write_bytes(b"FMAP" + struct.pack("<IIII", 1, 2, 2, 1) + bytes(3))
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_fmap(path)
 
     def test_load_gives_dims_and_rejects_bad_files(self, tmp_path):
@@ -173,9 +183,9 @@ class TestFmap:
         for name, blob in bad.items():
             path = tmp_path / f"{name}.fmap"
             path.write_bytes(blob)
-            with pytest.raises(ParseError):
+            with pytest.raises(InvalidInput):
                 meshio.load_fmap(path)
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_fmap(tmp_path / "absent.fmap")
 
 
@@ -191,7 +201,7 @@ class TestEmit:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emit"
         path.write_bytes(b"XXXX" + bytes(8))
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_emission_table(path)
 
     @pytest.mark.parametrize("cut", range(4, 12))
@@ -199,7 +209,7 @@ class TestEmit:
         path = tmp_path / "e.emit"
         meshio.save_emission_table(np.zeros((2, 3)), path)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ParseError, match="EMIT header cut short"):
+        with pytest.raises(InvalidInput, match="EMIT header cut short"):
             meshio.load_emission_table(path)
 
 
@@ -237,13 +247,13 @@ class TestPgm:
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "m.pgm"
         path.write_bytes(header + bytes(4))
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_pgm_mask(path)
 
     def test_p2_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_pgm_mask(path)
 
 
@@ -257,7 +267,7 @@ class TestCameraJson:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "cam.json"
         path.write_text('{"fx": 100}')
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             meshio.load_camera(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -270,7 +280,7 @@ class TestCameraJson:
                   "width": "64", "height": "64", field: value}
         path = tmp_path / "cam.json"
         path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
-        with pytest.raises(ParseError, match="invalid camera file"):
+        with pytest.raises(InvalidInput, match="invalid camera file"):
             meshio.load_camera(path)
 
 
@@ -316,22 +326,22 @@ class TestRunConfig:
         assert cfg.translation_half_extent == (0.04, 0.05, 0.06)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             parse_config("nonsense = 1\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             parse_config("rotation_level = banana\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             parse_config("feature_source = magic\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput):
             parse_config("rotation_level = -1\n")
-        with pytest.raises(ConfigError, match="penalty_factor must be >= 0"):
+        with pytest.raises(InvalidInput, match="penalty_factor must be >= 0"):
             parse_config("penalty_factor = -1\n")
 
     def test_seed_bound(self):
         assert parse_config(f"seed = {2**32 - 1}\n").seed == 2**32 - 1
-        with pytest.raises(ConfigError, match=r"seed must be < 2\*\*32; got 4294967296"):
+        with pytest.raises(InvalidInput, match=r"seed must be < 2\*\*32; got 4294967296"):
             parse_config(f"seed = {2**32}\n")
         # a feature-field seed is no derive_seed part: synth writes 64-bit values there
         assert parse_config(f"synthetic_feature_seed = {2**64 - 1}\n").synthetic_feature_seed == 2**64 - 1

@@ -13,7 +13,7 @@ from rigalign import emission, meshio
 from rigalign.cli import run as cli_run
 from rigalign.config import load_config
 from rigalign.emission import TableFeatureSource
-from rigalign.errors import ConfigError, ParseError
+from rigalign.errors import InvalidInput
 from rigalign.geometry import Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
@@ -173,7 +173,7 @@ class TestRunTrack:
         victim = broken / "feat_000002.fmap"
         victim.unlink()
         cfg = load_config(broken / "config.cfg")
-        with pytest.raises(ParseError, match=str(victim)):
+        with pytest.raises(InvalidInput, match=str(victim)):
             run_track(cfg, tmp_path / "never")
         assert not (tmp_path / "never").exists()
 
@@ -263,7 +263,7 @@ class TestRunTrack:
 
     def test_table_shape_mismatch_rejected(self, scene_dir, tmp_path):
         root = table_scene(scene_dir, tmp_path / "badtbl", np.zeros((4, 7)), np.zeros((4, 125)))
-        with pytest.raises(ConfigError, match="dino_table_rot"):
+        with pytest.raises(InvalidInput, match="dino_table_rot"):
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
@@ -275,7 +275,7 @@ class TestRunTrack:
         if np.isnan(value):  # NaN marks an empty-overlap state
             assert load_run_inputs(cfg).feature_source is not None
         else:
-            with pytest.raises(ConfigError, match="dino_table_rot holds infinite or negative"):
+            with pytest.raises(InvalidInput, match="dino_table_rot holds infinite or negative"):
                 load_run_inputs(cfg)
 
     def test_maps_feature_source_path(self, tmp_path):
@@ -287,12 +287,12 @@ class TestRunTrack:
         assert (tmp_path / "out" / "track.json").is_file()
         # removing one candidate map must fail validation before compute
         (feat_dir / "feat_translation_000000_000013.fmap").unlink()
-        with pytest.raises(ParseError, match="feat_translation_000000_000013"):
+        with pytest.raises(InvalidInput, match="feat_translation_000000_000013"):
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
         # a candidate map of another size than the camera's is rejected too
         meshio.save_fmap(feats[:32], full[:32], feat_dir / "feat_translation_000000_000013.fmap")
         meshio.save_fmap(feats[:32], full[:32], feat_dir / "feat_rotation_000000_000000.fmap")
-        with pytest.raises(ConfigError, match="feat_rotation_000000_000000"):
+        with pytest.raises(InvalidInput, match="feat_rotation_000000_000000"):
             run_track(load_config(root / "config.cfg"), tmp_path / "never")
 
 
