@@ -10,6 +10,7 @@ absolute-position Euclidean distances respectively.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,21 @@ def score_frame(evaluator: EmissionEvaluator, phase: str, t: int, points, quats,
 
 
 def translation_costs(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """(S, S) distances from every position of `prev` to every one of `cur`."""
-    return np.sqrt(((cur[None] - prev[:, None]) ** 2).sum(axis=-1))
+    """(S, S) distances from every position of `prev` to every one of `cur`,
+    summed one axis at a time in one (S, S) buffer: the bytes of summing an
+    (S, S, 3) array of squared differences, without building it. Positions
+    so far apart that a squared distance overflows raise DegenerateGeometry."""
+    acc = np.zeros((len(prev), len(cur)))
+    d = np.empty_like(acc)
+    with np.errstate(over="ignore"):
+        for k in range(3):
+            np.subtract(cur[None, :, k], prev[:, None, k], out=d)
+            d *= d
+            acc += d
+    if acc.max(initial=0.0) == math.inf:  # each term is finite or +inf, never NaN
+        raise DegenerateGeometry("translation costs overflow: the frames' positions are too "
+                                 "far apart")
+    return np.sqrt(acc, out=acc)
 
 
 def align_sequence(

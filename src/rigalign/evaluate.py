@@ -27,12 +27,11 @@ def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
     """Score one frame; the prediction is ICP-aligned (with scale) to the
     ground truth first, the ground truth is never transformed.
 
-    ICP and the metrics share one k-d tree on the ground truth: ICP's last
-    query already gives the aligned prediction's distances to it. With one
-    more tree on the aligned prediction, the two directed distance arrays are
-    computed once and every metric is reduced from them."""
-    gt_index = NearestNeighborIndex(gt_points)
-    icp = icp_with_scaling(pred_points, gt_index, max_iters=icp_max_iters, tol=icp_tol)
+    ICP builds and queries a k-d tree on the ground truth, and its winning
+    start's last query already gives the aligned prediction's distances to
+    it. With one more tree on the aligned prediction, the two directed
+    distance arrays are computed once and every metric is reduced from them."""
+    icp = icp_with_scaling(pred_points, gt_points, max_iters=icp_max_iters, tol=icp_tol)
     aligned = icp.transform.apply(pred_points)
     d_pred = icp.distances
     d_gt, _ = NearestNeighborIndex(aligned).query(gt_points)

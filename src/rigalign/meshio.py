@@ -246,6 +246,10 @@ def _cloud_from(data, path) -> PointCloud:
         raise InvalidInput(f"{path}: PLY has no vertex element")
     v = data["vertex"]
     points = _vertex_points(v, path)
+    for k in ("red", "green", "blue"):
+        if k in v and v[k].dtype != np.uint8:  # a float 0.5 would load as 0.5 / 255
+            raise InvalidInput(f"{path}: vertex property '{k}' must have type uchar, "
+                               f"not {v[k].dtype}")
     colors = None
     if all(k in v for k in ("red", "green", "blue")):
         colors = np.stack([v["red"], v["green"], v["blue"]], axis=1).astype(float) / 255.0

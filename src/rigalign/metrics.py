@@ -174,7 +174,6 @@ class NearestNeighborIndex:
         pts = _as_points(points)
         if len(pts) == 0:
             raise DegenerateGeometry("cannot index an empty point set")
-        self.points = pts
         self._tree = kd_tree(pts)
 
     def query(self, points):
@@ -199,7 +198,7 @@ class MetricReport:
 
 
 def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, (PointCloud, NearestNeighborIndex)):
+    if isinstance(cloud, PointCloud):
         return cloud.points
     return np.asarray(cloud, dtype=float).reshape(-1, 3)
 
@@ -210,17 +209,23 @@ def _nearest_distances(a, b, what: str):
     pb = _as_points(b)
     if len(pa) == 0 or len(pb) == 0:
         raise DegenerateGeometry(f"{what} needs non-empty clouds")
-    return NearestNeighborIndex(pb).query(pa)[0], NearestNeighborIndex(pa).query(pb)[0]
+    (d_ab, _), (d_ba, _) = nearest([(kd_tree(pb), pa), (kd_tree(pa), pb)])
+    return d_ab, d_ba
 
 
 def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray):
     """Symmetric mean squared nearest-neighbor distance in cm^2, from the two
     directed distance arrays of two equal-size point sets. Reduces over the
-    last axis: (n,) arrays give a float, (B, n) arrays one value per row."""
+    last axis: (n,) arrays give a float, (B, n) arrays one value per row.
+    Distances so large that a value overflows raise DegenerateGeometry."""
     n_ab, n_ba = np.shape(d_ab)[-1], np.shape(d_ba)[-1]
     if n_ab != n_ba:
         raise InvalidInput(f"point sets must have the same size ({n_ab} vs {n_ba})")
-    cd = (np.mean(d_ab**2, axis=-1) + np.mean(d_ba**2, axis=-1)) * M2_TO_CM2
+    with np.errstate(over="ignore"):
+        cd = (np.mean(d_ab**2, axis=-1) + np.mean(d_ba**2, axis=-1)) * M2_TO_CM2
+    if not np.isfinite(cd).all():
+        raise DegenerateGeometry("Chamfer distance overflows: the clouds' coordinates are too "
+                                 "large")
     return float(cd) if np.ndim(cd) == 0 else cd
 
 
@@ -354,8 +359,7 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     query, so a result's RMS and distances are those of its transform. Runs
     from a deterministic set of coarse starts and keeps the lowest final RMS. Each
     refit is the exact least-squares optimum, so RMS never increases within
-    a run. The target may be given as a NearestNeighborIndex over it, so
-    that a caller reuses its k-d tree.
+    a run. The target's k-d tree is built here: no caller has one to share.
 
     Each start keeps one query in flight: one InFlight queue holds one
     query per live start, keyed by the start, the start's moved source in one
@@ -379,14 +383,14 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
-    index = target if isinstance(target, NearestNeighborIndex) else NearestNeighborIndex(tgt)
+    tree = kd_tree(tgt)
     order = kd_tree(src).indices  # the source's points in k-d tree leaf order
     runs = [IcpResult(transform=t, rms_history=[], distances=None)
             for t in _initial_candidates(src, tgt)]
     failures: dict[IcpResult, DegenerateGeometry] = {}
     with InFlight() as flight:
         for run in runs:
-            flight.put(run, [(index._tree, run.transform.apply(src)[order])])
+            flight.put(run, [(tree, run.transform.apply(src)[order])])
         while flight:
             run, [(d_leaf, idx_leaf)] = flight.pop()
             d = np.empty(len(src))
@@ -409,7 +413,7 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
             except DegenerateGeometry as e:
                 failures[run] = e
                 continue
-            flight.put(run, [(index._tree, run.transform.apply(src)[order])])
+            flight.put(run, [(tree, run.transform.apply(src)[order])])
     done = [run for run in runs if run not in failures]
     if not done:
         raise failures[runs[-1]]  # every start failed: the last start's error

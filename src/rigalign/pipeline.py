@@ -95,7 +95,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     try:
         sample_mesh_surface(mesh, 1, 0)
     except DegenerateGeometry as e:
-        raise DegenerateGeometry(f"{model_path}: model mesh cannot be sampled: {e}") from None
+        raise InvalidInput(f"{model_path}: model mesh cannot be sampled: {e}") from None
 
     source_name = cfg.feature_source if cfg.w_dino != 0.0 else "none"  # w_dino = 0: no features
     use_maps = source_name in ("synthetic", "maps")

@@ -239,6 +239,12 @@ def _step_stack(transition, num_frames: int) -> list:
     return [np.asarray(transition(t), dtype=float) for t in range(1, num_frames)]
 
 
+def dense_translation_costs(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """(S, S) distances through one (S, S, 3) difference array: the formula
+    that `align.translation_costs` sums one axis at a time."""
+    return np.sqrt(((cur[None] - prev[:, None]) ** 2).sum(axis=-1))
+
+
 def path_cost(emissions, transition, lam: float, states) -> float:
     """Objective of a given path, accumulated exactly as viterbi_decode does.
     With zero emissions it is the path's lam-weighted transition cost."""

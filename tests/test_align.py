@@ -2,17 +2,21 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rigalign.align import PoseTrack, align_sequence, score_frame, track_from_json, track_to_json
+from rigalign.align import (PoseTrack, align_sequence, score_frame, track_from_json,
+                            track_to_json, translation_costs)
 from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource, TableFeatureSource
-from rigalign.errors import InvalidInput
+from rigalign.errors import DegenerateGeometry, InvalidInput
 from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
 from rigalign.grids import RotationGrid, build_rotation_grid, build_translation_grid
 from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const
-from oracles import covering_radius, path_cost, two_step_poses
+from oracles import covering_radius, dense_translation_costs, path_cost, two_step_poses
 
 
 def small_scene(frames=4, noise=0.0, seed=3, level=1):
@@ -210,6 +214,28 @@ class TestScoreFrame:
             copy = pickle.loads(pickle.dumps(args))
             assert copy[0] is not evaluator
             assert score_frame(copy[0], phase, 1, *copy[1:]).tobytes() == want.tobytes()
+
+
+def position_arrays(max_states: int = 40):
+    coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return st.integers(1, max_states).flatmap(lambda n: arrays(np.float64, (n, 3),
+                                                                elements=coords))
+
+
+class TestTranslationCosts:
+    @settings(max_examples=200, deadline=None)
+    @given(prev=position_arrays(), cur=position_arrays())
+    def test_equals_the_dense_formula_bitwise(self, prev, cur):
+        got = translation_costs(prev, cur)
+        assert got.dtype == np.float64 and got.shape == (len(prev), len(cur))
+        assert got.tobytes() == dense_translation_costs(prev, cur).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_positions_whose_squared_distance_overflows_rejected(self):
+        near = np.array([[1e153, 0.0, 0.0]])
+        assert translation_costs(near, -near)[0, 0] == 2e153  # its square is 4e306
+        with pytest.raises(DegenerateGeometry, match="translation costs overflow"):
+            translation_costs(10 * near, -10 * near)
 
 
 class TestPoseTrackJson:

@@ -47,7 +47,7 @@ def set_config(scene: Path, **values) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def tiny_scene(tmp_path_factory) -> Path:
     """A valid 2-frame scene with PGM masks; one in-process track takes well
     under a second."""
@@ -520,8 +520,8 @@ def test_model_whose_area_overflows_rejected(scene, tmp_path):
     lines[ln] = "v 1e300 1e300 1e300"
     (scene / "model.obj").write_text("\n".join(lines) + "\n")
     code, err = track(scene, tmp_path / "out")
-    assert_rejected(code, err, tmp_path / "out", codes=(3,))
-    assert "mesh surface area overflows" in err
+    assert_rejected(code, err, tmp_path / "out")  # at load, when the model is drawn from
+    assert "model.obj: model mesh cannot be sampled: mesh surface area overflows" in err
 
 
 @pytest.mark.parametrize("geometry, message", [
@@ -635,6 +635,112 @@ def test_ply_header_that_is_ambiguous_or_truncates_rejected(scene, tmp_path, def
     assert f"cloud_000001.ply: {message}" in err
 
 
+# The PLY part of the input-mutation catalogue: one mutation of one PLY file
+# per case, for a cloud and for a ground-truth mesh. Each file is written
+# again from its loaded content as one vertex element of typed columns and,
+# for the mesh, a face element of triangles.
+_PLY_TYPES = {"uchar": "u1", "int": "<i4", "float": "<f4", "double": "<f8"}
+
+
+def _write_ply(path: Path, columns, faces=None, *, count_extra=0, copies=1, cut=0) -> None:
+    """A binary PLY whose vertex element holds `columns`, [(name, PLY type,
+    values)], declared with `count_extra` more vertices than it holds and
+    written `copies` times, then `faces`, with the last `cut` bytes cut off."""
+    n = len(columns[0][2])
+    rec = np.empty(n, dtype=[(name, _PLY_TYPES[t]) for name, t, _ in columns])
+    for name, _, values in columns:
+        rec[name] = values
+    header = (f"element vertex {n + count_extra}\n"
+              + "".join(f"property {t} {name}\n" for name, t, _ in columns)) * copies
+    body = rec.tobytes() * copies
+    if faces is not None:
+        header += f"element face {len(faces)}\nproperty list uchar int vertex_indices\n"
+        tris = np.empty(len(faces), dtype=[("n", "u1"), ("i", "<i4", (3,))])
+        tris["n"], tris["i"] = 3, faces
+        body += tris.tobytes()
+    path.write_bytes(f"ply\nformat binary_little_endian 1.0\n{header}end_header\n".encode()
+                     + body[:len(body) - cut])
+
+
+def _retype(name, ply_type):
+    """The column `name` stored as `ply_type`. A column the file lacks is
+    added: a red of 0.5 beside uchar green and blue, or a 1."""
+    def mutate(columns):
+        n = len(columns[0][2])
+        if name == "red":
+            return {"columns": columns + [("red", ply_type, np.full(n, 0.5)),
+                                          ("green", "uchar", np.zeros(n)),
+                                          ("blue", "uchar", np.zeros(n))]}
+        if name not in {c for c, _, _ in columns}:
+            return {"columns": columns + [(name, ply_type, np.ones(n))]}
+        return {"columns": [(c, ply_type if c == name else t, v) for c, t, v in columns]}
+    return mutate
+
+
+def _first_x(value):
+    def mutate(columns):
+        x = columns[0][2].copy()
+        x[0] = value
+        return {"columns": [(c, t, x if c == "x" else v) for c, t, v in columns]}
+    return mutate
+
+
+def _scaled(factor):
+    def mutate(columns):
+        return {"columns": [(c, "double", v * factor) if c in "xyz" else (c, t, v)
+                            for c, t, v in columns]}
+    return mutate
+
+
+# name -> (mutation, exit code on the cloud, exit code on the ground-truth
+# mesh). A mesh ignores vertex colours and labels, and coordinates stored as
+# integers are still coordinates.
+_PLY_MUTATIONS = {
+    "truncated-body": (lambda columns: {"cut": 5}, 2, 2),
+    "count-larger-than-body": (lambda columns: {"count_extra": 1}, 2, 2),
+    "x-int": (_retype("x", "int"), 0, 0),
+    "y-int": (_retype("y", "int"), 0, 0),
+    "z-int": (_retype("z", "int"), 0, 0),
+    "red-float": (_retype("red", "float"), 2, 0),
+    "label-float": (_retype("label", "float"), 2, 0),
+    "nan": (_first_x(math.nan), 2, 2),
+    "infinity": (_first_x(math.inf), 2, 2),
+    "missing-property": (lambda columns: {"columns": [c for c in columns if c[0] != "y"]}, 2, 2),
+    "extra-property": (lambda columns: {"columns": columns + [("w", "float",
+                                                               np.ones(len(columns[0][2])))]},
+                       0, 0),
+    "repeated-element": (lambda columns: {"copies": 2}, 2, 2),
+    # the cloud's ICP correspondences are rank-deficient at 1e154, and its
+    # Chamfer distances overflow at 1e155; the mesh's area overflows at load
+    "scaled-1e154": (_scaled(1e154), 3, 2),
+    "scaled-1e155": (_scaled(1e155), 3, 2),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+@pytest.mark.parametrize("mutation", list(_PLY_MUTATIONS))
+@pytest.mark.parametrize("name", ["cloud_000001.ply", "gt_000001.ply"])
+def test_ply_mutation_keeps_the_contract(scene, tmp_path, name, mutation):
+    path = scene / name
+    if name.startswith("cloud"):
+        cloud, faces = meshio.load_ply_cloud(path), None
+        points, extra = cloud.points, [("label", "uchar", cloud.labels)]
+    else:
+        mesh = meshio.load_ply_mesh(path)
+        points, faces, extra = mesh.vertices, mesh.faces, []
+    columns = [(axis, "float", points[:, k]) for k, axis in enumerate("xyz")] + extra
+    mutate, cloud_code, gt_code = _PLY_MUTATIONS[mutation]
+    write = {"columns": columns, "faces": faces} | mutate(columns)
+    _write_ply(path, write.pop("columns"), **write)
+    code, err = track(scene, tmp_path / "out")
+    assert code == (cloud_code if faces is None else gt_code), err
+    if code == 0:
+        assert err == "" and (tmp_path / "out" / "track.json").is_file()
+    else:
+        assert_rejected(code, err, tmp_path / "out", codes=(2, 3))
+        assert code == 3 or f"{name}: " in err  # a file rejected at load is named
+
+
 @pytest.mark.parametrize("command", ["track", "eval"])
 @pytest.mark.parametrize("obj, message", [
     ("v 0 0 0.4\nv 0.01 0 0.4\nv 0 0.01 0.4\n", "mesh has no faces"),
@@ -652,7 +758,7 @@ def test_model_that_cannot_be_sampled_rejected_before_any_frame_is_read(
     set_config(scene, track="gt_track.json")
     code, err = run_quietly([command, "--config", str(scene / "config.cfg"),
                              "--out", str(tmp_path / "out")])
-    assert_rejected(code, err, tmp_path / "out", codes=(3,))
+    assert_rejected(code, err, tmp_path / "out")
     assert f"model.obj: model mesh cannot be sampled: {message}" in err
 
 

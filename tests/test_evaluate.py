@@ -89,21 +89,23 @@ class TestFrameReportSharedPath:
         report = self.check(pred, gt, max_iters=20)
         assert 0 < report.f5 < 1
 
-def test_evaluate_track_builds_two_indices_per_frame(monkeypatch):
+def test_evaluate_track_builds_three_trees_per_frame(monkeypatch):
+    """ICP's trees on the ground truth and on the prediction, and the
+    metrics' tree on the aligned prediction."""
     scene = generate_synthetic_scene(SceneSpec(frames=3, rotation_level=0, cloud_points=64,
                                                hand_points=0, seed=9))
     built = []
-    init = metrics.NearestNeighborIndex.__init__
+    kd_tree = metrics.kd_tree
 
-    def counting_init(self, points):
-        built.append(len(metrics._as_points(points)))
-        init(self, points)
+    def counting_kd_tree(points):
+        built.append(len(points))
+        return kd_tree(points)
 
-    monkeypatch.setattr(metrics.NearestNeighborIndex, "__init__", counting_init)
+    monkeypatch.setattr(metrics, "kd_tree", counting_kd_tree)
     reports, _ = evaluate_track(scene.mesh, scene.track,
                                 [scene.gt_mesh(k) for k in range(3)], n=800, icp_max_iters=8)
     assert len(reports) == 3
-    assert built == [800] * 6
+    assert built == [800] * 9
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.005])

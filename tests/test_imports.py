@@ -3,7 +3,9 @@ inside a function, is an edge, and the graph has no cycle. The scene
 generator sits on top of it: the feature term and the pipeline do not
 import it. Only `metrics` imports scipy, anywhere in its source, and only
 `metrics.kd_tree` builds a k-d tree, so the package and every module that
-builds no tree import without scipy. Importing `metrics` starts no thread:
+builds no tree import without scipy. ICP builds the tree it queries: only
+`evaluate.frame_report` builds a `NearestNeighborIndex`, and no code outside
+that class reads its tree. Importing `metrics` starts no thread:
 scipy's OpenBLAS loads with one, and the environment is left as found. Every
 k-d tree query goes through `metrics.InFlight.put` (which `metrics.nearest`
 calls), whose thread pool makes `metrics` the only module that imports
@@ -85,25 +87,34 @@ SCIPY_FREE = ("errors", "seeding", "geometry", "grids", "meshio", "config", "vit
               "emission", "synthetic")
 
 
-def tree_constructions(source: str) -> list[str]:
-    """The scope (function name or `<module>`) of every call that constructs
-    a scipy k-d tree, by name or attribute: `cKDTree(...)`, `spatial.KDTree(...)`."""
-    found = []
+def scoped_nodes(source: str, skip_class: str = ""):
+    """(scope, node) for every node of `source`, the scope being the name of
+    the innermost enclosing function or `<module>`; the body of a class named
+    `skip_class` is left out."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, ast.ClassDef) and child.name == skip_class:
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("cKDTree", "KDTree"):
-                    found.append(scope)
-            visit(child, scope)
+            child_scope = child.name if isinstance(child, (ast.FunctionDef,
+                                                           ast.AsyncFunctionDef)) else scope
+            yield child_scope, child
+            yield from visit(child, child_scope)
 
-    visit(ast.parse(source), "<module>")
-    return found
+    yield from visit(ast.parse(source), "<module>")
+
+
+def constructions(source: str, classes) -> list[str]:
+    """The scope of every call to one of `classes`, by name or attribute:
+    `cKDTree(...)`, `spatial.KDTree(...)`."""
+    return [scope for scope, node in scoped_nodes(source) if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) in classes]
+
+
+def tree_constructions(source: str) -> list[str]:
+    """The scope of every call that constructs a scipy k-d tree."""
+    return constructions(source, ("cKDTree", "KDTree"))
 
 
 def test_tree_scan_sees_every_construction():
@@ -122,6 +133,38 @@ def test_only_metrics_imports_scipy():
 def test_every_tree_is_built_by_kd_tree():
     found = {p.stem: tree_constructions(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: scopes for module, scopes in found.items() if scopes} == {"metrics": ["kd_tree"]}
+
+
+def private_tree_reads(source: str) -> list[str]:
+    """`scope: x._tree` for every `._tree` attribute outside the class
+    NearestNeighborIndex, which owns it."""
+    return [f"{scope}: {ast.unparse(node)}"
+            for scope, node in scoped_nodes(source, skip_class="NearestNeighborIndex")
+            if isinstance(node, ast.Attribute) and node.attr == "_tree"]
+
+
+def test_index_scans_see_every_construction_and_tree_read():
+    source = ("class NearestNeighborIndex:\n    def __init__(self, p):\n"
+              "        self._tree = kd_tree(p)\n"
+              "    def query(self, p):\n        return nearest([(self._tree, p)])\n"
+              "def icp(target):\n    index = metrics.NearestNeighborIndex(target)\n"
+              "    return index._tree, index._sample_tree\n"
+              "t = NearestNeighborIndex(x)._tree\n")
+    assert constructions(source, ("NearestNeighborIndex",)) == ["icp", "<module>"]
+    assert private_tree_reads(source) == ["icp: index._tree",
+                                          "<module>: NearestNeighborIndex(x)._tree"]
+
+
+def test_only_frame_report_builds_an_index_and_no_module_reads_its_tree():
+    """ICP builds the tree it queries; the one index left is evaluation's
+    ground-truth-to-prediction query."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    built = {module: constructions(source, ("NearestNeighborIndex",))
+             for module, source in sources.items()}
+    assert {module: scopes for module, scopes in built.items() if scopes} == {
+        "evaluate": ["frame_report"]}
+    reads = {module: private_tree_reads(source) for module, source in sources.items()}
+    assert {module: found for module, found in reads.items() if found} == {}
 
 
 def run_child(code: str, **env) -> str:

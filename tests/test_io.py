@@ -141,6 +141,24 @@ class TestPly:
                          b"property uchar list\nend_header\n" + rec.tobytes())
         assert meshio.load_ply_cloud(path).points.tolist() == [[0, 0, 0], [1, 0, 0]]
 
+    @pytest.mark.parametrize("channel", ["red", "green", "blue"])
+    @pytest.mark.parametrize("ply_type, dtype", [("float", "<f4"), ("double", "<f8"),
+                                                 ("ushort", "<u2"), ("char", "i1")])
+    def test_colour_other_than_uchar_rejected(self, tmp_path, channel, ply_type, dtype):
+        """A float red of 0.5 would load as 0.5 / 255 if divided as a uchar."""
+        types = {c: (ply_type, dtype) if c == channel else ("uchar", "u1")
+                 for c in ("red", "green", "blue")}
+        rec = np.zeros(2, dtype=[("p", "<f4", 3)] + [(c, t) for c, (_, t) in types.items()])
+        rec[channel] = [0, 1]
+        path = tmp_path / "c.ply"
+        path.write_bytes(("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                          "property float x\nproperty float y\nproperty float z\n"
+                          + "".join(f"property {t} {c}\n" for c, (t, _) in types.items())
+                          + "end_header\n").encode() + rec.tobytes())
+        with pytest.raises(InvalidInput, match=f"c.ply: vertex property '{channel}' must have "
+                                               f"type uchar, not {np.dtype(dtype)}"):
+            meshio.load_ply_cloud(path)
+
 
 class TestFmap:
     def test_round_trip(self, tmp_path):

@@ -103,6 +103,15 @@ class TestChamfer:
         with pytest.raises(InvalidInput, match=r"same size \(5 vs 6\)"):
             chamfer_from_distances(np.zeros((2, 5)), np.zeros((2, 6)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_rejected(self):
+        """A squared distance of 1e304 m^2 is 1e308 cm^2, which fits a float;
+        1e308 m^2 does not in cm^2, and 1e400 not at all."""
+        assert chamfer_from_distances(np.full(3, 1e152), np.zeros(3)) == 1e308
+        for d in (1e154, 1e200):
+            with pytest.raises(DegenerateGeometry, match="Chamfer distance overflows"):
+                chamfer_from_distances(np.zeros((2, 3)), np.full((2, 3), d))
+
 
 class TestFScore:
     def test_identical_sets(self):
@@ -380,16 +389,10 @@ class TestLockstepIcp:
     def test_rms_is_that_of_the_returned_transform(self, seed, max_iters):
         """So are the distances, which the evaluation reuses."""
         src, tgt = icp_case(seed)
-        index = NearestNeighborIndex(tgt)
-        result = icp_with_scaling(src, index, max_iters=max_iters)
-        d, _ = index.query(result.transform.apply(src))
+        result = icp_with_scaling(src, tgt, max_iters=max_iters)
+        d, _ = NearestNeighborIndex(tgt).query(result.transform.apply(src))
         assert result.rms == float(np.sqrt(np.mean(d**2)))
         assert result.distances.tobytes() == d.tobytes()
-
-    def test_equals_oracle_with_a_shared_index(self):
-        src, tgt = icp_case(4)
-        assert_same_icp(icp_with_scaling(src, NearestNeighborIndex(tgt), max_iters=100),
-                        icp_per_start(src, tgt, max_iters=100))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("max_iters", [1, 2, 8, 100])

@@ -368,17 +368,16 @@ class TestCli:
         assert cli_run(["track", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path)]) == 2
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
-        # a config whose model mesh has zero area triggers the numeric exit path
-        flat = TriangleMesh(np.array([[0.0, 0, 0], [1e-4, 0, 0], [2e-4, 0, 0]]), np.array([[0, 1, 2]]))
-        meshio.save_obj(flat, tmp_path / "model.obj")
+        # a ground truth of 50 copies of one point loads and samples, and then
+        # ICP's fit onto it reaches a dead end: the numeric exit path
         scene = tmp_path / "scene"
         cli_run(["synth", "--out", str(scene), "--frames", "1", "--level", "0",
                  "--cloud-points", "64", "--seed", "5"])
-        import shutil
-
-        shutil.copy(tmp_path / "model.obj", scene / "model.obj")
+        meshio.save_ply_cloud(PointCloud(np.full((50, 3), 0.3)), scene / "gt_000000.ply")
+        capsys.readouterr()
         code = cli_run(["track", "--config", str(scene / "config.cfg"), "--out", str(tmp_path / "o")])
         assert code == 3
+        assert "rank-deficient" in capsys.readouterr().err
 
     def test_failed_evaluation_writes_no_outputs(self, tmp_path, capsys):
         # the second frame's ground truth is 50 copies of one point, so its
