@@ -20,7 +20,7 @@ from .emission import EmissionEvaluator, estimate_scale
 from .errors import DegenerateGeometry, InvalidInput
 from .geometry import SimilarityTransform, quat_normalize, sample_mesh_surface
 from .grids import RotationGrid, TranslationGrid
-from .viterbi import EmissionTable, StatePath, viterbi_decode
+from .viterbi import StatePath, viterbi_decode
 
 _SCALE_SAMPLE_COUNT = 16384
 
@@ -99,13 +99,14 @@ def track_from_json(text: str) -> PoseTrack:
 
 @dataclass(eq=False)
 class AlignResult:
-    """Decoded track plus the state paths and emission tables behind it."""
+    """Decoded track plus the state paths behind it and the (T, S) emission
+    cost arrays they were decoded from."""
 
     track: PoseTrack
     rotation_path: StatePath
     translation_path: StatePath
-    rotation_table: EmissionTable
-    translation_table: EmissionTable
+    rotation_table: np.ndarray
+    translation_table: np.ndarray
 
 
 def score_frame(evaluator: EmissionEvaluator, phase: str, t: int, points, quats, positions,
@@ -146,13 +147,14 @@ def align_sequence(
 ) -> AlignResult:
     """Scale estimate, rotation Viterbi, then translation Viterbi.
 
-    `frames` holds each frame's object cloud, none empty. `evaluator` scores
-    model-to-camera poses, each with the global scale: the median of
-    per-frame estimates, whose model side is a dense one-off sample of the
-    evaluator's mesh, so that its sampling error does not bias every frame
-    alike. Rotation poses pin the translation to each frame's cloud mean;
-    the translation grid is re-centered there per frame, and its transition
-    costs use absolute world positions. A median scale of 0 is rejected.
+    `frames` holds each frame's object cloud as an (N, 3) array, none
+    empty. `evaluator` scores model-to-camera poses, each with the global
+    scale: the median of per-frame estimates, whose model side is a dense
+    one-off sample of the evaluator's mesh, so that its sampling error does
+    not bias every frame alike. Rotation poses pin the translation to each
+    frame's cloud mean; the translation grid is re-centered there per
+    frame, and its transition costs use absolute world positions. A median
+    scale of 0 is rejected.
     """
     frames = list(frames)
     if not frames:
@@ -163,14 +165,14 @@ def align_sequence(
     if timestamps is None:
         timestamps = np.arange(len(frames))
     scale_sample = sample_mesh_surface(
-        evaluator.mesh, max(_SCALE_SAMPLE_COUNT, evaluator.sample_count), evaluator.seed).points
+        evaluator.mesh, max(_SCALE_SAMPLE_COUNT, evaluator.sample_count), evaluator.seed)
     estimates = [estimate_scale(f, scale_sample) for f in frames]
     scale = sorted(estimates)[(len(estimates) - 1) // 2]
     if scale == 0.0:
         flat_frames = ", ".join(str(timestamps[t]) for t, e in enumerate(estimates) if e == 0.0)
         raise DegenerateGeometry(f"the median scale estimate is 0: the object clouds of frames "
                                  f"{flat_frames} have zero extent")
-    mus = np.stack([f.points.mean(axis=0) for f in frames])  # (T, 3)
+    mus = np.stack([f.mean(axis=0) for f in frames])  # (T, 3)
     quats = rot_grid.quaternions
     # Normalizing once more up front keeps every pose's rotation matrix
     # bitwise equal to that of a rigid state rescaled afterwards: unit
@@ -178,19 +180,19 @@ def align_sequence(
     # level-2 grid rotations change on a second pass).
     unit_quats = np.array([quat_normalize(q) for q in quats])
 
-    rot_table = EmissionTable(np.stack([
+    rot_table = np.stack([
         score_frame(evaluator, "rotation", t, points, unit_quats, mus[t][None], scale)
-        for t, points in enumerate(frames)]))
+        for t, points in enumerate(frames)])
     # viterbi_decode asks for transition(t) only for t >= 1, so one frame
     # needs no (S, S) angle matrix (2.16 GB at level 4, 138 GB at level 5).
     angles = rot_grid.pairwise_angles() if len(frames) > 1 else None
     rot_path = viterbi_decode(rot_table, lambda t: angles, lam_rot)
 
     positions = mus[:, None] + trans_grid.offsets  # (T, S, 3)
-    trans_table = EmissionTable(np.stack([
+    trans_table = np.stack([
         score_frame(evaluator, "translation", t, points, unit_quats[rot_path.states[t]][None],
                     positions[t], scale)
-        for t, points in enumerate(frames)]))
+        for t, points in enumerate(frames)])
     trans_path = viterbi_decode(
         trans_table, lambda t: translation_costs(positions[t - 1], positions[t]), lam_trans)
 

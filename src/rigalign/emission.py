@@ -25,7 +25,6 @@ from .errors import DegenerateGeometry, InvalidInput
 from .geometry import (
     Camera,
     PixelMap,
-    PointCloud,
     SimilarityTransform,
     TriangleMesh,
     apply_pose,
@@ -58,8 +57,9 @@ class PCABasis:
         return (np.asarray(features, dtype=float) - self.mean) @ self.components.T
 
 
-def estimate_scale(x, y) -> float:
-    """Size ratio sqrt(top eigenvalue of X) / sqrt(top eigenvalue of Y).
+def estimate_scale(x: np.ndarray, y: np.ndarray) -> float:
+    """Size ratio sqrt(top eigenvalue of X) / sqrt(top eigenvalue of Y) of
+    two (N, 3) point sets.
 
     Eigenvalues are of the per-point second-moment matrix of the mean-centered
     cloud, so the estimate is translation-invariant and tolerates unequal
@@ -67,9 +67,7 @@ def estimate_scale(x, y) -> float:
     notwithstanding, raises DegenerateGeometry.
     """
 
-    def top_moment(cloud, what: str) -> float:
-        p = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, float)
-        p = p.reshape(-1, 3)
+    def top_moment(p: np.ndarray, what: str) -> float:
         if len(p) < 2:
             raise DegenerateGeometry("scale estimation needs at least 2 points")
         if (p == p[0]).all():  # exactly 0, where the rounded mean would leave ~1e-34
@@ -297,7 +295,7 @@ class EmissionEvaluator:
         self.sample_count = int(sample_count)
         self.seed = int(seed)
         self.penalty_factor = float(penalty_factor)
-        self.sample = sample_mesh_surface(mesh, self.sample_count, seed).points
+        self.sample = sample_mesh_surface(mesh, self.sample_count, seed)
         # Deferred: rigalign.metrics loads scipy.spatial, about 0.37 s (-X
         # importtime, numpy loaded), which a process that scores no pose need
         # not pay.
@@ -345,11 +343,11 @@ class EmissionEvaluator:
 
         return row, map(block_at, range(0, len(poses), per_block))
 
-    def frame_terms(self, phase: str, frame_index: int, points: PointCloud,
+    def frame_terms(self, phase: str, frame_index: int, points: np.ndarray,
                     poses) -> tuple[np.ndarray, np.ndarray | None]:
         """Raw chamfer and feature term arrays over the model-to-camera
         `poses` of the frame at sequence position `frame_index`, whose
-        object cloud is `points`.
+        object cloud is the (N, 3) array `points`.
 
         The feature array uses NaN for empty-overlap poses and is None when
         there is no feature source. The feature term runs on this thread
@@ -360,7 +358,7 @@ class EmissionEvaluator:
         """
         from .metrics import InFlight  # loaded by __init__
 
-        x_res = resample_point_cloud(points, self.sample_count, self.seed).points
+        x_res = resample_point_cloud(points, self.sample_count, self.seed)
         row, blocks = self.chamfer_term(x_res, poses)
         with InFlight() as flight:
             for reduce, pairs in islice(blocks, 1):

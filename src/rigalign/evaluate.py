@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .align import PoseTrack
-from .errors import InvalidInput
+from .errors import DegenerateGeometry, InvalidInput
 from .geometry import PointCloud, TriangleMesh, resample_point_cloud, sample_mesh_surface
 from .metrics import (
     MetricReport,
@@ -47,9 +47,9 @@ def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
 def gt_points_for(geometry, n: int, seed: int) -> np.ndarray:
     """10k-point ground truth: surface-sampled for meshes, resampled for clouds."""
     if isinstance(geometry, TriangleMesh):
-        return sample_mesh_surface(geometry, n, seed).points
+        return sample_mesh_surface(geometry, n, seed)
     if isinstance(geometry, PointCloud):
-        return resample_point_cloud(geometry, n, seed).points
+        return resample_point_cloud(geometry.points, n, seed)
     raise TypeError("ground truth must be a TriangleMesh or PointCloud")
 
 
@@ -57,14 +57,18 @@ def evaluate_track(mesh: TriangleMesh, track: PoseTrack, ground_truths, *,
                    n: int = 10000, seed: int = 0,
                    icp_max_iters: int = 100, icp_tol: float = 1e-6):
     """Per-frame and median reports for a decoded track against per-frame
-    ground-truth geometry (meshes or clouds)."""
+    ground-truth geometry (meshes or clouds). A dead end in a frame's
+    scoring is raised as DegenerateGeometry naming the track's frame index."""
     ground_truths = list(ground_truths)
     if len(ground_truths) != len(track):
         raise InvalidInput("need one ground-truth geometry per frame")
-    base = sample_mesh_surface(mesh, n, derive_seed(seed, _PRED)).points
+    base = sample_mesh_surface(mesh, n, derive_seed(seed, _PRED))
     reports = []
     for k in range(len(track)):
         pred = track.pose(k).apply(base)
         gt = gt_points_for(ground_truths[k], n, derive_seed(seed, _GT, k))
-        reports.append(frame_report(pred, gt, icp_max_iters=icp_max_iters, icp_tol=icp_tol))
+        try:
+            reports.append(frame_report(pred, gt, icp_max_iters=icp_max_iters, icp_tol=icp_tol))
+        except DegenerateGeometry as e:
+            raise DegenerateGeometry(f"frame {track.timestamps[k]}: {e}") from e
     return reports, median_metrics(reports)

@@ -3,7 +3,9 @@
 Quaternion rotations, pinhole ray casting against triangle meshes,
 hand-anchored normalization, surface sampling, and similarity transforms.
 All coordinates are meters; all types are treated as immutable after
-construction and are safe to share across threads.
+construction and are safe to share across threads. A point set is a float
+(N, 3) array; PointCloud is the record of one PLY cloud, its points with
+their colours and labels.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ class TriangleMesh:
 
 @dataclass(eq=False)
 class PointCloud:
-    """Points (N, 3) with optional per-point color in [0, 1]^3 and label in {0, 1, 2}."""
+    """One PLY cloud: points (N, 3) with optional per-point color in [0, 1]^3
+    and label in {0, 1, 2}."""
 
     points: np.ndarray
     colors: np.ndarray | None = None
@@ -505,8 +508,9 @@ def surface_centroid(mesh: TriangleMesh) -> np.ndarray:
     return (areas[:, None] * centers).sum(axis=0) / total
 
 
-def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
-    """n points uniform over the surface: faces by area, uniform within each face."""
+def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:
+    """(n, 3) points uniform over the surface: faces by area, uniform within
+    each face."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if len(mesh.faces) == 0:
@@ -520,34 +524,30 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     flip = u + v > 1.0
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
-    pts = (
+    return (
         tris[:, 0]
         + u[:, None] * (tris[:, 1] - tris[:, 0])
         + v[:, None] * (tris[:, 2] - tris[:, 0])
     )
-    return PointCloud(pts)
 
 
-def resample_point_cloud(pc: PointCloud, n: int, seed: int) -> PointCloud:
-    """Exactly n points: uniform subsample without replacement, or all originals
-    plus uniform-with-replacement extras when supersampling."""
-    if len(pc) == 0:
+def resample_point_cloud(points: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Exactly n of the (N, 3) `points`: a uniform subsample without
+    replacement, or all of them plus uniform-with-replacement extras when
+    supersampling."""
+    if len(points) == 0:
         raise DegenerateGeometry("cannot resample an empty cloud")
     if n < 1:
         raise InvalidInput("n must be >= 1")
     rng = np.random.default_rng(seed)
-    if n <= len(pc):
-        idx = rng.choice(len(pc), size=n, replace=False)
+    if n <= len(points):
+        idx = rng.choice(len(points), size=n, replace=False)
     else:
-        extra = rng.choice(len(pc), size=n - len(pc), replace=True)
-        idx = np.concatenate([np.arange(len(pc)), extra])
-    return pc.select(idx)
+        extra = rng.choice(len(points), size=n - len(points), replace=True)
+        idx = np.concatenate([np.arange(len(points)), extra])
+    return points[idx]
 
 
-def apply_pose(geometry, pose: SimilarityTransform):
-    """scale * R * p + T over every point or vertex; attributes carried through."""
-    if isinstance(geometry, TriangleMesh):
-        return TriangleMesh(pose.apply(geometry.vertices), geometry.faces)
-    if isinstance(geometry, PointCloud):
-        return PointCloud(pose.apply(geometry.points), geometry.colors, geometry.labels)
-    raise TypeError(f"unsupported geometry type: {type(geometry).__name__}")
+def apply_pose(mesh: TriangleMesh, pose: SimilarityTransform) -> TriangleMesh:
+    """The mesh with scale * R * v + T applied to every vertex."""
+    return TriangleMesh(pose.apply(mesh.vertices), mesh.faces)

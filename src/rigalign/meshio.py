@@ -215,6 +215,9 @@ def _read_ply(path):
             arr = take(dt, count, offset)
             offset += dt.itemsize * count
             out[name] = {pn: arr[pn] for pn, _ in props}
+    if offset < len(body):
+        raise InvalidInput(f"{path}: PLY body has {len(body) - offset} bytes "
+                           "after its last element")
     return out
 
 

@@ -32,7 +32,7 @@ finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import DegenerateGeometry, InvalidInput
-from .geometry import PointCloud, SimilarityTransform, matrix_to_quat
+from .geometry import SimilarityTransform, matrix_to_quat
 
 M2_TO_CM2 = 1e4
 
@@ -94,7 +94,7 @@ class InFlight:
     """Nearest-neighbour queries on the shared pool, waited for oldest first.
 
     `put(key, pairs)` starts an exact query for a sequence of (cKDTree,
-    points) pairs and returns at once; `pop()` waits for the oldest query
+    (N, 3) points) pairs and returns at once; `pop()` waits for the oldest query
     still held and returns its key and one (distances float64, indices
     int64) per pair, in order. Leaving the `with` block drops the chunks of
     the queries still held that have not started and waits for the running
@@ -126,7 +126,6 @@ class InFlight:
         return len(self._held)
 
     def put(self, key, pairs) -> None:
-        pairs = [(tree, _as_points(points)) for tree, points in pairs]
         out = [(np.empty(len(pts)), np.empty(len(pts), dtype=np.int64)) for _, pts in pairs]
         chunks = [(tree, pts, d, i, slice(s, s + QUERY_CHUNK))
                   for (tree, pts), (d, i) in zip(pairs, out)
@@ -160,7 +159,7 @@ def kd_tree(points) -> cKDTree:
 
 
 def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact nearest neighbours for a sequence of (cKDTree, points) pairs,
+    """Exact nearest neighbours for a sequence of (cKDTree, (N, 3) points) pairs,
     waited for: one query put in flight and popped."""
     with InFlight() as flight:
         flight.put(None, pairs)
@@ -168,13 +167,12 @@ def nearest(pairs) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 class NearestNeighborIndex:
-    """Exact nearest-neighbor queries over a fixed point set (kd-tree backed)."""
+    """Exact nearest-neighbor queries over a fixed (N, 3) point set (kd-tree backed)."""
 
-    def __init__(self, points):
-        pts = _as_points(points)
-        if len(pts) == 0:
+    def __init__(self, points: np.ndarray):
+        if len(points) == 0:
             raise DegenerateGeometry("cannot index an empty point set")
-        self._tree = kd_tree(pts)
+        self._tree = kd_tree(points)
 
     def query(self, points):
         """(distances, indices) of the nearest indexed point for each query."""
@@ -197,19 +195,11 @@ class MetricReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _as_points(cloud) -> np.ndarray:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return np.asarray(cloud, dtype=float).reshape(-1, 3)
-
-
-def _nearest_distances(a, b, what: str):
+def _nearest_distances(a: np.ndarray, b: np.ndarray, what: str):
     """(a->b, b->a) nearest-neighbor distances between two non-empty point sets."""
-    pa = _as_points(a)
-    pb = _as_points(b)
-    if len(pa) == 0 or len(pb) == 0:
+    if len(a) == 0 or len(b) == 0:
         raise DegenerateGeometry(f"{what} needs non-empty clouds")
-    (d_ab, _), (d_ba, _) = nearest([(kd_tree(pb), pa), (kd_tree(pa), pb)])
+    (d_ab, _), (d_ba, _) = nearest([(kd_tree(b), a), (kd_tree(a), b)])
     return d_ab, d_ba
 
 
@@ -349,8 +339,10 @@ def _initial_candidates(src: np.ndarray, tgt: np.ndarray) -> list[SimilarityTran
 # ends on a non-finite RMS, which fails it like a degenerate refit, so numpy's
 # warnings on the way would only add lines to the error report.
 @np.errstate(over="ignore", invalid="ignore")
-def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) -> IcpResult:
-    """Iterative closest point with a global scale.
+def icp_with_scaling(src: np.ndarray, tgt: np.ndarray, max_iters: int = 100,
+                     tol: float = 1e-6) -> IcpResult:
+    """Iterative closest point with a global scale, of the (N, 3) source
+    points `src` onto the (M, 3) target points `tgt`.
 
     Alternates nearest-neighbor correspondences against the target with a
     closed-form similarity refit of the original source onto the matched
@@ -379,8 +371,6 @@ def icp_with_scaling(source, target, max_iters: int = 100, tol: float = 1e-6) ->
     """
     if max_iters < 1:
         raise InvalidInput(f"max_iters must be >= 1; got {max_iters}")
-    src = _as_points(source)
-    tgt = _as_points(target)
     if len(src) < 3 or len(tgt) < 3:
         raise DegenerateGeometry("ICP needs at least 3 points per cloud")
     tree = kd_tree(tgt)

@@ -39,7 +39,7 @@ class RunInputs:
     """Everything an alignment run needs, fully parsed up front."""
 
     mesh: TriangleMesh
-    frames: list  # one object PointCloud per frame
+    frames: list  # one (N, 3) array of object points per frame
     frame_indices: list
     feature_source: object | None
     ground_truths: list | None
@@ -117,7 +117,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         obj = meshio.load_ply_cloud(clouds[t]).filter_label(LABEL_OBJECT)
         if len(obj) == 0:
             raise InvalidInput(f"frame {t}: no object-labeled points in {clouds[t].name}")
-        frames.append(obj)
+        frames.append(obj.points)
         if use_maps:
             feats, mask = meshio.load_fmap(paths["feat"][t])
             _check_image_size(paths["feat"][t], feats.shape[:2], camera)
@@ -244,8 +244,8 @@ def run_track(cfg: RunConfig, out_dir, *, first_frame_only: bool = False) -> dic
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     meshio.write_atomic(out / "track.json", track_to_json(result.track).encode())
-    meshio.save_emission_table(result.rotation_table.costs, out / "emissions_rotation.emit")
-    meshio.save_emission_table(result.translation_table.costs, out / "emissions_translation.emit")
+    meshio.save_emission_table(result.rotation_table, out / "emissions_rotation.emit")
+    meshio.save_emission_table(result.translation_table, out / "emissions_translation.emit")
     written = {"track": str(out / "track.json")}
     if metrics is not None:
         meshio.write_atomic(out / "metrics.json", metrics)

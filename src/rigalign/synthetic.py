@@ -197,7 +197,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> SyntheticScene:
     for t in range(spec.frames):
         pose = track.pose(t)
         surface = sample_mesh_surface(mesh, spec.cloud_points, derive_seed(spec.seed, _CLOUD, t))
-        obj_pts = pose.apply(surface.points)
+        obj_pts = pose.apply(surface)
         if spec.noise_std > 0:
             noise_rng = np.random.default_rng(derive_seed(spec.seed, _NOISE, t))
             obj_pts = obj_pts + noise_rng.normal(scale=spec.noise_std, size=obj_pts.shape)

@@ -18,22 +18,6 @@ from .errors import InvalidInput
 
 
 @dataclass(eq=False)
-class EmissionTable:
-    """(T frames, S states) matrix of non-negative, finite observation costs."""
-
-    costs: np.ndarray
-
-    def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=float)
-        if self.costs.ndim != 2 or self.costs.shape[0] < 1 or self.costs.shape[1] < 1:
-            raise InvalidInput("emission table must be (T >= 1, S >= 1)")
-        if not np.isfinite(self.costs).all():
-            raise InvalidInput("emission costs must be finite (substitute penalties first)")
-        if (self.costs < 0).any():
-            raise InvalidInput("emission costs must be non-negative")
-
-
-@dataclass(eq=False)
 class StatePath:
     """Decoded per-frame state indices plus the achieved objective value."""
 
@@ -58,13 +42,17 @@ def viterbi_decode(emissions, transition, lam: float = 1.0) -> StatePath:
     """Exact min-sum dynamic program over the state trellis.
 
     Minimizes sum_t b[t, q_t] + lam * sum_t a_t[q_(t-1), q_t] in O(T * S^2)
-    time with backpointers, where a_t = transition(t); deterministic
-    lowest-index tie-breaking. A plain (T, S) array of emissions is checked
-    as an EmissionTable.
+    time with backpointers, where b is the (T frames, S states) array of
+    finite, non-negative `emissions` and a_t = transition(t); deterministic
+    lowest-index tie-breaking.
     """
-    if not isinstance(emissions, EmissionTable):
-        emissions = EmissionTable(emissions)
-    b = emissions.costs
+    b = np.asarray(emissions, dtype=float)
+    if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
+        raise InvalidInput("emission table must be (T >= 1, S >= 1)")
+    if not np.isfinite(b).all():
+        raise InvalidInput("emission costs must be finite (substitute penalties first)")
+    if (b < 0).any():
+        raise InvalidInput("emission costs must be non-negative")
     if lam < 0:
         raise InvalidInput("transition weight must be >= 0")
     t_frames, s_states = b.shape

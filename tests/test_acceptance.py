@@ -146,13 +146,13 @@ def test_criterion_06_synthetic_end_to_end(tmp_path):
     # noisy variant with one adversarially corrupted frame
     spec = SceneSpec(frames=10, noise_std=0.005, rotation_level=2, seed=11)
     noisy = generate_synthetic_scene(spec)
-    frames = [c.filter_label(LABEL_OBJECT) for c in noisy.clouds]
+    frames = [c.filter_label(LABEL_OBJECT).points for c in noisy.clouds]
     source = SyntheticFeatureSource(noisy.camera, noisy.feature_maps, noisy.field())
     evaluator = EmissionEvaluator(noisy.mesh, feature_source=source, seed=11)
     result = align_sequence(evaluator, frames, noisy.rot_grid, noisy.trans_grid,
                             lam_rot=LAMBDA_ROT, lam_trans=LAMBDA_TRANS)
     angles = noisy.rot_grid.pairwise_angles()
-    table = result.rotation_table.costs.copy()
+    table = result.rotation_table.copy()
     k = 4
     gt_state = noisy.rotation_states[k]
     far_state = int(np.argmax(angles[gt_state]))

@@ -10,7 +10,7 @@ from rigalign.align import (PoseTrack, align_sequence, score_frame, track_from_j
                             track_to_json, translation_costs)
 from rigalign.emission import EmissionEvaluator, SyntheticFeatureSource, TableFeatureSource
 from rigalign.errors import DegenerateGeometry, InvalidInput
-from rigalign.geometry import LABEL_OBJECT, PointCloud, quat_to_matrix
+from rigalign.geometry import LABEL_OBJECT, quat_to_matrix
 from rigalign.grids import RotationGrid, build_rotation_grid, build_translation_grid
 from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
@@ -27,7 +27,7 @@ def small_scene(frames=4, noise=0.0, seed=3, level=1):
 
 
 def object_clouds(scene):
-    return [c.filter_label(LABEL_OBJECT) for c in scene.clouds]
+    return [c.filter_label(LABEL_OBJECT).points for c in scene.clouds]
 
 
 def run_alignment(scene, frames=None, **kwargs):
@@ -54,8 +54,8 @@ class TestAlignSequence:
         res = run_alignment(scene)
         pose = res.track.pose(0)
         # a single frame decodes to its per-frame argmin in both phases
-        assert res.rotation_path.states[0] == res.rotation_table.costs[0].argmin()
-        assert res.translation_path.states[0] == res.translation_table.costs[0].argmin()
+        assert res.rotation_path.states[0] == res.rotation_table[0].argmin()
+        assert res.translation_path.states[0] == res.translation_table[0].argmin()
         # noise-free single frame recovers the generating grid rotation
         # (tolerance covers the pose's unit-norm renormalization only)
         gt_quat = scene.rot_grid.quaternions[scene.rotation_states[0]]
@@ -69,7 +69,7 @@ class TestAlignSequence:
 
         monkeypatch.setattr(RotationGrid, "pairwise_angles", refuse)
         res = run_alignment(small_scene(frames=1, seed=6))
-        assert res.rotation_path.states[0] == res.rotation_table.costs[0].argmin()
+        assert res.rotation_path.states[0] == res.rotation_table[0].argmin()
 
     def test_grids_of_size_one(self):
         scene = small_scene(frames=2, seed=7, level=0)
@@ -86,7 +86,7 @@ class TestAlignSequence:
     def test_empty_frame_cloud_rejected(self):
         scene = small_scene(frames=2, seed=7, level=0)
         frames = object_clouds(scene)
-        frames[1] = PointCloud(np.zeros((0, 3)))
+        frames[1] = np.zeros((0, 3))
         with pytest.raises(InvalidInput, match="frame 1 needs a non-empty object cloud"):
             run_alignment(scene, frames)
 
@@ -101,13 +101,13 @@ class TestAlignSequence:
         second = run_alignment(scene)
         assert np.array_equal(first.rotation_path.states, second.rotation_path.states)
         assert np.array_equal(first.translation_path.states, second.translation_path.states)
-        assert np.array_equal(first.rotation_table.costs, second.rotation_table.costs)
-        assert np.array_equal(first.translation_table.costs, second.translation_table.costs)
+        assert np.array_equal(first.rotation_table, second.rotation_table)
+        assert np.array_equal(first.translation_table, second.translation_table)
 
     def test_adversarial_frame_overridden_by_smoothness(self):
         scene = small_scene(frames=6, noise=0.005, seed=10)
         res = run_alignment(scene)
-        table = res.rotation_table.costs.copy()
+        table = res.rotation_table.copy()
         angles = scene.rot_grid.pairwise_angles()
         k = 3
         gt_state = scene.rotation_states[k]
@@ -153,7 +153,7 @@ class TestScoredPoses:
         offsets = scene.trans_grid.offsets
         assert len(quats) == 272
         for phase, t, points, poses, (cd, dino) in calls:
-            mu = frames[t].points.mean(axis=0)
+            mu = frames[t].mean(axis=0)
             if phase == "rotation":
                 want = two_step_poses(quats, [mu] * len(quats), scale)
             else:
@@ -206,7 +206,7 @@ class TestScoreFrame:
         evaluator = EmissionEvaluator(scene.mesh, feature_source=features, sample_count=256,
                                       seed=4)
         assert pickle.loads(pickle.dumps(score_frame)) is score_frame
-        mu = frames[1].points.mean(axis=0)
+        mu = frames[1].mean(axis=0)
         for phase, phase_quats, positions in (("rotation", quats, mu[None]),
                                               ("translation", quats[3:4], mu + offsets)):
             args = (evaluator, frames[1], phase_quats, positions, 1.05)

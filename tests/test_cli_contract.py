@@ -642,19 +642,23 @@ def test_ply_header_that_is_ambiguous_or_truncates_rejected(scene, tmp_path, def
 _PLY_TYPES = {"uchar": "u1", "int": "<i4", "float": "<f4", "double": "<f8"}
 
 
-def _write_ply(path: Path, columns, faces=None, *, count_extra=0, copies=1, cut=0) -> None:
+def _write_ply(path: Path, columns, faces=None, *, count_extra=0, last_count_extra=0, copies=1,
+               cut=0) -> None:
     """A binary PLY whose vertex element holds `columns`, [(name, PLY type,
     values)], declared with `count_extra` more vertices than it holds and
-    written `copies` times, then `faces`, with the last `cut` bytes cut off."""
+    written `copies` times, then `faces`, with the last `cut` bytes cut off.
+    The last element is declared with `last_count_extra` more records still."""
     n = len(columns[0][2])
     rec = np.empty(n, dtype=[(name, _PLY_TYPES[t]) for name, t, _ in columns])
     for name, _, values in columns:
         rec[name] = values
-    header = (f"element vertex {n + count_extra}\n"
+    vertex_extra = count_extra + (last_count_extra if faces is None else 0)
+    header = (f"element vertex {n + vertex_extra}\n"
               + "".join(f"property {t} {name}\n" for name, t, _ in columns)) * copies
     body = rec.tobytes() * copies
     if faces is not None:
-        header += f"element face {len(faces)}\nproperty list uchar int vertex_indices\n"
+        header += (f"element face {len(faces) + last_count_extra}\n"
+                   "property list uchar int vertex_indices\n")
         tris = np.empty(len(faces), dtype=[("n", "u1"), ("i", "<i4", (3,))])
         tris["n"], tris["i"] = 3, faces
         body += tris.tobytes()
@@ -698,6 +702,7 @@ def _scaled(factor):
 _PLY_MUTATIONS = {
     "truncated-body": (lambda columns: {"cut": 5}, 2, 2),
     "count-larger-than-body": (lambda columns: {"count_extra": 1}, 2, 2),
+    "count-smaller-than-body": (lambda columns: {"last_count_extra": -1}, 2, 2),
     "x-int": (_retype("x", "int"), 0, 0),
     "y-int": (_retype("y", "int"), 0, 0),
     "z-int": (_retype("z", "int"), 0, 0),

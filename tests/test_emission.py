@@ -20,7 +20,6 @@ from rigalign.errors import DegenerateGeometry, InvalidInput
 from rigalign.geometry import (
     Camera,
     PixelMap,
-    PointCloud,
     SimilarityTransform,
     TriangleMesh,
     first_hit_map,
@@ -294,8 +293,8 @@ class TestMapsAgainstDenseGrids:
             assert math.isnan(got) == (overlap == "empty")
 
 
-def centroid(cloud: PointCloud) -> np.ndarray:
-    return cloud.points.mean(axis=0)
+def centroid(points: np.ndarray) -> np.ndarray:
+    return points.mean(axis=0)
 
 
 class TestEmissionCost:
@@ -309,7 +308,7 @@ class TestEmissionCost:
         """The object cloud and the input feature map of a frame seen at `pose`."""
         cloud = sample_mesh_surface(self.mesh, 600, seed=33)
         f0 = render_feature_map(self.mesh, pose, self.camera, self.field)
-        return PointCloud(pose.apply(cloud.points)), f0
+        return pose.apply(cloud), f0
 
     def source(self, f0):
         """The synthetic feature source whose one input map is the frame's."""
@@ -333,7 +332,7 @@ class TestEmissionCost:
         points, f0 = self.observation(pose)
         ev = EmissionEvaluator(self.mesh, w_dino=0.0, sample_count=256, seed=6)
         state = SimilarityTransform(self.grid.quaternions[5], centroid(points), 1.0)
-        x_res = resample_point_cloud(points, 256, 6).points
+        x_res = resample_point_cloud(points, 256, 6)
         cd, dino = ev.frame_terms("rotation", 0, points, [state])
         assert dino is None
         row, blocks = ev.chamfer_term(x_res, [state])
@@ -543,7 +542,7 @@ class TestBatchedChamfer:
         self.grid = build_rotation_grid(1)
 
     def check_row(self, ev, obs, states):
-        x_res = resample_point_cloud(obs, ev.sample_count, ev.seed).points
+        x_res = resample_point_cloud(obs, ev.sample_count, ev.seed)
         row, dino = ev.frame_terms("rotation", 0, obs, states)
         assert dino is None
         oracle = np.array([chamfer_distance(x_res, s.apply(ev.sample)) for s in states])
@@ -551,10 +550,10 @@ class TestBatchedChamfer:
         np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0.0)
         assert np.array_equal(np.argsort(row, kind="stable"), np.argsort(oracle, kind="stable"))
 
-    def observation(self, points: int, seed: int = 40) -> PointCloud:
-        cloud = sample_mesh_surface(self.mesh, points, seed=seed).points
+    def observation(self, points: int, seed: int = 40) -> np.ndarray:
+        cloud = sample_mesh_surface(self.mesh, points, seed=seed)
         pose = SimilarityTransform(self.grid.quaternions[7], np.array([0.01, -0.02, 0.4]), 1.3)
-        return PointCloud(pose.apply(cloud))
+        return pose.apply(cloud)
 
     def states(self, obs, count, scale=1.0):
         quats = random_unit_quaternions(count, seed=count)
@@ -663,7 +662,7 @@ class TestBatchedChamfer:
         states = self.three_blocks(obs)
         row, _ = ev.frame_terms("rotation", 0, obs, states)
         # one state at a time, every query on this thread
-        x = resample_point_cloud(obs, 512, 3).points
+        x = resample_point_cloud(obs, 512, 3)
         obs_tree, sample_tree = cKDTree(x), cKDTree(ev.sample)
         want = np.array([metrics.chamfer_from_distances(
             sample_tree.query(((x - s.translation) @ s.matrix()) / s.scale)[0] * s.scale,

@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 from rigalign import metrics
 from rigalign.evaluate import evaluate_track, frame_report
-from rigalign.geometry import PointCloud, SimilarityTransform
+from rigalign.geometry import SimilarityTransform
 from rigalign.geometry import resample_point_cloud
 from rigalign.metrics import MetricReport, chamfer_distance, f_score, icp_with_scaling
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
@@ -84,8 +84,8 @@ class TestFrameReportSharedPath:
         rng = np.random.default_rng(24)
         small = rng.normal(size=(150, 3)) * np.array([0.03, 0.02, 0.01])
         noisy = small + rng.normal(scale=0.003, size=small.shape)
-        gt = resample_point_cloud(PointCloud(small), 1000, seed=5).points
-        pred = posed(resample_point_cloud(PointCloud(noisy), 1000, seed=6).points, 81, 1.1)
+        gt = resample_point_cloud(small, 1000, seed=5)
+        pred = posed(resample_point_cloud(noisy, 1000, seed=6), 81, 1.1)
         report = self.check(pred, gt, max_iters=20)
         assert 0 < report.f5 < 1
 

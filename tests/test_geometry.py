@@ -487,8 +487,9 @@ class TestNormalizePoints:
 class TestSurfaceSampling:
     def test_single_triangle_on_surface(self):
         mesh = TriangleMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]]))
-        pc = sample_mesh_surface(mesh, 1, seed=0)
-        assert points_to_mesh_distance(pc.points, mesh).max() < 1e-9
+        pts = sample_mesh_surface(mesh, 1, seed=0)
+        assert pts.shape == (1, 3)
+        assert points_to_mesh_distance(pts, mesh).max() < 1e-9
 
     def test_area_proportional_selection(self):
         # areas 3:1 -> expected counts 3:1 within 3% (binomial concentration)
@@ -496,8 +497,8 @@ class TestSurfaceSampling:
             [[0.0, 0, 0], [3.0, 0, 0], [0.0, 2, 0], [10.0, 0, 0], [11.0, 0, 0], [10.0, 2, 0]]
         )
         mesh = TriangleMesh(verts, np.array([[0, 1, 2], [3, 4, 5]]))
-        pc = sample_mesh_surface(mesh, 100000, seed=1)
-        frac = np.mean(pc.points[:, 0] < 5.0)
+        pts = sample_mesh_surface(mesh, 100000, seed=1)
+        frac = np.mean(pts[:, 0] < 5.0)
         assert abs(frac - 0.75) < 0.03 * 0.75
 
     def test_unit_cube_face_balance(self):
@@ -516,16 +517,16 @@ class TestSurfaceSampling:
             ]
         )
         cube = TriangleMesh(v, f)
-        pc = sample_mesh_surface(cube, 10000, seed=2)
-        assert points_to_mesh_distance(pc.points, cube).max() < 1e-9
+        pts = sample_mesh_surface(cube, 10000, seed=2)
+        assert points_to_mesh_distance(pts, cube).max() < 1e-9
         for axis, value in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]:
-            on_face = np.isclose(pc.points[:, axis], value).mean()
+            on_face = np.isclose(pts[:, axis], value).mean()
             assert abs(on_face - 1 / 6) < 0.05 / 6
 
     def test_determinism(self):
         mesh = TriangleMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]]))
-        a = sample_mesh_surface(mesh, 100, seed=9).points
-        b = sample_mesh_surface(mesh, 100, seed=9).points
+        a = sample_mesh_surface(mesh, 100, seed=9)
+        b = sample_mesh_surface(mesh, 100, seed=9)
         assert np.array_equal(a, b)
 
     def test_zero_area(self):
@@ -536,72 +537,58 @@ class TestSurfaceSampling:
 
 class TestResample:
     def cloud(self, n, seed=0):
-        rng = np.random.default_rng(seed)
-        return PointCloud(
-            rng.normal(size=(n, 3)),
-            colors=rng.random((n, 3)),
-            labels=rng.integers(0, 3, size=n),
-        )
+        return np.random.default_rng(seed).normal(size=(n, 3))
 
     def test_same_size_is_permutation(self):
-        pc = self.cloud(64)
-        out = resample_point_cloud(pc, 64, seed=1)
-        assert sorted(map(tuple, out.points)) == sorted(map(tuple, pc.points))
+        pts = self.cloud(64)
+        out = resample_point_cloud(pts, 64, seed=1)
+        assert sorted(map(tuple, out)) == sorted(map(tuple, pts))
 
     def test_supersample_keeps_originals(self):
-        pc = self.cloud(5)
-        out = resample_point_cloud(pc, 12, seed=2)
-        assert len(out) == 12
-        originals = set(map(tuple, pc.points))
-        assert set(map(tuple, out.points[:5])) == originals
-        assert set(map(tuple, out.points[5:])) <= originals
+        pts = self.cloud(5)
+        out = resample_point_cloud(pts, 12, seed=2)
+        assert out.shape == (12, 3)
+        originals = set(map(tuple, pts))
+        assert set(map(tuple, out[:5])) == originals
+        assert set(map(tuple, out[5:])) <= originals
 
     def test_subsample_is_distinct_subset(self):
-        pc = self.cloud(10000)
-        out = resample_point_cloud(pc, 10, seed=3)
-        assert len(out) == 10
-        rows = set(map(tuple, out.points))
+        pts = self.cloud(10000)
+        out = resample_point_cloud(pts, 10, seed=3)
+        assert out.shape == (10, 3)
+        rows = set(map(tuple, out))
         assert len(rows) == 10
-        assert rows <= set(map(tuple, pc.points))
-
-    def test_attributes_follow_points(self):
-        pc = self.cloud(20)
-        out = resample_point_cloud(pc, 8, seed=4)
-        lookup = {tuple(p): (tuple(c), l) for p, c, l in zip(pc.points, pc.colors, pc.labels)}
-        for p, c, l in zip(out.points, out.colors, out.labels):
-            assert lookup[tuple(p)] == (tuple(c), l)
+        assert rows <= set(map(tuple, pts))
 
     def test_empty_cloud(self):
         with pytest.raises(DegenerateGeometry, match="cannot resample an empty cloud"):
-            resample_point_cloud(PointCloud(np.zeros((0, 3))), 5, seed=0)
+            resample_point_cloud(np.zeros((0, 3)), 5, seed=0)
 
 
 class TestApplyPose:
     def test_identity(self):
-        rng = np.random.default_rng(5)
-        pc = PointCloud(rng.normal(size=(30, 3)))
-        out = apply_pose(pc, SimilarityTransform.identity())
-        assert np.allclose(out.points, pc.points, atol=1e-12)
+        pts = np.random.default_rng(5).normal(size=(30, 3))
+        assert np.allclose(SimilarityTransform.identity().apply(pts), pts, atol=1e-12)
 
     def test_pure_translation(self):
-        pc = PointCloud(np.array([[0.0, 0, 0]]))
-        out = apply_pose(pc, SimilarityTransform([1, 0, 0, 0], [0, 0, 1.0]))
-        assert np.allclose(out.points, [[0, 0, 1]])
+        mesh = TriangleMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]]))
+        out = apply_pose(mesh, SimilarityTransform([1, 0, 0, 0], [0, 0, 1.0]))
+        assert np.allclose(out.vertices, [[0, 0, 1], [1, 0, 1], [0, 1, 1]])
 
     def test_rz90_scale2(self):
         # Rz(90 deg), scale 2 on (1, 0, 0) -> (0, 2, 0)
         q = [math.cos(math.pi / 4), 0, 0, math.sin(math.pi / 4)]
-        out = apply_pose(PointCloud(np.array([[1.0, 0, 0]])), SimilarityTransform(q, np.zeros(3), 2.0))
-        assert np.allclose(out.points, [[0, 2, 0]], atol=1e-12)
+        out = SimilarityTransform(q, np.zeros(3), 2.0).apply(np.array([[1.0, 0, 0]]))
+        assert np.allclose(out, [[0, 2, 0]], atol=1e-12)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(6)
         for k in range(10):
             q = random_unit_quaternions(1, seed=50 + k)[0]
             pose = SimilarityTransform(q, rng.normal(size=3), float(rng.uniform(0.1, 10)))
-            pc = PointCloud(rng.normal(size=(25, 3)))
-            back = apply_pose(apply_pose(pc, pose), pose.inverse())
-            assert np.allclose(back.points, pc.points, atol=1e-9)
+            mesh = TriangleMesh(rng.normal(size=(25, 3)), np.arange(24).reshape(8, 3))
+            back = apply_pose(apply_pose(mesh, pose), pose.inverse())
+            assert np.allclose(back.vertices, mesh.vertices, atol=1e-9)
 
     def test_matrix_built_once_read_only_and_bitwise(self):
         for k, q in enumerate(random_unit_quaternions(20, seed=80)):
@@ -626,14 +613,10 @@ class TestApplyPose:
         # compose matches sequential application
         assert np.allclose(compose(a, b).apply(pts), a.apply(b.apply(pts)), atol=1e-9)
 
-    def test_mesh_keeps_faces_and_cloud_keeps_attrs(self):
+    def test_mesh_keeps_faces(self):
         mesh = TriangleMesh(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]), np.array([[0, 1, 2]]))
         out = apply_pose(mesh, SimilarityTransform([1, 0, 0, 0], [1.0, 0, 0]))
         assert np.array_equal(out.faces, mesh.faces)
-        pc = PointCloud(np.zeros((2, 3)), colors=np.ones((2, 3)) * 0.5, labels=np.array([1, 2]))
-        moved = apply_pose(pc, SimilarityTransform([1, 0, 0, 0], [1.0, 0, 0]))
-        assert np.array_equal(moved.labels, pc.labels)
-        assert np.array_equal(moved.colors, pc.colors)
 
 
 class TestMeshValidation:

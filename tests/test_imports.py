@@ -10,7 +10,10 @@ scipy's OpenBLAS loads with one, and the environment is left as found. Every
 k-d tree query goes through `metrics.InFlight.put` (which `metrics.nearest`
 calls), whose thread pool makes `metrics` the only module that imports
 `concurrent.futures`. The package defines three exception classes, one per
-exit code and their base, all in `errors`."""
+exit code and their base, all in `errors`. After load a point set is an
+(N, 3) array: `PointCloud`, the record of one PLY cloud, is named only by the
+modules that load, write or make clouds, and only `evaluate.gt_points_for`
+tells a cloud from a mesh by type."""
 
 import ast
 import builtins
@@ -165,6 +168,50 @@ def test_only_frame_report_builds_an_index_and_no_module_reads_its_tree():
         "evaluate": ["frame_report"]}
     reads = {module: private_tree_reads(source) for module, source in sources.items()}
     assert {module: found for module, found in reads.items() if found} == {}
+
+
+def names_point_cloud(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "PointCloud")
+            or (isinstance(node, ast.Attribute) and node.attr == "PointCloud")
+            or (isinstance(node, ast.alias) and node.name == "PointCloud"))
+
+
+def point_cloud_mentions(source: str) -> list[str]:
+    """The scope of every mention of `PointCloud`: a name, an attribute or an
+    imported name."""
+    return [scope for scope, node in scoped_nodes(source) if names_point_cloud(node)]
+
+
+def point_cloud_type_tests(source: str) -> list[str]:
+    """The scope of every `isinstance` call whose class argument names
+    `PointCloud`, alone or in a tuple."""
+    return [scope for scope, node in scoped_nodes(source)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and any(names_point_cloud(n) for n in ast.walk(node.args[1]))]
+
+
+def test_point_cloud_scans_see_every_mention_and_type_test():
+    source = ("from .geometry import PointCloud as Cloud\n"
+              "def f(x):\n    return isinstance(x, (TriangleMesh, geometry.PointCloud))\n"
+              "def g(x) -> PointCloud:\n    return isinstance(x, TriangleMesh)\n"
+              "class A:\n    def h(self, x):\n        if isinstance(x, PointCloud):\n"
+              "            return x\n")
+    assert point_cloud_mentions(source) == ["<module>", "f", "g", "h"]
+    assert point_cloud_type_tests(source) == ["f", "h"]
+
+
+# The modules that load, write or make PLY clouds, or tell a cloud from a mesh.
+POINT_CLOUD_MODULES = {"geometry", "meshio", "pipeline", "evaluate", "synthetic"}
+
+
+def test_point_sets_are_arrays_outside_the_cloud_record():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    named = {module for module, source in sources.items() if point_cloud_mentions(source)}
+    assert named - POINT_CLOUD_MODULES == set()
+    tested = {module: point_cloud_type_tests(source) for module, source in sources.items()}
+    assert {module: scopes for module, scopes in tested.items() if scopes} == {
+        "evaluate": ["gt_points_for"]}
 
 
 def run_child(code: str, **env) -> str:

@@ -547,7 +547,7 @@ class TestCollapsedIcp:
         wrong = SimilarityTransform(
             [0.36503671705908464, 0.4343944881393742, 0.8041218747838109, -0.1773066111768699],
             [0.05613317679893655, 0.015799398549931225, 0.3780043444300526], 0.7084487824244309)
-        pred = wrong.apply(sample_mesh_surface(scene.mesh, n, derive_seed(10, 101)).points)
+        pred = wrong.apply(sample_mesh_surface(scene.mesh, n, derive_seed(10, 101)))
         return pred, gt, wrong
 
     # at 3 the collapsing start stops at the cap on pairs that all meet one

@@ -14,7 +14,7 @@ from rigalign.cli import run as cli_run
 from rigalign.config import load_config
 from rigalign.emission import TableFeatureSource
 from rigalign.errors import InvalidInput
-from rigalign.geometry import Camera, PointCloud, TriangleMesh
+from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
@@ -104,9 +104,12 @@ class TestSyntheticScene:
         assert inputs.feature_source.camera == meshio.load_camera(scene_dir / "camera.json")
         assert len(inputs.feature_source.inputs) == 4
         assert inputs.feature_source.basis.components.shape == (3, 8)
-        # hand decoys must have been filtered out
-        for frame in inputs.frames:
-            assert frame.labels is None or (frame.labels == 2).all()
+        # hand decoys must have been filtered out: a frame is its cloud's
+        # object-labeled points
+        for t, frame in enumerate(inputs.frames):
+            cloud = meshio.load_ply_cloud(scene_dir / f"cloud_{t:06d}.ply")
+            assert np.array_equal(frame, cloud.points[cloud.labels == LABEL_OBJECT])
+            assert 0 < len(frame) < len(cloud)
 
 
 class TestRunTrack:
@@ -356,7 +359,7 @@ class TestCli:
         # replace per-frame gt meshes with surface-sampled clouds
         for t in range(2):
             pts = sample_mesh_surface(scene.gt_mesh(t), 3000, seed=40 + t)
-            meshio.save_ply_cloud(pts, scene_dir / f"gt_{t:06d}.ply")
+            meshio.save_ply_cloud(PointCloud(pts), scene_dir / f"gt_{t:06d}.ply")
         cfg_path = scene_dir / "config.cfg"
         cfg_path.write_text(cfg_path.read_text().replace("track = ", "track = gt_track.json"))
         assert cli_run(["eval", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
@@ -377,7 +380,7 @@ class TestCli:
         capsys.readouterr()
         code = cli_run(["track", "--config", str(scene / "config.cfg"), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "rank-deficient" in capsys.readouterr().err
+        assert "error: frame 0: correspondence covariance is rank-deficient" in capsys.readouterr().err
 
     def test_failed_evaluation_writes_no_outputs(self, tmp_path, capsys):
         # the second frame's ground truth is 50 copies of one point, so its
@@ -395,7 +398,7 @@ class TestCli:
         code = cli_run(["track", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: ") and "rank-deficient" in err
+        assert err.startswith("error: frame 1: ") and "rank-deficient" in err
         assert "Traceback" not in err
         assert not out.exists() or list(out.iterdir()) == []
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rigalign.errors import InvalidInput
-from rigalign.viterbi import EmissionTable, viterbi_decode
+from rigalign.viterbi import viterbi_decode
 
 from conftest import const
 from oracles import TooLarge, brute_force_decode, path_cost
@@ -61,7 +61,7 @@ class TestViterbiBasics:
         with pytest.raises(InvalidInput, match=r"must be \(T >= 1, S >= 1\)"):
             viterbi_decode(np.zeros((0, 3)), const(np.zeros((3, 3))), 1.0)
         with pytest.raises(InvalidInput, match=r"must be \(T >= 1, S >= 1\)"):
-            EmissionTable(np.zeros((2, 0)))
+            viterbi_decode(np.zeros((2, 0)), const(np.zeros((0, 0))), 1.0)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (1, 2, 2)])
     def test_step_of_wrong_shape_rejected(self, shape):
@@ -78,11 +78,11 @@ class TestViterbiBasics:
             viterbi_decode(em, lambda t: steps[t - 1], 1.0)
 
     def test_emission_table_validation(self):
-        with pytest.raises(ValueError):
-            EmissionTable(np.array([[np.inf, 0.0]]))
-        with pytest.raises(ValueError):
-            EmissionTable(np.array([[-1.0, 0.0]]))
-        # a plain array handed to the decoder gets the same checks
+        with pytest.raises(ValueError, match="emission costs must be finite"):
+            viterbi_decode(np.array([[np.inf, 0.0]]), const(np.zeros((2, 2))), 1.0)
+        with pytest.raises(ValueError, match="emission costs must be non-negative"):
+            viterbi_decode(np.array([[-1.0, 0.0]]), const(np.zeros((2, 2))), 1.0)
+        # on a later frame too
         for bad in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError):
                 viterbi_decode(np.array([[bad, 0.0], [0.0, 1.0]]), const(np.zeros((2, 2))), 1.0)
