@@ -42,7 +42,11 @@ class PoseTrack:
             raise InvalidInput("per-frame arrays must have equal length")
         if not (np.isfinite(self.scale) and self.scale > 0 and np.isfinite(self.translations).all()):
             raise InvalidInput("scale must be finite and positive, and translations finite")
-        self.rotations = np.stack([quat_normalize(q) for q in self.rotations])
+        # a finite quaternion whose squared norm overflows fails its
+        # normalization with its own message, so numpy's warning would be a
+        # second line
+        with np.errstate(over="ignore"):
+            self.rotations = np.stack([quat_normalize(q) for q in self.rotations])
 
     def __len__(self) -> int:
         return len(self.timestamps)

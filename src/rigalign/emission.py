@@ -319,7 +319,7 @@ class EmissionEvaluator:
         about _CHAMFER_BLOCK_POINTS query points; each block's two queries
         make one query, so they share the query pool.
         """
-        from .metrics import chamfer_from_distances, kd_tree  # loaded by __init__
+        from .metrics import chamfer_distance, kd_tree  # loaded by __init__
 
         x = np.asarray(x_resampled, dtype=float)
         n, m = len(x), len(self.sample)
@@ -336,7 +336,7 @@ class EmissionEvaluator:
 
             def reduce(results):
                 (d_ba, _), (d_ab, _) = results
-                row[start:start + len(block)] = chamfer_from_distances(
+                row[start:start + len(block)] = chamfer_distance(
                     d_ab.reshape(len(block), n) * scales, d_ba.reshape(len(block), m))
 
             return reduce, [(obs_tree, forward), (self._sample_tree, inverse)]

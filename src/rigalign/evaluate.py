@@ -8,12 +8,12 @@ import numpy as np
 
 from .align import PoseTrack
 from .errors import DegenerateGeometry, InvalidInput
-from .geometry import PointCloud, TriangleMesh, resample_point_cloud, sample_mesh_surface
+from .geometry import TriangleMesh, resample_point_cloud, sample_mesh_surface
 from .metrics import (
     MetricReport,
     NearestNeighborIndex,
-    chamfer_from_distances,
-    f_score_from_distances,
+    chamfer_distance,
+    f_score,
     icp_with_scaling,
     median_metrics,
 )
@@ -35,9 +35,9 @@ def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
     aligned = icp.transform.apply(pred_points)
     d_pred = icp.distances
     d_gt, _ = NearestNeighborIndex(aligned).query(gt_points)
-    cd = chamfer_from_distances(d_pred, d_gt)
-    p5, r5, f5 = f_score_from_distances(d_pred, d_gt, 0.005)
-    p10, r10, f10 = f_score_from_distances(d_pred, d_gt, 0.010)
+    cd = chamfer_distance(d_pred, d_gt)
+    p5, r5, f5 = f_score(d_pred, d_gt, 0.005)
+    p10, r10, f10 = f_score(d_pred, d_gt, 0.010)
     return MetricReport(
         chamfer_cm2=cd, f5=f5, f10=f10,
         precision_5mm=p5, recall_5mm=r5, precision_10mm=p10, recall_10mm=r10,
@@ -45,19 +45,18 @@ def frame_report(pred_points: np.ndarray, gt_points: np.ndarray, *,
 
 
 def gt_points_for(geometry, n: int, seed: int) -> np.ndarray:
-    """10k-point ground truth: surface-sampled for meshes, resampled for clouds."""
+    """10k-point ground truth: surface-sampled for a mesh, resampled for a
+    cloud's (N, 3) points."""
     if isinstance(geometry, TriangleMesh):
         return sample_mesh_surface(geometry, n, seed)
-    if isinstance(geometry, PointCloud):
-        return resample_point_cloud(geometry.points, n, seed)
-    raise TypeError("ground truth must be a TriangleMesh or PointCloud")
+    return resample_point_cloud(geometry, n, seed)
 
 
 def evaluate_track(mesh: TriangleMesh, track: PoseTrack, ground_truths, *,
                    n: int = 10000, seed: int = 0,
                    icp_max_iters: int = 100, icp_tol: float = 1e-6):
     """Per-frame and median reports for a decoded track against per-frame
-    ground-truth geometry (meshes or clouds). A dead end in a frame's
+    ground-truth geometry (meshes or (N, 3) cloud points). A dead end in a frame's
     scoring is raised as DegenerateGeometry naming the track's frame index."""
     ground_truths = list(ground_truths)
     if len(ground_truths) != len(track):

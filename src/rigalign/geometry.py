@@ -45,6 +45,8 @@ def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = math.sqrt(float(q @ q))
     if n == 0.0 or not math.isfinite(n):
+        if n == math.inf and np.isfinite(q).all():
+            raise InvalidInput("cannot normalize quaternion: its squared norm overflows")
         raise InvalidInput("cannot normalize zero or non-finite quaternion")
     return q / n
 
@@ -226,21 +228,6 @@ class PixelMap:
         grid = np.zeros(self.mask.shape + self.values.shape[1:])
         grid[self.mask] = self.values
         return grid
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Anchored frame q = scale * (p - mean) / sigma, invertible exactly."""
-
-    mean: np.ndarray
-    sigma: float
-    scale: float
-
-    def apply(self, points) -> np.ndarray:
-        return self.scale * (np.asarray(points, dtype=float) - self.mean) / self.sigma
-
-    def invert(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float) * (self.sigma / self.scale) + self.mean
 
 
 @dataclass(eq=False)
@@ -467,7 +454,7 @@ def first_hit_map(mesh: TriangleMesh, camera: Camera) -> PixelMap:
 def normalize_points(points, s: float = 0.7):
     """Center points at their mean and divide by the RMS distance to it, times s.
 
-    Returns (normalized points, params); params.invert round-trips exactly.
+    Returns (normalized points, mean, sigma): q = s * (p - mean) / sigma.
     """
     if s <= 0:
         raise InvalidInput("s must be positive")
@@ -478,8 +465,7 @@ def normalize_points(points, s: float = 0.7):
     sigma = float(np.sqrt(np.mean(np.sum((p - mean) ** 2, axis=1))))
     if sigma == 0.0:
         raise DegenerateGeometry("all points identical")
-    params = NormalizationParams(mean, sigma, float(s))
-    return params.apply(p), params
+    return float(s) * (p - mean) / sigma, mean, sigma
 
 
 def triangle_areas(mesh: TriangleMesh) -> np.ndarray:

@@ -189,14 +189,23 @@ def _read_ply(path):
     blob = read_input(path, "PLY file")
     elements, body = _parse_ply_header(blob, path)
 
-    def take(dtype, count, offset):
-        if count < 0 or offset + dtype.itemsize * count > len(body):
-            raise InvalidInput(f"{path}: PLY body is truncated")
-        return np.frombuffer(body, dtype, count, offset)
+    def take(dtype, n, offset, element, record=None):
+        """`n` values of `dtype` at `offset`, read for `element`. A body that
+        ends first is named with the element and the record being read: for a
+        scalar element, whose dtype is one record, the first that does not fit."""
+        if offset + dtype.itemsize * n > len(body):
+            name, count, _ = element
+            if record is None:
+                record = (len(body) - offset) // dtype.itemsize
+            raise InvalidInput(f"{path}: PLY body ends inside element '{name}', record "
+                               f"{record + 1} of {count}: the file is truncated, or an element "
+                               f"count declared up to '{name}' is wrong")
+        return np.frombuffer(body, dtype, n, offset)
 
     out: dict[str, dict[str, np.ndarray]] = {}
     offset = 0
-    for name, count, props in elements:
+    for element in elements:
+        name, count, props = element
         if any(len(p) == 3 for p in props):
             if len(props) != 1:
                 raise InvalidInput(f"{path}: mixed list/scalar element '{name}' unsupported")
@@ -204,15 +213,18 @@ def _read_ply(path):
             cnt_dt = np.dtype("<" + cnt_t)
             item_dt = np.dtype("<" + item_t)
             rows = []
-            for _ in range(count):
-                n = int(take(cnt_dt, 1, offset)[0])
+            for r in range(count):
+                n = int(take(cnt_dt, 1, offset, element, r)[0])
+                if n < 0:
+                    raise InvalidInput(f"{path}: PLY element '{name}', record {r + 1}: "
+                                       f"negative list length {n}")
                 offset += cnt_dt.itemsize
-                rows.append(take(item_dt, n, offset).astype(np.int64))
+                rows.append(take(item_dt, n, offset, element, r).astype(np.int64))
                 offset += item_dt.itemsize * n
             out[name] = {prop_name: rows}
         else:
             dt = np.dtype([(pn, "<" + pt) for pn, pt in props])
-            arr = take(dt, count, offset)
+            arr = take(dt, count, offset, element)
             offset += dt.itemsize * count
             out[name] = {pn: arr[pn] for pn, _ in props}
     if offset < len(body):
@@ -337,11 +349,11 @@ def load_mesh(path) -> TriangleMesh:
 
 
 def load_ply_geometry(path):
-    """PLY as a TriangleMesh when faces are present, else a PointCloud."""
+    """PLY as a TriangleMesh when faces are present, else the cloud's (N, 3) points."""
     data = _read_ply(path)
     if any(len(r) for r in _face_rows(data, path)):
         return _mesh_from(data, path)
-    return _cloud_from(data, path)
+    return _cloud_from(data, path).points
 
 
 # ---------------------------------------------------------------------------

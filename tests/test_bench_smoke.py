@@ -2,7 +2,8 @@
 
 Every span boundary the harness wraps must still exist in the package, so a
 refactor that renames or removes a traced function fails here instead of
-silently reading zero in the benchmark.
+silently reading zero in the benchmark. On `eval-icp`, every boundary the
+workload expects must also record calls.
 """
 
 import json
@@ -33,6 +34,8 @@ def test_traced_track_dense_call(tmp_path):
     assert (out / "track.json").is_file()
     assert result["missing"] == []
     assert result["calls"]["emission.chamfer"] > 0
+    # emission's Chamfer rows reduce outside the metrics layer's boundary
+    assert "metrics.chamfer" not in result["calls"]
     # 2 frames: each phase scores and combines every frame once, then decodes
     # once; a refactor that scored outside frame_terms would read 0 here
     calls = {name: result["calls"].get(name, 0) for name in (
@@ -54,4 +57,9 @@ def test_traced_eval_icp_call(tmp_path):
     assert result["rc"] == 0, result["output"]
     assert (out / "metrics.json").is_file()
     assert result["missing"] == []
-    assert result["calls"]["metrics.icp"] > 0
+    # eval-icp's expect_calls in bench/scenes.py: each must record a call
+    expected = ("evaluate.track", "metrics.icp", "metrics.nn_query", "metrics.fit",
+                "metrics.chamfer", "metrics.fscore", "geometry.sample")
+    assert [name for name in expected if not result["calls"].get(name)] == []
+    # 3 frames: one Chamfer and two F-scores (5 mm, 10 mm) per frame
+    assert (result["calls"]["metrics.chamfer"], result["calls"]["metrics.fscore"]) == (3, 6)

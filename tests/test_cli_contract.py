@@ -361,12 +361,14 @@ _HUGE = "1" * 401  # a JSON integer no float or int64 holds
     ("scale", _HUGE, "int too large to convert to float"),
     ("rotation_wxyz", _HUGE, "int too large to convert to float"),
     ("translation_m", _HUGE, "int too large to convert to float"),
+    ("rotation_wxyz", "1e300", "cannot normalize quaternion: its squared norm overflows"),
     ("t", str(2**63), "too large"),
     ("t", "1.5", "entry 1: t is 1.5, not an integer"),
     ("t", "true", "entry 1: t is true, not an integer"),
     ("t", '"1"', 'entry 1: t is "1", not an integer'),
-], ids=["huge-scale", "huge-rotation", "huge-translation", "t-2**63", "t-float", "t-bool",
-        "t-string"])
+], ids=["huge-scale", "huge-rotation", "huge-translation", "rotation-norm-overflows",
+        "t-2**63", "t-float", "t-bool", "t-string"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
 def test_track_value_too_large_or_not_an_integer_rejected_by_eval(scene, tmp_path, field,
                                                                  value, message):
     track_obj = json.loads((scene / "gt_track.json").read_text())
@@ -703,6 +705,7 @@ _PLY_MUTATIONS = {
     "truncated-body": (lambda columns: {"cut": 5}, 2, 2),
     "count-larger-than-body": (lambda columns: {"count_extra": 1}, 2, 2),
     "count-smaller-than-body": (lambda columns: {"last_count_extra": -1}, 2, 2),
+    "vertex-count-smaller-than-body": (lambda columns: {"count_extra": -1}, 2, 2),
     "x-int": (_retype("x", "int"), 0, 0),
     "y-int": (_retype("y", "int"), 0, 0),
     "z-int": (_retype("z", "int"), 0, 0),
@@ -719,6 +722,14 @@ _PLY_MUTATIONS = {
     # Chamfer distances overflow at 1e155; the mesh's area overflows at load
     "scaled-1e154": (_scaled(1e154), 3, 2),
     "scaled-1e155": (_scaled(1e155), 3, 2),
+}
+
+# (mutation, file) -> part of the error line, where a misread would blame the
+# wrong thing: the mesh's face block then starts inside the last vertex.
+_PLY_MESSAGES = {
+    ("vertex-count-smaller-than-body", "gt_000001.ply"):
+        "PLY body ends inside element 'face', record 1 of 4: the file is truncated, or an "
+        "element count declared up to 'face' is wrong",
 }
 
 
@@ -744,6 +755,7 @@ def test_ply_mutation_keeps_the_contract(scene, tmp_path, name, mutation):
     else:
         assert_rejected(code, err, tmp_path / "out", codes=(2, 3))
         assert code == 3 or f"{name}: " in err  # a file rejected at load is named
+        assert _PLY_MESSAGES.get((mutation, name), "") in err
 
 
 @pytest.mark.parametrize("command", ["track", "eval"])
@@ -830,6 +842,35 @@ def test_two_hand_files_for_one_frame_rejected(tmp_path):
     code, err = run_quietly(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
     assert_rejected(code, err, out)
     assert "hand_000000.obj" in err and "hand_000000.ply" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would add stderr lines
+@pytest.mark.parametrize("scale, obj, message", [
+    (None, "v -0.2 -0.2 1\nv 0.2 -0.2 1\nv 0.2 0.2 1\n", "mesh has no faces"),
+    (1e200, None, "mesh surface area overflows"),
+    (1e-200, None, "mesh has zero surface area"),
+], ids=["vertex-only", "scaled-1e200", "scaled-1e-200"])
+def test_hand_mesh_without_a_surface_rejected_before_any_cast(tmp_path, monkeypatch, scale, obj,
+                                                              message):
+    def never(*args, **kwargs):
+        raise AssertionError("a hand mesh was cast before every hand mesh was checked")
+
+    monkeypatch.setattr(pipeline, "first_hit_map", never)
+    cam = Camera(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
+    meshio.save_camera(cam, tmp_path / "camera.json")
+    quad = TriangleMesh(np.array([[-0.2, -0.2, 1.0], [0.2, -0.2, 1.0], [0.2, 0.2, 1.0],
+                                  [-0.2, 0.2, 1.0]]), np.array([[0, 1, 2], [0, 2, 3]]))
+    meshio.save_obj(quad, tmp_path / "hand_000000.obj")
+    if obj is None:
+        meshio.save_obj(TriangleMesh(quad.vertices * scale, quad.faces),
+                        tmp_path / "hand_000001.obj")
+    else:
+        (tmp_path / "hand_000001.obj").write_text(obj)
+    (tmp_path / "run.cfg").write_text("hand_dir = .\ncamera = camera.json\n")
+    out = tmp_path / "prep"
+    code, err = run_quietly(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert_rejected(code, err, out)
+    assert f"hand_000001.obj: hand mesh cannot be cast: {message}" in err
 
 
 def test_deleted_cloud_rejected(scene, tmp_path):

@@ -27,12 +27,13 @@ from rigalign.geometry import (
     resample_point_cloud,
     sample_mesh_surface,
 )
-from rigalign.metrics import chamfer_distance, nearest
+from rigalign.metrics import nearest
 from rigalign.grids import build_rotation_grid
 from rigalign.synthetic import irregular_tetrahedron, render_feature_map
 
 from conftest import random_blob_mesh, subdivided
 from oracles import (
+    chamfer_of_points,
     dense_pca_basis,
     dense_similarity,
     per_state_feature_errors,
@@ -533,7 +534,7 @@ class _ZeroFeatures:
 
 
 class TestBatchedChamfer:
-    """The batched Chamfer row against metrics.chamfer_distance per state, and
+    """The batched Chamfer row against the point-set Chamfer oracle per state, and
     its schedule: frame_terms scores the feature term while the pool queries
     the first block, then drains the rest with two blocks in flight."""
 
@@ -545,7 +546,7 @@ class TestBatchedChamfer:
         x_res = resample_point_cloud(obs, ev.sample_count, ev.seed)
         row, dino = ev.frame_terms("rotation", 0, obs, states)
         assert dino is None
-        oracle = np.array([chamfer_distance(x_res, s.apply(ev.sample)) for s in states])
+        oracle = np.array([chamfer_of_points(x_res, s.apply(ev.sample)) for s in states])
         assert row.shape == (len(states),)
         np.testing.assert_allclose(row, oracle, rtol=1e-12, atol=0.0)
         assert np.array_equal(np.argsort(row, kind="stable"), np.argsort(oracle, kind="stable"))
@@ -602,8 +603,8 @@ class TestBatchedChamfer:
         from rigalign import metrics
 
         reduced = []
-        reduce = metrics.chamfer_from_distances
-        monkeypatch.setattr(metrics, "chamfer_from_distances",
+        reduce = metrics.chamfer_distance
+        monkeypatch.setattr(metrics, "chamfer_distance",
                             lambda d_ab, d_ba: reduced.append(len(d_ab)) or reduce(d_ab, d_ba))
         source = _ZeroFeatures(reduced)
         ev = EmissionEvaluator(self.mesh, feature_source=source, sample_count=512, seed=3)
@@ -664,7 +665,7 @@ class TestBatchedChamfer:
         # one state at a time, every query on this thread
         x = resample_point_cloud(obs, 512, 3)
         obs_tree, sample_tree = cKDTree(x), cKDTree(ev.sample)
-        want = np.array([metrics.chamfer_from_distances(
+        want = np.array([metrics.chamfer_distance(
             sample_tree.query(((x - s.translation) @ s.matrix()) / s.scale)[0] * s.scale,
             obs_tree.query(s.apply(ev.sample))[0]) for s in states])
         assert row.tobytes() == want.tobytes()

@@ -6,19 +6,19 @@ from rigalign import metrics
 from rigalign.evaluate import evaluate_track, frame_report
 from rigalign.geometry import SimilarityTransform
 from rigalign.geometry import resample_point_cloud
-from rigalign.metrics import MetricReport, chamfer_distance, f_score, icp_with_scaling
+from rigalign.metrics import MetricReport, icp_with_scaling
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene
 
-from oracles import random_unit_quaternions
+from oracles import chamfer_of_points, f_score_of_points, random_unit_quaternions
 
 
 def per_metric_report(pred, gt, max_iters):
     """The per-metric formulation: ICP, then one Chamfer and two F-score calls
     on the aligned prediction."""
     aligned = icp_with_scaling(pred, gt, max_iters=max_iters).transform.apply(pred)
-    p5, r5, f5 = f_score(aligned, gt, 0.005)
-    p10, r10, f10 = f_score(aligned, gt, 0.010)
-    return MetricReport(chamfer_cm2=chamfer_distance(aligned, gt), f5=f5, f10=f10,
+    p5, r5, f5 = f_score_of_points(aligned, gt, 0.005)
+    p10, r10, f10 = f_score_of_points(aligned, gt, 0.010)
+    return MetricReport(chamfer_cm2=chamfer_of_points(aligned, gt), f5=f5, f10=f10,
                         precision_5mm=p5, recall_5mm=r5, precision_10mm=p10, recall_10mm=r10)
 
 
@@ -111,4 +111,4 @@ def test_evaluate_track_builds_three_trees_per_frame(monkeypatch):
 @pytest.mark.parametrize("threshold", [0.0, -0.005])
 def test_non_positive_threshold_rejected(threshold):
     with pytest.raises(ValueError):
-        metrics.f_score_from_distances(np.zeros(3), np.zeros(3), threshold)
+        metrics.f_score(np.zeros(3), np.zeros(3), threshold)

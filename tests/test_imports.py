@@ -12,8 +12,8 @@ calls), whose thread pool makes `metrics` the only module that imports
 `concurrent.futures`. The package defines three exception classes, one per
 exit code and their base, all in `errors`. After load a point set is an
 (N, 3) array: `PointCloud`, the record of one PLY cloud, is named only by the
-modules that load, write or make clouds, and only `evaluate.gt_points_for`
-tells a cloud from a mesh by type."""
+modules that define, read, write or make clouds, and no module tells a cloud
+from anything else by type."""
 
 import ast
 import builtins
@@ -201,8 +201,8 @@ def test_point_cloud_scans_see_every_mention_and_type_test():
     assert point_cloud_type_tests(source) == ["f", "h"]
 
 
-# The modules that load, write or make PLY clouds, or tell a cloud from a mesh.
-POINT_CLOUD_MODULES = {"geometry", "meshio", "pipeline", "evaluate", "synthetic"}
+# The modules that define, read, write or make PLY clouds.
+POINT_CLOUD_MODULES = {"geometry", "meshio", "synthetic"}
 
 
 def test_point_sets_are_arrays_outside_the_cloud_record():
@@ -210,8 +210,7 @@ def test_point_sets_are_arrays_outside_the_cloud_record():
     named = {module for module, source in sources.items() if point_cloud_mentions(source)}
     assert named - POINT_CLOUD_MODULES == set()
     tested = {module: point_cloud_type_tests(source) for module, source in sources.items()}
-    assert {module: scopes for module, scopes in tested.items() if scopes} == {
-        "evaluate": ["gt_points_for"]}
+    assert {module: scopes for module, scopes in tested.items() if scopes} == {}
 
 
 def run_child(code: str, **env) -> str:

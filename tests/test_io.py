@@ -97,7 +97,7 @@ class TestPly:
         assert isinstance(meshio.load_ply_geometry(mpath), TriangleMesh)
         cpath = tmp_path / "c.ply"
         meshio.save_ply_cloud(PointCloud(np.zeros((3, 3))), cpath)
-        assert isinstance(meshio.load_ply_geometry(cpath), PointCloud)
+        assert np.array_equal(meshio.load_ply_geometry(cpath), np.zeros((3, 3)))
 
     def test_ascii_rejected(self, tmp_path):
         path = tmp_path / "a.ply"
@@ -121,6 +121,19 @@ class TestPly:
         path.write_bytes(data[: len(data) - cut])
         with pytest.raises(InvalidInput, match="truncated"):
             meshio.load_ply_cloud(path)
+
+    def test_negative_list_length_rejected(self, tmp_path):
+        """A signed list length of -1 would read the rest of the body."""
+        verts = np.zeros((3, 3), dtype="<f4").tobytes()
+        face = np.array([-1], dtype="i1").tobytes() + np.arange(3, dtype="<i4").tobytes()
+        path = tmp_path / "n.ply"
+        path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+                         b"property float x\nproperty float y\nproperty float z\n"
+                         b"element face 1\nproperty list char int vertex_indices\nend_header\n"
+                         + verts + face)
+        with pytest.raises(InvalidInput, match="n.ply: PLY element 'face', record 1: negative "
+                                               "list length -1"):
+            meshio.load_ply_mesh(path)
 
     @pytest.mark.parametrize("line", ["element vertex many", "element vertex -1",
                                       "property float128 x", "property list uchar"])

@@ -19,8 +19,6 @@ from rigalign.metrics import (
     MetricReport,
     NearestNeighborIndex,
     chamfer_distance,
-    chamfer_from_distances,
-    f_score,
     fit_similarity,
     icp_with_scaling,
     median_metrics,
@@ -28,7 +26,7 @@ from rigalign.metrics import (
 )
 
 import oracles
-from oracles import icp_per_start, random_unit_quaternions
+from oracles import chamfer_of_points, f_score_of_points, icp_per_start, random_unit_quaternions
 
 
 def chamfer_oracle(a, b):
@@ -49,42 +47,41 @@ class TestChamfer:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 3))
-        assert chamfer_distance(a, a.copy()) == 0.0
+        assert chamfer_of_points(a, a.copy()) == 0.0
 
     def test_single_pair_arithmetic(self):
         # 1 cm apart: 1 cm^2 each direction
-        assert chamfer_distance(np.array([[0.0, 0, 0]]), np.array([[0.01, 0, 0]])) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        assert chamfer_of_points(np.array([[0.0, 0, 0]]),
+                                 np.array([[0.01, 0, 0]])) == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             a = rng.normal(size=(50, 3)) * 0.1
             b = rng.normal(size=(50, 3)) * 0.1
-            assert chamfer_distance(a, b) == pytest.approx(chamfer_oracle(a, b), abs=1e-9)
+            assert chamfer_of_points(a, b) == pytest.approx(chamfer_oracle(a, b), abs=1e-9)
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(80, 3))
         b = rng.normal(size=(80, 3))
-        assert chamfer_distance(a, b) == chamfer_distance(b, a)
+        assert chamfer_of_points(a, b) == chamfer_of_points(b, a)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(40, 3))
         b = rng.normal(size=(40, 3))
-        base = chamfer_distance(a, b)
+        base = chamfer_of_points(a, b)
         for k in (0.5, 2.0, 7.3):
-            assert chamfer_distance(k * a, k * b) == pytest.approx(k * k * base, rel=1e-9)
+            assert chamfer_of_points(k * a, k * b) == pytest.approx(k * k * base, rel=1e-9)
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidInput, match=r"same size \(3 vs 4\)"):
-            chamfer_distance(np.zeros((3, 3)), np.zeros((4, 3)))
+            chamfer_of_points(np.zeros((3, 3)), np.zeros((4, 3)))
 
     def test_empty(self):
         with pytest.raises(DegenerateGeometry, match="needs non-empty clouds"):
-            chamfer_distance(np.zeros((0, 3)), np.zeros((0, 3)))
+            chamfer_of_points(np.zeros((0, 3)), np.zeros((0, 3)))
 
     @pytest.mark.parametrize("rows, n", [(1, 1), (7, 64), (33, 1000), (5, 4097)])
     def test_rows_reduce_like_single_arrays(self, rows, n):
@@ -93,45 +90,45 @@ class TestChamfer:
         rng = np.random.default_rng(rows * n)
         d_ab = rng.random((rows, n)) * rng.choice([1e-4, 1e-2, 1.0], size=(rows, 1))
         d_ba = rng.random((rows, n)) * 0.01
-        batched = chamfer_from_distances(d_ab, d_ba)
+        batched = chamfer_distance(d_ab, d_ba)
         assert batched.shape == (rows,)
-        single = [chamfer_from_distances(a, b) for a, b in zip(d_ab, d_ba)]
+        single = [chamfer_distance(a, b) for a, b in zip(d_ab, d_ba)]
         assert all(isinstance(v, float) for v in single)
         assert batched.tolist() == single
 
     def test_rows_size_checked_on_last_axis(self):
         with pytest.raises(InvalidInput, match=r"same size \(5 vs 6\)"):
-            chamfer_from_distances(np.zeros((2, 5)), np.zeros((2, 6)))
+            chamfer_distance(np.zeros((2, 5)), np.zeros((2, 6)))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_rejected(self):
         """A squared distance of 1e304 m^2 is 1e308 cm^2, which fits a float;
         1e308 m^2 does not in cm^2, and 1e400 not at all."""
-        assert chamfer_from_distances(np.full(3, 1e152), np.zeros(3)) == 1e308
+        assert chamfer_distance(np.full(3, 1e152), np.zeros(3)) == 1e308
         for d in (1e154, 1e200):
             with pytest.raises(DegenerateGeometry, match="Chamfer distance overflows"):
-                chamfer_from_distances(np.zeros((2, 3)), np.full((2, 3), d))
+                chamfer_distance(np.zeros((2, 3)), np.full((2, 3), d))
 
 
 class TestFScore:
     def test_identical_sets(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(30, 3))
-        assert f_score(a, a.copy(), 0.005) == (1.0, 1.0, 1.0)
+        assert f_score_of_points(a, a.copy(), 0.005) == (1.0, 1.0, 1.0)
 
     def test_hand_computed_example(self):
         pred = np.array([[0.0, 0, 0], [0.02, 0, 0]])
         gt = np.array([[0.0, 0, 0]])
-        p, r, f = f_score(pred, gt, 0.010)
+        p, r, f = f_score_of_points(pred, gt, 0.010)
         assert (p, r) == (0.5, 1.0)
         assert f == pytest.approx(2 / 3, abs=1e-12)
 
     def test_no_inliers_is_zero_without_error(self):
-        p, r, f = f_score(np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]]), 0.01)
+        p, r, f = f_score_of_points(np.array([[0.0, 0, 0]]), np.array([[1.0, 0, 0]]), 0.01)
         assert (p, r, f) == (0.0, 0.0, 0.0)
 
     def test_threshold_tie_counts_as_inlier(self):
-        p, r, f = f_score(np.array([[0.0, 0, 0]]), np.array([[0.01, 0, 0]]), 0.01)
+        p, r, f = f_score_of_points(np.array([[0.0, 0, 0]]), np.array([[0.01, 0, 0]]), 0.01)
         assert (p, r, f) == (1.0, 1.0, 1.0)
 
     def test_matches_oracle(self):
@@ -140,7 +137,7 @@ class TestFScore:
             pred = rng.normal(size=(50, 3)) * 0.01
             gt = rng.normal(size=(50, 3)) * 0.01
             for thr in (0.005, 0.01):
-                got = f_score(pred, gt, thr)
+                got = f_score_of_points(pred, gt, thr)
                 want = f_score_oracle(pred, gt, thr)
                 assert got == pytest.approx(want, abs=1e-9)
 
@@ -151,7 +148,7 @@ class TestFScore:
         pred = rng.normal(size=(20, 3)) * 0.01
         gt = rng.normal(size=(20, 3)) * 0.01
         thresholds = [0.001, 0.002, 0.005, 0.01, 0.02, 0.05]
-        scores = [f_score(pred, gt, t)[2] for t in thresholds]
+        scores = [f_score_of_points(pred, gt, t)[2] for t in thresholds]
         assert all(b >= a for a, b in zip(scores, scores[1:]))
 
 
@@ -622,5 +619,6 @@ class TestMedianMetrics:
             median_metrics([])
 
     def test_f_identity_on_frame_reports(self):
-        p, r, f = f_score(np.array([[0.0, 0, 0], [0.02, 0, 0]]), np.array([[0.0, 0, 0]]), 0.01)
+        p, r, f = f_score_of_points(np.array([[0.0, 0, 0], [0.02, 0, 0]]),
+                                    np.array([[0.0, 0, 0]]), 0.01)
         assert abs(f - 2 * p * r / (p + r)) < 1e-12

@@ -18,7 +18,7 @@ from rigalign.geometry import LABEL_OBJECT, Camera, PointCloud, TriangleMesh
 from rigalign.pipeline import load_run_inputs, run_track
 from rigalign.synthetic import SceneSpec, generate_synthetic_scene, write_scene
 
-from oracles import points_to_mesh_distance
+from oracles import invert_normalization, points_to_mesh_distance
 
 
 @pytest.fixture(scope="module")
@@ -484,7 +484,7 @@ class TestPrep:
         assert params["scale"] == 0.7
 
     def test_prep_inversion_round_trip(self, tmp_path):
-        from rigalign.geometry import NormalizationParams, first_hit_map
+        from rigalign.geometry import first_hit_map
 
         cam = Camera(fx=40.0, fy=40.0, cx=16.0, cy=16.0, width=32, height=32)
         meshio.save_camera(cam, tmp_path / "camera.json")
@@ -497,7 +497,7 @@ class TestPrep:
         cli_run(["prep", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "prep")])
         grid, mask = meshio.load_fmap(tmp_path / "prep" / "prep_000003.fmap")
         params = json.loads((tmp_path / "prep" / "prep_params_000003.json").read_text())
-        norm = NormalizationParams(np.array(params["mean"]), params["sigma"], params["scale"])
-        recovered = norm.invert(grid[mask].astype(float))
+        recovered = invert_normalization(grid[mask].astype(float), np.array(params["mean"]),
+                                         params["sigma"], params["scale"])
         original = first_hit_map(quad, cam).values
         assert np.allclose(recovered, original, atol=1e-5)
